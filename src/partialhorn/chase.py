@@ -4,14 +4,32 @@ From a presentation (a finite base structure plus forced ground atoms)
 the chase freely completes the structure to a model of the theory:
 premises are matched, conclusion subterms are materialized with fresh
 strictly-increasing ids, and equations merge elements through a
-least-id union-find kept congruence-closed.  Everything fires in a
-fixed order (sequents by declaration, assignments lexicographically in
-canonical ids), so results are bit-for-bit reproducible.
+least-id union-find kept congruence-closed.
+
+Congruence closure is incremental, as in egg's rebuilding: every table
+entry is listed in a use-list under each id it holds, a union queues the
+losing id, and ``normalize`` re-keys only the entries on the queued ids'
+use-lists, uniting the values of entries whose keys collide, until the
+queue is empty.  Every key and value is then canonical (the least id of
+its class), the same fixpoint a full rebuild reaches.
+
+Premises are matched by a join over flattened atoms ``f(x1..xk) = y``,
+in the spirit of relational e-matching.  Each sequent's premise is
+compiled once per chase, its atoms ordered greedily so that each next
+atom shares the most variables bound before it.  A flat atom is then a
+table lookup when its arguments are bound, a probe of the function's
+value -> arguments index (rebuilt lazily whenever the state changed)
+when only its value is, and a scan of the table otherwise.
+
+Everything fires in a fixed order (sequents by declaration, assignments
+lexicographically in canonical ids), so results are bit-for-bit
+reproducible; snapshots list every table in sorted key order, so a
+model does not depend on the history of its merges.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -28,7 +46,6 @@ from .syntax import (
     Signature,
     Theory,
     Var,
-    free_vars,
     normalized,
 )
 
@@ -78,6 +95,110 @@ class _Budget(Exception):
     pass
 
 
+# Kinds of join steps in a compiled premise (see _compile_premise).
+_LOOKUP = 0  # f(bound args): read the table, bind or check the value slot
+_PROBE = 1  # f(args) = bound value: read the value index, unify the args
+_SCAN = 2  # f(args) = value, value unbound: unify every table entry
+_REL = 3  # R(args): unify every tuple of the relation
+_CARRIER = 4  # a context variable no atom binds: every element of its sort
+
+_Step = tuple  # (kind, symbol, slots, extra); see _compile_premise
+_Plan = tuple[tuple[_Step, ...], tuple[int, ...], int]
+
+
+def _compile_premise(seq: Sequent) -> _Plan:
+    """Flatten a premise into atoms over variable slots and order the join.
+
+    Every subterm gets one slot (the context variables take slots 0..n-1,
+    repeated subterms share theirs) and becomes a flat atom
+    ``f(slots) = slot``; an equation unites the slots of its sides.  The
+    atoms are then ordered greedily: each next atom shares the most slots
+    already bound, ties going to a pure table lookup and then to the
+    earlier atom.  Context variables that no atom binds range over their
+    carrier at the end.  Returns the steps, the slot that holds each
+    context variable's value, and the number of slots.
+    """
+    names = seq.context.names()
+    slot_of = {n: i for i, n in enumerate(names)}
+    parent = list(range(len(names)))
+    memo: dict[RawTerm, int] = {}
+    atoms: list[tuple[int, str, tuple[int, ...], int]] = []
+
+    def flat(t: RawTerm) -> int:
+        if isinstance(t, Var):
+            return slot_of[t.name]
+        slot = memo.get(t)
+        if slot is None:
+            args = tuple(flat(a) for a in t.args)
+            slot = memo[t] = len(parent)
+            parent.append(slot)
+            atoms.append((_SCAN, t.func, args, slot))  # step kind chosen below
+        return slot
+
+    def find(slot: int) -> int:
+        while parent[slot] != slot:
+            slot = parent[slot]
+        return slot
+
+    for atom in normalized(seq.premise).atoms:
+        if isinstance(atom, Rel):
+            atoms.append((_REL, atom.rel, tuple(flat(a) for a in atom.args), -1))
+        else:
+            a, b = find(flat(atom.lhs)), find(flat(atom.rhs))
+            parent[max(a, b)] = min(a, b)
+    remaining: list[tuple[int, str, tuple[int, ...], int]] = []
+    for kind, sym, args, out in atoms:
+        renamed = (kind, sym, tuple(find(a) for a in args), find(out) if out >= 0 else -1)
+        if renamed not in remaining:
+            remaining.append(renamed)
+
+    bound: set[int] = set()
+    steps: list[_Step] = []
+
+    def score(atom: tuple[int, str, tuple[int, ...], int]) -> tuple[int, bool]:
+        kind, _, args, out = atom
+        return len(bound.intersection((*args, out))), kind != _REL and bound.issuperset(args)
+
+    while remaining:
+        kind, sym, args, out = atom = max(remaining, key=score)  # the first of equals
+        remaining.remove(atom)
+        if kind == _REL:
+            steps.append((_REL, sym, None, _pattern(args, bound)))
+        elif bound.issuperset(args):
+            steps.append((_LOOKUP, sym, args, (out, out not in bound)))
+            bound.add(out)
+        elif out in bound:
+            steps.append((_PROBE, sym, out, _pattern(args, bound)))
+        else:
+            steps.append((_SCAN, sym, None, _pattern(args + (out,), bound)))
+    sorts = dict(seq.context.vars)
+    emit = tuple(find(slot_of[n]) for n in names)
+    for name, slot in zip(names, emit):
+        if slot not in bound:
+            steps.append((_CARRIER, sorts[name], slot, None))
+            bound.add(slot)
+    return tuple(steps), emit, len(parent)
+
+
+def _pattern(slots: tuple[int, ...], bound: set[int]) -> tuple[tuple[int, bool], ...]:
+    """Per position: the slot, and whether it is bound there (else checked
+    against the value bound before).  Adds the slots to ``bound``."""
+    out = []
+    for slot in slots:
+        out.append((slot, slot not in bound))
+        bound.add(slot)
+    return tuple(out)
+
+
+def _unify(vals: list[int], pattern: tuple[tuple[int, bool], ...], tup: tuple[int, ...]) -> bool:
+    for (slot, bind), x in zip(pattern, tup):
+        if bind:
+            vals[slot] = x
+        elif vals[slot] != x:
+            return False
+    return True
+
+
 class _ChaseState:
     def __init__(self, sig: Signature, budget: ChaseBudget) -> None:
         self.sig = sig
@@ -87,6 +208,11 @@ class _ChaseState:
         self.parent: dict[int, int] = {}
         self.funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in sig.funcs}
         self.rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in sig.rels}
+        # id -> the (func, args) keys whose args or value held it when stored
+        self.uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
+        self.pending: list[int] = []  # ids that lost a union, not yet re-keyed
+        self.plans: dict[int, tuple[Sequent, _Plan]] = {}  # id(seq) -> its compiled premise
+        self.indexes: dict[str, tuple[int, dict[int, list[tuple[int, ...]]]]] = {}
         self.next_id = 0
         self.created = 0
         self.version = 0
@@ -110,6 +236,7 @@ class _ChaseState:
         lo, hi = min(ra, rb), max(ra, rb)
         self.parent[hi] = lo
         self.live.discard(hi)
+        self.pending.append(hi)
         self.merges += 1
         self.version += 1
 
@@ -136,6 +263,8 @@ class _ChaseState:
                 self.register(e, s)
         for f, table in base.funcs.items():
             self.funcs[f] = dict(table)
+            for args, val in table.items():
+                self._use(f, args, val)
         for r, tuples in base.rels.items():
             self.rels[r] = set(tuples)
 
@@ -144,25 +273,34 @@ class _ChaseState:
 
     # -- congruence closure: keep tables keyed by canonical ids
 
+    def _use(self, f: str, args: tuple[int, ...], val: int) -> None:
+        entry = (f, args)
+        for i in {*args, val}:
+            self.uses[i].append(entry)
+
     def normalize(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for f in self.funcs:
-                rebuilt: dict[tuple[int, ...], int] = {}
-                for args, val in sorted(self.funcs[f].items()):
-                    cargs = tuple(self.find(a) for a in args)
-                    cval = self.find(val)
-                    old = rebuilt.get(cargs)
-                    if old is None:
-                        rebuilt[cargs] = cval
-                    elif old != cval:
-                        self.union(old, cval)
-                        rebuilt[cargs] = self.find(cval)
-                        changed = True
-                self.funcs[f] = rebuilt
-            for r in self.rels:
-                self.rels[r] = {tuple(self.find(a) for a in tup) for tup in self.rels[r]}
+        """Re-key the entries that mention an id which lost a union, and
+        unite the values of entries whose keys then collide, until no id
+        is pending.  Entries are registered under every id they hold, so
+        afterwards every key and value is canonical."""
+        if not self.pending:
+            return
+        while self.pending:
+            for f, args in self.uses.pop(self.pending.pop(), ()):
+                table = self.funcs[f]
+                val = table.pop(args, None)
+                if val is None:
+                    continue  # re-keyed already
+                key = tuple(self.find(a) for a in args)
+                val = self.find(val)
+                old = table.get(key)
+                if old is not None and self.find(old) != val:
+                    self.union(old, val)
+                    val = self.find(val)
+                table[key] = val
+                self._use(f, key, val)
+        for r, tuples in self.rels.items():
+            self.rels[r] = {tuple(self.find(a) for a in tup) for tup in tuples}
 
     # -- evaluation / materialization
 
@@ -187,6 +325,7 @@ class _ChaseState:
             return self.find(got)
         fresh = self.add_element(self.sig.func(term.func).result_sort)
         self.funcs[term.func][vals] = fresh
+        self._use(term.func, vals, fresh)
         self.fresh_log.append(FreshEntry(fresh, term.func, vals, term, items))
         return fresh
 
@@ -220,147 +359,64 @@ class _ChaseState:
             return tuple(vals) in self.rels[atom.rel]
         return self.eval(atom.term, asg) is not None
 
-    # -- premise matching (join-based, lexicographic output)
+    # -- premise matching (compiled join, lexicographic output)
+
+    def value_index(self, f: str) -> dict[int, list[tuple[int, ...]]]:
+        """value -> argument tuples of f's table, rebuilt when the state changed."""
+        cached = self.indexes.get(f)
+        if cached is None or cached[0] != self.version:
+            index: dict[int, list[tuple[int, ...]]] = {}
+            for args, val in self.funcs[f].items():
+                index.setdefault(val, []).append(args)
+            cached = self.indexes[f] = (self.version, index)
+        return cached[1]
 
     def match_premise(self, seq: Sequent) -> list[AssignmentItems]:
-        sorts = dict(seq.context.vars)
-        partials: list[dict[str, int]] = [{}]
-        for atom in normalized(seq.premise).atoms:
-            nxt: list[dict[str, int]] = []
-            for asg in partials:
-                nxt.extend(self._extend(atom, asg, sorts))
-            partials = nxt
-            if not partials:
-                break
-        names = seq.context.names()
+        cached = self.plans.get(id(seq))
+        if cached is None or cached[0] is not seq:
+            cached = self.plans[id(seq)] = (seq, _compile_premise(seq))
+        steps, emit, nslots = cached[1]
+        funcs, rels = self.funcs, self.rels
+        pools = {sym: self.carrier(sym) for kind, sym, _, _ in steps if kind == _CARRIER}
+        vals = [0] * nslots
         results: set[tuple[int, ...]] = set()
-        for asg in partials:
-            missing = [n for n in names if n not in asg]
-            pools = [self.carrier(sorts[n]) for n in missing]
-            for combo in itertools.product(*pools):
-                full = dict(asg)
-                full.update(zip(missing, combo))
-                results.add(tuple(full[n] for n in names))
+
+        def join(k: int) -> None:
+            if k == len(steps):
+                results.add(tuple(vals[s] for s in emit))
+                return
+            kind, sym, slots, extra = steps[k]
+            k += 1
+            if kind == _LOOKUP:
+                v = funcs[sym].get(tuple(vals[s] for s in slots))
+                if v is None:
+                    return
+                slot, bind = extra
+                if bind:
+                    vals[slot] = v
+                elif vals[slot] != v:
+                    return
+                join(k)
+            elif kind == _PROBE:
+                for args in self.value_index(sym).get(vals[slots], ()):
+                    if _unify(vals, extra, args):
+                        join(k)
+            elif kind == _SCAN:
+                for args, v in funcs[sym].items():
+                    if _unify(vals, extra, (*args, v)):
+                        join(k)
+            elif kind == _REL:
+                for tup in rels[sym]:
+                    if _unify(vals, extra, tup):
+                        join(k)
+            else:
+                for c in pools[sym]:
+                    vals[slots] = c
+                    join(k)
+
+        join(0)
+        names = seq.context.names()
         return [tuple(zip(names, tup)) for tup in sorted(results)]
-
-    def _extend(self, atom: Atom, asg: dict[str, int], sorts: Mapping[str, str]) -> list[dict[str, int]]:
-        if isinstance(atom, Eq):
-            ul = [v for v in free_vars(atom.lhs) if v not in asg]
-            ur = [v for v in free_vars(atom.rhs) if v not in asg]
-            if not ul and not ur:
-                return [asg] if self.holds_atom(atom, asg) else []
-            if not ul and len(ur) == 1:
-                return self._match_eq_bound(atom.lhs, atom.rhs, ur[0], asg, sorts)
-            if not ur and len(ul) == 1:
-                return self._match_eq_bound(atom.rhs, atom.lhs, ul[0], asg, sorts)
-            if ul == ur and len(ul) == 1:
-                out = []
-                for c in self.carrier(sorts[ul[0]]):
-                    ext = dict(asg)
-                    ext[ul[0]] = c
-                    if self.holds_atom(atom, ext):
-                        out.append(ext)
-                return out
-            if len(ul) == 1 and len(ur) == 1:
-                return self._match_eq_join(atom.lhs, ul[0], atom.rhs, ur[0], asg, sorts)
-            return self._match_fallback(atom, asg, sorts)
-        if isinstance(atom, Rel):
-            simple = all(
-                (isinstance(a, Var) and a.name not in asg) or not [v for v in free_vars(a) if v not in asg]
-                for a in atom.args
-            )
-            if not simple:
-                return self._match_fallback(atom, asg, sorts)
-            out = []
-            for tup in sorted(self.rels[atom.rel]):
-                ext: dict[str, int] = dict(asg)
-                ok = True
-                for term, tval in zip(atom.args, tup):
-                    if isinstance(term, Var) and term.name not in asg:
-                        if ext.get(term.name, tval) != tval:
-                            ok = False
-                            break
-                        ext[term.name] = tval
-                    else:
-                        if self.eval(term, ext) != tval:
-                            ok = False
-                            break
-                if ok:
-                    out.append(ext)
-            return out
-        return self._match_fallback(atom, asg, sorts)  # Def is normalized away
-
-    def _match_eq_bound(
-        self,
-        bound_side: RawTerm,
-        open_side: RawTerm,
-        var: str,
-        asg: dict[str, int],
-        sorts: Mapping[str, str],
-    ) -> list[dict[str, int]]:
-        value = self.eval(bound_side, asg)
-        if value is None:
-            return []
-        if isinstance(open_side, Var):
-            ext = dict(asg)
-            ext[var] = value
-            return [ext]
-        out = []
-        for c in self.carrier(sorts[var]):
-            ext = dict(asg)
-            ext[var] = c
-            if self.eval(open_side, ext) == value:
-                out.append(ext)
-        return out
-
-    def _match_eq_join(
-        self,
-        lhs: RawTerm,
-        lvar: str,
-        rhs: RawTerm,
-        rvar: str,
-        asg: dict[str, int],
-        sorts: Mapping[str, str],
-    ) -> list[dict[str, int]]:
-        by_value: dict[int, list[int]] = {}
-        for a in self.carrier(sorts[lvar]):
-            ext = dict(asg)
-            ext[lvar] = a
-            v = self.eval(lhs, ext)
-            if v is not None:
-                by_value.setdefault(v, []).append(a)
-        out = []
-        for b in self.carrier(sorts[rvar]):
-            ext = dict(asg)
-            ext[rvar] = b
-            v = self.eval(rhs, ext)
-            if v is None:
-                continue
-            for a in by_value.get(v, ()):
-                full = dict(asg)
-                full[lvar] = a
-                full[rvar] = b
-                out.append(full)
-        return out
-
-    def _match_fallback(
-        self, atom: Atom, asg: dict[str, int], sorts: Mapping[str, str]
-    ) -> list[dict[str, int]]:
-        unbound: list[str] = []
-        for t in (atom.lhs, atom.rhs) if isinstance(atom, Eq) else (
-            atom.args if isinstance(atom, Rel) else (atom.term,)
-        ):
-            for v in free_vars(t):
-                if v not in asg and v not in unbound:
-                    unbound.append(v)
-        pools = [self.carrier(sorts[v]) for v in unbound]
-        out = []
-        for combo in itertools.product(*pools):
-            ext = dict(asg)
-            ext.update(zip(unbound, combo))
-            if self.holds_atom(atom, ext):
-                out.append(ext)
-        return out
 
     # -- rounds
 
@@ -377,7 +433,7 @@ class _ChaseState:
         return PartialStructure(
             self.sig,
             {s: tuple(self.carrier(s)) for s in self.sig.sorts},
-            {f: dict(t) for f, t in self.funcs.items()},
+            {f: dict(sorted(t.items())) for f, t in self.funcs.items()},
             {r: frozenset(t) for r, t in self.rels.items()},
         )
 

@@ -85,7 +85,6 @@ class RunConfig:
     max_rounds: int = 1000
     max_steps: int = 64
     fmt: str = "text"
-    seed: int = 0
 
     def budget(self) -> ChaseBudget:
         return ChaseBudget(self.max_elements, self.max_rounds)
@@ -97,7 +96,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         max_rounds=args.max_rounds,
         max_steps=args.max_steps,
         fmt=args.format,
-        seed=args.seed,
     )
 
 
@@ -723,7 +721,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-rounds", type=int, default=1000)
     common.add_argument("--max-steps", type=int, default=64)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(prog="partialhorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
     Atom,
@@ -467,10 +467,10 @@ def parse_hom(text: str, source: NamedModel, target: NamedModel) -> tuple[str, H
         ts.expect("|->")
         x = ts.expect_ident().text
         ts.expect(";")
-        eid = source.id_of(e)
+        eid = _element_id(source.element_names, e, f"hom {name}")
         if eid in mapping:
             raise ValueError(f"hom {name}: element {e!r} mapped twice")
-        mapping[eid] = target.id_of(x)
+        mapping[eid] = _element_id(target.element_names, x, f"hom {name}")
     ts.expect("}")
     ts.expect_eof()
     missing = [source.name_of(e) for e in source.structure.elements() if e not in mapping]
@@ -511,32 +511,50 @@ def model_to_json(m: NamedModel) -> dict:
     }
 
 
+def _json_field(data: object, key: str, where: str) -> object:
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return data[key]
+
+
+def _element_id(names: Sequence[str], name: object, where: str) -> int:
+    if name not in names:
+        raise ValueError(f"{where}: unknown element {name!r}")
+    return names.index(name)
+
+
 def model_from_json(data: dict, theory: Theory) -> NamedModel:
+    """Build a model from its JSON mirror; malformed input raises ValueError
+    naming the model and the place in the document."""
     sig = theory.signature
+    name = _json_field(data, "model", "model JSON")
     if data.get("of") != theory.name:
-        raise ValueError(f"model declares theory {data.get('of')!r}, expected {theory.name!r}")
+        raise ValueError(f"model {name}: declares theory {data.get('of')!r}, expected {theory.name!r}")
     names: list[str] = []
-    ids: dict[str, int] = {}
     carriers: dict[str, list[int]] = {s: [] for s in sig.sorts}
     for s in sig.sorts:
         for e in data.get("elems", {}).get(s, []):
-            if e in ids:
-                raise ValueError(f"duplicate element {e!r}")
-            ids[e] = len(names)
+            if e in names:
+                raise ValueError(f"model {name}: duplicate element {e!r}")
+            carriers[s].append(len(names))
             names.append(e)
-            carriers[s].append(ids[e])
     funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in sig.funcs}
     for f in sig.funcs:
-        for entry in data.get("funcs", {}).get(f.name, []):
-            funcs[f.name][tuple(ids[a] for a in entry["args"])] = ids[entry["value"]]
+        for i, entry in enumerate(data.get("funcs", {}).get(f.name, [])):
+            where = f"model {name}: funcs.{f.name}[{i}]"
+            key = tuple(_element_id(names, a, where) for a in _json_field(entry, "args", where))
+            val = _element_id(names, _json_field(entry, "value", where), where)
+            if funcs[f.name].setdefault(key, val) != val:
+                raise ValueError(f"{where}: conflicting entries for {f.name}{key}")
     rels: dict[str, frozenset[tuple[int, ...]]] = {}
     for r in sig.rels:
         rels[r.name] = frozenset(
-            tuple(ids[a] for a in tup) for tup in data.get("rels", {}).get(r.name, [])
+            tuple(_element_id(names, a, f"model {name}: rels.{r.name}[{i}]") for a in tup)
+            for i, tup in enumerate(data.get("rels", {}).get(r.name, []))
         )
     S = PartialStructure(sig, {s: tuple(es) for s, es in carriers.items()}, funcs, rels)
     check_structure(S)
-    return NamedModel(data["model"], theory.name, S, tuple(names))
+    return NamedModel(name, theory.name, S, tuple(names))
 
 
 def hom_to_json(name: str, h: Hom, source: NamedModel, target: NamedModel) -> dict:
@@ -549,13 +567,18 @@ def hom_to_json(name: str, h: Hom, source: NamedModel, target: NamedModel) -> di
 
 
 def hom_from_json(data: dict, source: NamedModel, target: NamedModel) -> tuple[str, Hom]:
+    name = _json_field(data, "hom", "hom JSON")
     if data.get("source") != source.name or data.get("target") != target.name:
-        raise ValueError("hom endpoints do not match the given models")
-    mapping = {source.id_of(e): target.id_of(x) for e, x in data["map"].items()}
+        raise ValueError(f"hom {name}: endpoints do not match the given models")
+    where = f"hom {name}: map"
+    mapping = {
+        _element_id(source.element_names, e, where): _element_id(target.element_names, x, where)
+        for e, x in _json_field(data, "map", f"hom {name}").items()
+    }
     missing = [source.name_of(e) for e in source.structure.elements() if e not in mapping]
     if missing:
-        raise ValueError(f"hom {data.get('hom')}: unmapped elements {missing}")
-    return data["hom"], Hom(source.structure, target.structure, mapping)
+        raise ValueError(f"hom {name}: unmapped elements {missing}")
+    return name, Hom(source.structure, target.structure, mapping)
 
 
 def load_model(path: str, theory: Theory) -> NamedModel:

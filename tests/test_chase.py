@@ -1,6 +1,8 @@
 """Deterministic chase: free models, prover verdicts, quotients, budgets."""
 
+import importlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from partialhorn import (
     is_hom,
     is_model,
     ladder_theory,
+    ncat_theory,
     prove_sequent,
     reduces,
     representing_model,
@@ -40,6 +43,7 @@ from partialhorn.syntax import (
     parse_theory,
 )
 
+CHASE_MODULE = importlib.import_module("partialhorn.chase")  # the package exports chase()
 LADDER = ladder_theory()
 TOP = HornFormula(())
 EMPTY = Context(())
@@ -227,28 +231,140 @@ def test_induced_hom_must_be_constant_on_classes():
         induced_hom(result, {0: 0, 1: 1}, two)  # 1 is not a target element
 
 
-# match_premise agrees with brute-force satisfaction over all assignments.
+NCAT1 = ncat_theory(1)
+ORDER = parse_theory("""
+theory order {
+  sort s;
+  func f : s -> s;
+  rel R : s, s;
+  axiom [x: s, y: s] R(x, y) & R(y, x) |- x = y;
+  axiom [x: s, y: s] R(x, y) |- f(x) = y;
+  axiom [x: s, y: s, z: s] R(x, y) & R(y, z) |- R(x, z);
+}
+""")
+
+# Premises, one per shape the compiled matcher treats differently:
+# equalities of variables, a join of two flat applications, a bound side
+# against a flat open application, nested terms, an application equal to
+# one of its arguments, repeated variables, a disconnected four-atom
+# premise shaped like interchange, definedness of a binary application, a
+# context variable no atom mentions, and relation atoms.
+MATCH_PREMISES = {
+    NCAT1: (
+        "[x: *, y: *, z: *] x = y & y = z",
+        "[x: *, y: *] d1(x) = c1(y)",
+        "[x: *, y: *] d1(x) = c1(x) & comp1(x, y) = c1(x)",
+        "[x: *, y: *] d1(d1(x)) = c1(y)",
+        "[x: *] comp1(x, d1(x)) = x",
+        "[x: *, y: *] comp1(x, x) = y",
+        "[x: *, y: *, z: *, w: *] d1(x) = c1(y) & d1(z) = c1(w) & c1(x) = c1(z) & d1(y) = d1(w)",
+        "[x: *, y: *] comp1(x, y) = comp1(x, y)",
+        "[x: *, y: *] comp1(x, y) ! & d1(y) = x",
+        "[x: *, y: *] d1(x) !",
+    ),
+    ORDER: (
+        "[x: s, y: s] R(x, y) & R(y, x)",
+        "[x: s, y: s] R(x, f(y))",
+        "[x: s, y: s] R(x, x) & f(x) = y",
+        "[x: s, y: s, z: s] R(x, y) & R(y, z) & x = z",
+    ),
+}
+
+# Ground atoms to force over two base elements u, v.
+FORCED_ATOMS = {
+    LADDER: ("u = v", "a = b", "a = c", "c !", "d !", "a = u"),
+    NCAT1: ("u = v", "d1(u) = v", "comp1(u, v) !"),
+    ORDER: ("u = v", "R(u, v)", "f(u) = v"),
+}
+
+
+@st.composite
+def structures(draw, sig, max_size):
+    """A random single-sorted partial structure on 1..max_size elements."""
+    n = draw(st.integers(1, max_size), label="elements")
+    elem = st.integers(0, n - 1)
+    funcs = {
+        f.name: draw(st.dictionaries(st.tuples(*[elem] * len(f.arg_sorts)), elem, max_size=n), label=f.name)
+        for f in sig.funcs
+    }
+    rels = {
+        r.name: frozenset(draw(st.sets(st.tuples(*[elem] * len(r.arg_sorts)), max_size=2 * n), label=r.name))
+        for r in sig.rels
+    }
+    return PartialStructure(sig, {sig.sorts[0]: tuple(range(n))}, funcs, rels)
+
+
+# match_premise agrees with brute-force satisfaction over all assignments,
+# before and after unions (which must refresh the value indexes).
 @given(st.data())
 def test_match_premise_matches_brute_force(data):
-    n = data.draw(st.integers(1, 3), label="elements")
-    pairs = data.draw(st.sets(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4
-    ), label="entries")
-    sig = LADDER.signature
-    S = PartialStructure(sig, {"s": tuple(range(n))},
-                         {"a": {}, "b": {}, "c": {}, "d": {}}, {})
-    premise = parse_formula(sig, "x = y & y = z")
-    (seq,) = parse_sequent(sig, "[x: s, y: s, z: s] x = y & y = z |- top")
+    theory = data.draw(st.sampled_from(list(MATCH_PREMISES)), label="theory")
+    sig = theory.signature
+    base = data.draw(structures(sig, 4))
+    elem = st.sampled_from(base.elements())
+    pairs = data.draw(st.lists(st.tuples(elem, elem), max_size=3), label="unions")
     state = _ChaseState(sig, ChaseBudget())
-    state.load(S)
-    for u, v in sorted(pairs):
-        state.union(u, v)
-    state.normalize()
-    found = {tuple(sorted(asg)) for asg in state.match_premise(seq)}
-    model = state.snapshot()
-    brute = set()
-    for combo in itertools.product(model.elements(), repeat=3):
-        asg = dict(zip(("x", "y", "z"), combo))
-        if holds(model, asg, premise):
-            brute.add(tuple(sorted(asg.items())))
-    assert found == brute
+    state.load(base)
+    for step in range(2):
+        model = state.snapshot()
+        for text in MATCH_PREMISES[theory]:
+            (seq,) = parse_sequent(sig, f"{text} |- top")
+            names = seq.context.names()
+            found = set(state.match_premise(seq))
+            brute = set()
+            for combo in itertools.product(model.elements(), repeat=len(names)):
+                if holds(model, dict(zip(names, combo)), seq.premise):
+                    brute.add(tuple(zip(names, combo)))
+            assert found == brute, (step, text)
+        for u, v in pairs:
+            state.union(u, v)
+        state.normalize()
+
+
+class _FullRebuildState(_ChaseState):
+    """Reference closure: rebuild and re-sort every table after every union
+    until no two keys collide, and rebuild every relation set."""
+
+    def normalize(self) -> None:
+        changed = True
+        while changed:
+            changed = False
+            for f in self.funcs:
+                rebuilt: dict[tuple[int, ...], int] = {}
+                for args, val in sorted(self.funcs[f].items()):
+                    cargs = tuple(self.find(a) for a in args)
+                    cval = self.find(val)
+                    old = rebuilt.get(cargs)
+                    if old is None:
+                        rebuilt[cargs] = cval
+                    elif old != cval:
+                        self.union(old, cval)
+                        rebuilt[cargs] = self.find(cval)
+                        changed = True
+                self.funcs[f] = rebuilt
+            for r in self.rels:
+                self.rels[r] = {tuple(self.find(a) for a in tup) for tup in self.rels[r]}
+
+
+# The incremental closure reaches the full rebuild's fixpoint after every
+# union, so whole chases agree: model, quotient, fresh ids, merges, rounds.
+@given(st.data())
+def test_chase_matches_full_rebuild_closure(data):
+    theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")
+    sig = theory.signature
+    base = data.draw(structures(sig, 3))
+    elem = st.sampled_from(base.elements())
+    forced = tuple(
+        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
+        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[theory]), max_size=3), label="forced")
+        for atom in parse_formula(sig, text).atoms
+    )
+    presentation = Presentation(base, forced)
+    budget = ChaseBudget(max_elements=150, max_rounds=6)
+    got = chase(theory, presentation, budget)
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
+        want = chase(theory, presentation, budget)
+    assert got.model == want.model
+    assert got.quotient == want.quotient
+    assert got.fresh_log == want.fresh_log
+    assert (got.status, got.rounds, got.merges) == (want.status, want.rounds, want.merges)

@@ -50,6 +50,60 @@ def test_check_rejects_non_model(corpus, tmp_path, capsys):
     assert "model bad: FAIL at ax1" in out
 
 
+LADDER_M_JSON = {
+    "model": "ladder_M", "of": "ladder", "elems": {"s": ["ea", "eb"]},
+    "funcs": {"a": [{"args": [], "value": "ea"}], "b": [{"args": [], "value": "eb"}]},
+}
+
+
+def check_json_model(corpus, tmp_path, capsys, data):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "check", "--theory", corpus / "theories" / "ladder.pht", path)
+
+
+def test_check_json_model_unknown_element_exits_two(corpus, tmp_path, capsys):
+    data = dict(LADDER_M_JSON, funcs={"a": [{"args": [], "value": "zz"}]})
+    code, _, err = check_json_model(corpus, tmp_path, capsys, data)
+    assert code == 2
+    assert "model ladder_M: funcs.a[0]: unknown element 'zz'" in err
+
+
+def test_check_json_model_missing_name_exits_two(corpus, tmp_path, capsys):
+    data = {k: v for k, v in LADDER_M_JSON.items() if k != "model"}
+    code, _, err = check_json_model(corpus, tmp_path, capsys, data)
+    assert code == 2 and "missing key 'model'" in err
+
+
+def test_check_json_model_conflicting_entries_exits_two(corpus, tmp_path, capsys):
+    code, out, _ = check_json_model(corpus, tmp_path, capsys, LADDER_M_JSON)
+    assert code == 0 and "model ladder_M: ok" in out
+    data = dict(LADDER_M_JSON, funcs={"a": [{"args": [], "value": "ea"}, {"args": [], "value": "eb"}]})
+    code, _, err = check_json_model(corpus, tmp_path, capsys, data)
+    assert code == 2
+    assert "model ladder_M: funcs.a[1]: conflicting entries for a()" in err
+
+
+@pytest.mark.parametrize("suffix, text, message", [
+    (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_T",
+                          "map": {"ea": "zz", "eb": "t"}}), "hom bang: map: unknown element 'zz'"),
+    (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_T"}),
+     "hom bang: missing key 'map'"),
+    (".phom", "hom bang : ladder_M -> ladder_T {\n  ea |-> zz;\n  eb |-> t;\n}\n",
+     "hom bang: unknown element 'zz'"),
+])
+def test_check_malformed_hom_exits_two(corpus, tmp_path, capsys, suffix, text, message):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    code, _, err = run(
+        capsys, "check", "--theory", corpus / "theories" / "ladder.pht",
+        "--hom", path,
+        "--from", corpus / "models" / "ladder_M.pm",
+        "--to", corpus / "models" / "ladder_T.pm",
+    )
+    assert code == 2 and message in err
+
+
 def test_free_prints_the_two_element_model(corpus, capsys):
     code, out, _ = run(
         capsys, "free",
