@@ -30,10 +30,10 @@ model does not depend on the history of its merges.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
-from .structure import Hom, PartialStructure
+from .structure import Hom, PartialStructure, empty_structure, holds
 from .syntax import (
     Atom,
     Context,
@@ -302,19 +302,7 @@ class _ChaseState:
         for r, tuples in self.rels.items():
             self.rels[r] = {tuple(self.find(a) for a in tup) for tup in tuples}
 
-    # -- evaluation / materialization
-
-    def eval(self, term: RawTerm, asg: Mapping[str, int]) -> Optional[int]:
-        if isinstance(term, Var):
-            return self.find(asg[term.name])
-        vals: list[int] = []
-        for a in term.args:
-            v = self.eval(a, asg)
-            if v is None:
-                return None
-            vals.append(v)
-        got = self.funcs[term.func].get(tuple(vals))
-        return None if got is None else self.find(got)
+    # -- materialization
 
     def materialize(self, term: RawTerm, asg: Mapping[str, int], items: AssignmentItems) -> int:
         if isinstance(term, Var):
@@ -344,20 +332,6 @@ class _ChaseState:
             if vals not in self.rels[atom.rel]:
                 self.rels[atom.rel].add(vals)
                 self.version += 1
-
-    def holds_atom(self, atom: Atom, asg: Mapping[str, int]) -> bool:
-        if isinstance(atom, Eq):
-            l = self.eval(atom.lhs, asg)
-            return l is not None and l == self.eval(atom.rhs, asg)
-        if isinstance(atom, Rel):
-            vals: list[int] = []
-            for a in atom.args:
-                v = self.eval(a, asg)
-                if v is None:
-                    return False
-                vals.append(v)
-            return tuple(vals) in self.rels[atom.rel]
-        return self.eval(atom.term, asg) is not None
 
     # -- premise matching (compiled join, lexicographic output)
 
@@ -480,6 +454,17 @@ def chase(
 # Representing models and the bounded prover
 
 
+def _generic_presentation(
+    theory: Theory, ctx: Context, phi: HornFormula
+) -> tuple[Presentation, AssignmentItems]:
+    """The generic context: one base element per variable (ids in context
+    order) and the atoms of phi forced at the generic assignment."""
+    carriers = {s: tuple(i for i, (_, t) in enumerate(ctx.vars) if t == s) for s in theory.signature.sorts}
+    base = replace(empty_structure(theory.signature), carriers=carriers)
+    items = tuple((name, i) for i, name in enumerate(ctx.names()))
+    return Presentation(base, tuple((atom, items) for atom in phi.atoms)), items
+
+
 def representing_model(
     theory: Theory,
     ctx: Context,
@@ -487,22 +472,9 @@ def representing_model(
     budget: Optional[ChaseBudget] = None,
 ) -> tuple[ChaseResult, dict[str, int]]:
     """Chase the generic context; the generic assignment lands in the model."""
-    sig = theory.signature
-    carriers: dict[str, list[int]] = {s: [] for s in sig.sorts}
-    items: list[tuple[str, int]] = []
-    for i, (name, sort) in enumerate(ctx.vars):
-        carriers[sort].append(i)
-        items.append((name, i))
-    base = PartialStructure(
-        sig,
-        {s: tuple(es) for s, es in carriers.items()},
-        {f.name: {} for f in sig.funcs},
-        {r.name: frozenset() for r in sig.rels},
-    )
-    base_items = tuple(items)
-    presentation = Presentation(base, tuple((atom, base_items) for atom in phi.atoms))
+    presentation, items = _generic_presentation(theory, ctx, phi)
     result = chase(theory, presentation, budget)
-    generic = {name: result.quotient[i] for name, i in base_items}
+    generic = {name: result.quotient[i] for name, i in items}
     return result, generic
 
 
@@ -525,25 +497,12 @@ def prove_sequent(theory: Theory, seq: Sequent, budget: Optional[ChaseBudget] = 
     Valid as soon as the conclusion holds at the generic assignment;
     Invalid only when the chase completes without it; Unknown on budget.
     """
-    sig = theory.signature
-    carriers: dict[str, list[int]] = {s: [] for s in sig.sorts}
-    items: list[tuple[str, int]] = []
-    for i, (name, sort) in enumerate(seq.context.vars):
-        carriers[sort].append(i)
-        items.append((name, i))
-    base = PartialStructure(
-        sig,
-        {s: tuple(es) for s, es in carriers.items()},
-        {f.name: {} for f in sig.funcs},
-        {r.name: frozenset() for r in sig.rels},
-    )
-    base_items = tuple(items)
-    presentation = Presentation(base, tuple((atom, base_items) for atom in seq.premise.atoms))
-    conclusion = normalized(seq.conclusion)
+    presentation, items = _generic_presentation(theory, seq.context, seq.premise)
 
     def stop(state: _ChaseState) -> bool:
-        asg = {name: state.find(i) for name, i in base_items}
-        return all(state.holds_atom(atom, asg) for atom in conclusion.atoms)
+        # stop runs after normalize, so the live tables are keyed by canonical ids
+        tables = PartialStructure(state.sig, {}, state.funcs, state.rels)  # type: ignore[arg-type]
+        return holds(tables, {name: state.find(i) for name, i in items}, seq.conclusion)
 
     result = chase(theory, presentation, budget, stop=stop)
     if result.status == STOPPED:

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .chase import (
-    BUDGET_EXCEEDED,
     COMPLETE,
     ChaseBudget,
     prove_sequent,
@@ -37,7 +36,6 @@ from .gauge import (
     check_gauge,
     enumerate_terms,
     ladder_gauge_rules,
-    ladder_theory,
     load_gauge_rules,
     ncat_gauge_rules,
     ncat_is_normal,
@@ -48,12 +46,13 @@ from .gauge import (
 from .structure import (
     Hom,
     NamedModel,
-    PartialStructure,
     enumerate_homs,
     is_hom,
     is_model,
     load_hom,
     load_model,
+    tables_to_json,
+    tables_to_text,
 )
 from .syntax import (
     TOP,
@@ -105,23 +104,6 @@ def _emit(cfg: RunConfig, command: str, result: object, lines: Sequence[str]) ->
     else:
         for line in lines:
             print(line)
-
-
-def _structure_json(S: PartialStructure) -> dict:
-    return {
-        "carriers": {s: list(S.carriers.get(s, ())) for s in S.signature.sorts},
-        "funcs": {
-            f.name: [
-                {"args": list(args), "value": val}
-                for args, val in sorted(S.funcs.get(f.name, {}).items())
-            ]
-            for f in S.signature.funcs
-        },
-        "rels": {
-            r.name: [list(t) for t in sorted(S.rels.get(r.name, frozenset()))]
-            for r in S.signature.rels
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +174,7 @@ def _cmd_free(args: argparse.Namespace) -> int:
     for s in sig.sorts:
         es = result.model.carriers.get(s, ())
         lines.append(f"sort {s}: {len(es)} elements {list(es)}")
-    for f in sig.funcs:
-        for a, v in sorted(result.model.funcs.get(f.name, {}).items()):
-            call = f"{f.name}({', '.join(map(str, a))})" if a else f.name
-            lines.append(f"{call} = {v}")
-    for r in sig.rels:
-        for t in sorted(result.model.rels.get(r.name, frozenset())):
-            lines.append(f"{r.name}({', '.join(map(str, t))})")
+    lines.extend(tables_to_text(result.model, str))
     if generic:
         lines.append("generic: " + ", ".join(f"{n} = {v}" for n, v in generic.items()))
     _emit(
@@ -208,7 +184,8 @@ def _cmd_free(args: argparse.Namespace) -> int:
             "status": result.status,
             "rounds": result.rounds,
             "merges": result.merges,
-            "model": _structure_json(result.model),
+            "model": {"carriers": {s: list(result.model.carriers[s]) for s in sig.sorts},
+                      **tables_to_json(result.model, int)},
             "generic": generic,
         },
         lines,

@@ -10,11 +10,10 @@ decomposition numbers of all homs are bounded by maxRank + 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import TokenStream
+from .syntax import TokenStream, _json_field, _json_names, load_json_or_text
 
 
 @dataclass(frozen=True)
@@ -197,17 +196,22 @@ def gat_to_json(spec: GatSpec) -> dict:
 
 
 def gat_from_json(data: dict) -> GatSpec:
+    name = _json_field(data, "gat", "gat JSON")
+    where = f"gat {name}"
+
+    def decls(key: str) -> list[tuple[str, dict]]:
+        return [(f"{where}: {key}[{i}]", d) for i, d in enumerate(_json_field(data, key, where, list))]
+
     return GatSpec(
-        data["gat"],
-        tuple(SortDecl(d["name"], tuple(d["ctx"])) for d in data["sorts"]),
-        tuple(OpDecl(o["name"], tuple(o["ctx"]), o["result"]) for o in data["ops"]),
-        tuple(AxiomDecl(tuple(a["ctx"]), a["sort"]) for a in data["axioms"]),
+        name,
+        tuple(SortDecl(_json_field(d, "name", at), _json_names(d, "ctx", at)) for at, d in decls("sorts")),
+        tuple(
+            OpDecl(_json_field(d, "name", at), _json_names(d, "ctx", at), _json_field(d, "result", at))
+            for at, d in decls("ops")
+        ),
+        tuple(AxiomDecl(_json_names(d, "ctx", at), _json_field(d, "sort", at)) for at, d in decls("axioms")),
     )
 
 
 def load_gat(path: str) -> GatSpec:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return gat_from_json(json.loads(text))
-    return parse_gat(text)
+    return load_json_or_text(path, gat_from_json, parse_gat)

@@ -33,6 +33,8 @@ from .syntax import (
     Signature,
     Theory,
     Var,
+    _json_field,
+    _json_names,
     check_term,
     parse_term,
     substitute_formula,
@@ -96,14 +98,26 @@ def load_gauge_rules(path: str, theory: Theory) -> TableGaugeRules:
     """JSON rules: {"sharp": {sym: n}, "defining": {sym: [{"scale": label, "args": [term]}]}}."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    sharps = {str(k): int(v) for k, v in data.get("sharp", {}).items()}
+    where = f"gauge rules {path}"
+    scale = equational_scale(theory.signature)
+    arity = {e.label: len(e.context.vars) for e in scale.entries}
+    sharp = _json_field(data, "sharp", where, dict, {})
+    sharps = {sym: _json_field(sharp, sym, f"{where}: sharp", int) for sym in sharp}
+    table = _json_field(data, "defining", where, dict, {})
     defining: dict[str, tuple[GaugeEntry, ...]] = {}
-    for sym, entries in data.get("defining", {}).items():
-        defining[sym] = tuple(
-            GaugeEntry(e["scale"], tuple(parse_term(theory.signature, t) for t in e["args"]))
-            for e in entries
-        )
-    return TableGaugeRules(theory, sharps, defining)
+    for sym in table:
+        entries = []
+        for i, e in enumerate(_json_field(table, sym, f"{where}: defining", list)):
+            at = f"{where}: defining.{sym}[{i}]"
+            label = _json_field(e, "scale", at)
+            if label not in arity:
+                raise ValueError(f"{at}: unknown scale entry {label!r}")
+            args = tuple(parse_term(theory.signature, t) for t in _json_names(e, "args", at))
+            if len(args) != arity[label]:
+                raise ValueError(f"{at}: scale entry {label!r} takes {arity[label]} arguments, got {len(args)}")
+            entries.append(GaugeEntry(label, args))
+        defining[sym] = tuple(entries)
+    return TableGaugeRules(theory, sharps, defining, scale)
 
 
 # ---------------------------------------------------------------------------

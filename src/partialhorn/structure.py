@@ -10,9 +10,8 @@ arguments are and the table has the entry.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
     Atom,
@@ -21,12 +20,14 @@ from .syntax import (
     Eq,
     HornFormula,
     RawTerm,
-    Rel,
     Sequent,
     Signature,
     Theory,
     TokenStream,
     Var,
+    _json_field,
+    _json_names,
+    load_json_or_text,
 )
 
 
@@ -346,84 +347,130 @@ class NamedModel:
         return self.element_names[elem]
 
 
+class _ModelBuilder:
+    """Builds a named model from the element declarations, function entries
+    and relation tuples a reader meets, in reading order; each record
+    carries its location for the error messages.  Ids are the order in
+    which elements are declared."""
+
+    def __init__(self, theory: Theory, name: str, of: object) -> None:
+        if of != theory.name:
+            raise ValueError(f"model {name}: declares theory {of!r}, expected {theory.name!r}")
+        self.theory, self.name = theory, name
+        self.ids: dict[str, int] = {}
+        self.carriers: dict[str, list[int]] = {s: [] for s in theory.signature.sorts}
+        self.funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in theory.signature.funcs}
+        self.rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in theory.signature.rels}
+
+    def elements(self, where: str, sort: str, names: Sequence[str]) -> None:
+        if sort not in self.carriers:
+            raise ValueError(f"{where}: unknown sort {sort!r}")
+        for e in names:
+            if e in self.ids:
+                raise ValueError(f"{where}: duplicate element {e!r}")
+            self.carriers[sort].append(len(self.ids))
+            self.ids[e] = len(self.ids)
+
+    def _ids(self, where: str, args: object) -> tuple[int, ...]:
+        if not isinstance(args, list):
+            raise ValueError(f"{where}: expected a list of elements, got {type(args).__name__}")
+        return tuple(_element_id(self.ids, a, where) for a in args)
+
+    def entry(self, where: str, func: str, args: list, value: object) -> None:
+        if func not in self.funcs:
+            raise ValueError(f"{where}: unknown function symbol {func!r}")
+        key, val = self._ids(where, args), _element_id(self.ids, value, where)
+        if self.funcs[func].setdefault(key, val) != val:
+            raise ValueError(f"{where}: conflicting entries for {func}{key}")
+
+    def fact(self, where: str, rel: str, args: object) -> None:
+        if rel not in self.rels:
+            raise ValueError(f"{where}: unknown relation symbol {rel!r}")
+        self.rels[rel].add(self._ids(where, args))
+
+    def finish(self) -> NamedModel:
+        carriers = {s: tuple(es) for s, es in self.carriers.items()}
+        rels = {r: frozenset(tups) for r, tups in self.rels.items()}
+        S = PartialStructure(self.theory.signature, carriers, self.funcs, rels)
+        check_structure(S)
+        return NamedModel(self.name, self.theory.name, S, tuple(self.ids))
+
+
+def _element_id(ids: Mapping[str, int], name: object, where: str) -> int:
+    if not isinstance(name, str) or name not in ids:
+        raise ValueError(f"{where}: unknown element {name!r}")
+    return ids[name]
+
+
 def parse_model(text: str, theory: Theory) -> NamedModel:
     """Parse a model file against a theory; ids are declaration order."""
-    sig = theory.signature
     ts = TokenStream(text)
     ts.expect("model")
     name = ts.expect_ident().text
     ts.expect("of")
-    of = ts.expect_ident().text
-    if of != theory.name:
-        raise ValueError(f"model {name} declares theory {of!r}, expected {theory.name!r}")
+    builder = _ModelBuilder(theory, name, ts.expect_ident().text)
     ts.expect("{")
-    names: list[str] = []
-    ids: dict[str, int] = {}
-    carriers: dict[str, list[int]] = {s: [] for s in sig.sorts}
-    funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in sig.funcs}
-    rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in sig.rels}
-
-    def elem_id(tok_text: str) -> int:
-        if tok_text not in ids:
-            raise ValueError(f"model {name}: unknown element {tok_text!r}")
-        return ids[tok_text]
-
     while not ts.at("}"):
         tok = ts.peek()
+        where = f"{tok.line}:{tok.col}: model {name}"
         if tok.text == "elem":
             ts.next()
             sort = ts.expect_ident().text
-            if sort not in carriers:
-                raise ValueError(f"model {name}: unknown sort {sort!r}")
             ts.expect(":")
+            elems = []
             while not ts.at(";"):
-                e = ts.expect_ident().text
-                if e in ids:
-                    raise ValueError(f"model {name}: duplicate element {e!r}")
-                ids[e] = len(names)
-                names.append(e)
-                carriers[sort].append(ids[e])
-            ts.expect(";")
+                elems.append(ts.expect_ident().text)
+            builder.elements(where, sort, elems)
         else:
             sym = ts.expect_ident().text
-            if sig.has_rel(sym):
-                ts.expect("(")
-                args = [elem_id(ts.expect_ident().text)]
-                while ts.at(","):
-                    ts.next()
-                    args.append(elem_id(ts.expect_ident().text))
+            args: list[str] = []
+            if ts.at("("):
+                ts.next()
+                if not ts.at(")"):
+                    args.append(ts.expect_ident().text)
+                    while ts.at(","):
+                        ts.next()
+                        args.append(ts.expect_ident().text)
                 ts.expect(")")
-                ts.expect(";")
-                rels[sym].add(tuple(args))
-            elif sig.has_func(sym):
-                args = []
-                if ts.at("("):
-                    ts.next()
-                    if not ts.at(")"):
-                        args.append(elem_id(ts.expect_ident().text))
-                        while ts.at(","):
-                            ts.next()
-                            args.append(elem_id(ts.expect_ident().text))
-                    ts.expect(")")
-                ts.expect("=")
-                val = elem_id(ts.expect_ident().text)
-                ts.expect(";")
-                key = tuple(args)
-                if key in funcs[sym] and funcs[sym][key] != val:
-                    raise ValueError(f"model {name}: conflicting entries for {sym}{key}")
-                funcs[sym][key] = val
+            if ts.at("="):
+                ts.next()
+                builder.entry(where, sym, args, ts.expect_ident().text)
             else:
-                raise ts.error(f"unknown symbol {sym!r}")
+                builder.fact(where, sym, args)
+        ts.expect(";")
     ts.expect("}")
     ts.expect_eof()
-    S = PartialStructure(
-        sig,
-        {s: tuple(es) for s, es in carriers.items()},
-        funcs,
-        {r: frozenset(tups) for r, tups in rels.items()},
-    )
-    check_structure(S)
-    return NamedModel(name, theory.name, S, tuple(names))
+    return builder.finish()
+
+
+def tables_to_json(S: PartialStructure, name: Callable[[int], object]) -> dict:
+    """The function tables and relations of S, each element written as ``name(elem)``."""
+    return {
+        "funcs": {
+            f.name: [
+                {"args": [name(a) for a in args], "value": name(val)}
+                for args, val in sorted(S.funcs.get(f.name, {}).items())
+            ]
+            for f in S.signature.funcs
+        },
+        "rels": {
+            r.name: [[name(a) for a in tup] for tup in sorted(S.rels.get(r.name, frozenset()))]
+            for r in S.signature.rels
+        },
+    }
+
+
+def tables_to_text(S: PartialStructure, name: Callable[[int], str]) -> list[str]:
+    """The same tables as lines ``f(a, b) = c`` (``f = c`` for constants) and ``R(a, b)``."""
+    tables = tables_to_json(S, name)
+    lines = []
+    for f, entries in tables["funcs"].items():
+        for e in entries:
+            call = f"{f}({', '.join(e['args'])})" if e["args"] else f
+            lines.append(f"{call} = {e['value']}")
+    for r, tuples in tables["rels"].items():
+        lines.extend(f"{r}({', '.join(tup)})" for tup in tuples)
+    return lines
 
 
 def model_to_text(m: NamedModel) -> str:
@@ -432,20 +479,34 @@ def model_to_text(m: NamedModel) -> str:
         es = m.structure.carriers.get(s, ())
         if es:
             lines.append(f"  elem {s} : {' '.join(m.name_of(e) for e in es)};")
-    for f in m.structure.signature.funcs:
-        for args in sorted(m.structure.funcs.get(f.name, {})):
-            val = m.structure.funcs[f.name][args]
-            if args:
-                lines.append(
-                    f"  {f.name}({', '.join(m.name_of(a) for a in args)}) = {m.name_of(val)};"
-                )
-            else:
-                lines.append(f"  {f.name} = {m.name_of(val)};")
-    for r in m.structure.signature.rels:
-        for tup in sorted(m.structure.rels.get(r.name, frozenset())):
-            lines.append(f"  {r.name}({', '.join(m.name_of(a) for a in tup)});")
+    lines.extend(f"  {line};" for line in tables_to_text(m.structure, m.name_of))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _build_hom(
+    name: str,
+    src: object,
+    tgt: object,
+    source: NamedModel,
+    target: NamedModel,
+    pairs: Iterable[tuple[str, object, object]],
+) -> tuple[str, Hom]:
+    """Build a hom from the (location, element, image) pairs a reader meets."""
+    if src != source.name or tgt != target.name:
+        raise ValueError(f"hom {name}: declared {src} -> {tgt}, given {source.name} -> {target.name}")
+    src_ids = {e: i for i, e in enumerate(source.element_names)}
+    tgt_ids = {e: i for i, e in enumerate(target.element_names)}
+    mapping: dict[int, int] = {}
+    for where, e, x in pairs:
+        eid = _element_id(src_ids, e, where)
+        if eid in mapping:
+            raise ValueError(f"{where}: element {e!r} mapped twice")
+        mapping[eid] = _element_id(tgt_ids, x, where)
+    missing = [source.name_of(e) for e in source.structure.elements() if e not in mapping]
+    if missing:
+        raise ValueError(f"hom {name}: unmapped elements {missing}")
+    return name, Hom(source.structure, target.structure, mapping)
 
 
 def parse_hom(text: str, source: NamedModel, target: NamedModel) -> tuple[str, Hom]:
@@ -456,27 +517,19 @@ def parse_hom(text: str, source: NamedModel, target: NamedModel) -> tuple[str, H
     src = ts.expect_ident().text
     ts.expect("->")
     tgt = ts.expect_ident().text
-    if src != source.name or tgt != target.name:
-        raise ValueError(
-            f"hom {name}: declared {src} -> {tgt}, given {source.name} -> {target.name}"
-        )
     ts.expect("{")
-    mapping: dict[int, int] = {}
-    while not ts.at("}"):
-        e = ts.expect_ident().text
-        ts.expect("|->")
-        x = ts.expect_ident().text
-        ts.expect(";")
-        eid = _element_id(source.element_names, e, f"hom {name}")
-        if eid in mapping:
-            raise ValueError(f"hom {name}: element {e!r} mapped twice")
-        mapping[eid] = _element_id(target.element_names, x, f"hom {name}")
-    ts.expect("}")
-    ts.expect_eof()
-    missing = [source.name_of(e) for e in source.structure.elements() if e not in mapping]
-    if missing:
-        raise ValueError(f"hom {name}: unmapped elements {missing}")
-    return name, Hom(source.structure, target.structure, mapping)
+
+    def pairs() -> Iterator[tuple[str, str, str]]:
+        while not ts.at("}"):
+            tok = ts.expect_ident()
+            ts.expect("|->")
+            x = ts.expect_ident().text
+            ts.expect(";")
+            yield f"{tok.line}:{tok.col}: hom {name}", tok.text, x
+        ts.expect("}")
+        ts.expect_eof()
+
+    return _build_hom(name, src, tgt, source, target, pairs())
 
 
 def hom_to_text(name: str, h: Hom, source: NamedModel, target: NamedModel) -> str:
@@ -497,64 +550,31 @@ def model_to_json(m: NamedModel) -> dict:
         "model": m.name,
         "of": m.theory_name,
         "elems": {s: [m.name_of(e) for e in S.carriers.get(s, ())] for s in S.signature.sorts},
-        "funcs": {
-            f.name: [
-                {"args": [m.name_of(a) for a in args], "value": m.name_of(val)}
-                for args, val in sorted(S.funcs.get(f.name, {}).items())
-            ]
-            for f in S.signature.funcs
-        },
-        "rels": {
-            r.name: [[m.name_of(a) for a in tup] for tup in sorted(S.rels.get(r.name, frozenset()))]
-            for r in S.signature.rels
-        },
+        **tables_to_json(S, m.name_of),
     }
 
 
-def _json_field(data: object, key: str, where: str) -> object:
-    if not isinstance(data, dict) or key not in data:
-        raise ValueError(f"{where}: missing key {key!r}")
-    return data[key]
-
-
-def _element_id(names: Sequence[str], name: object, where: str) -> int:
-    if name not in names:
-        raise ValueError(f"{where}: unknown element {name!r}")
-    return names.index(name)
-
-
 def model_from_json(data: dict, theory: Theory) -> NamedModel:
-    """Build a model from its JSON mirror; malformed input raises ValueError
-    naming the model and the place in the document."""
-    sig = theory.signature
+    """Build a model from its JSON mirror; ids follow the signature's sort
+    order.  Malformed input raises ValueError naming the model and the
+    place in the document."""
     name = _json_field(data, "model", "model JSON")
-    if data.get("of") != theory.name:
-        raise ValueError(f"model {name}: declares theory {data.get('of')!r}, expected {theory.name!r}")
-    names: list[str] = []
-    carriers: dict[str, list[int]] = {s: [] for s in sig.sorts}
-    for s in sig.sorts:
-        for e in data.get("elems", {}).get(s, []):
-            if e in names:
-                raise ValueError(f"model {name}: duplicate element {e!r}")
-            carriers[s].append(len(names))
-            names.append(e)
-    funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in sig.funcs}
-    for f in sig.funcs:
-        for i, entry in enumerate(data.get("funcs", {}).get(f.name, [])):
-            where = f"model {name}: funcs.{f.name}[{i}]"
-            key = tuple(_element_id(names, a, where) for a in _json_field(entry, "args", where))
-            val = _element_id(names, _json_field(entry, "value", where), where)
-            if funcs[f.name].setdefault(key, val) != val:
-                raise ValueError(f"{where}: conflicting entries for {f.name}{key}")
-    rels: dict[str, frozenset[tuple[int, ...]]] = {}
-    for r in sig.rels:
-        rels[r.name] = frozenset(
-            tuple(_element_id(names, a, f"model {name}: rels.{r.name}[{i}]") for a in tup)
-            for i, tup in enumerate(data.get("rels", {}).get(r.name, []))
-        )
-    S = PartialStructure(sig, {s: tuple(es) for s, es in carriers.items()}, funcs, rels)
-    check_structure(S)
-    return NamedModel(name, theory.name, S, tuple(names))
+    builder = _ModelBuilder(theory, name, data.get("of"))
+    where = f"model {name}"
+    elems = _json_field(data, "elems", where, dict, {})
+    rank = {s: i for i, s in enumerate(theory.signature.sorts)}
+    for s in sorted(elems, key=lambda s: rank.get(s, -1)):
+        builder.elements(f"{where}: elems.{s}", s, _json_names(elems, s, f"{where}: elems"))
+    funcs = _json_field(data, "funcs", where, dict, {})
+    for f in funcs:
+        for i, entry in enumerate(_json_field(funcs, f, f"{where}: funcs", list)):
+            at = f"{where}: funcs.{f}[{i}]"
+            builder.entry(at, f, _json_field(entry, "args", at, list), _json_field(entry, "value", at))
+    rels = _json_field(data, "rels", where, dict, {})
+    for r in rels:
+        for i, tup in enumerate(_json_field(rels, r, f"{where}: rels", list)):
+            builder.fact(f"{where}: rels.{r}[{i}]", r, tup)
+    return builder.finish()
 
 
 def hom_to_json(name: str, h: Hom, source: NamedModel, target: NamedModel) -> dict:
@@ -568,30 +588,18 @@ def hom_to_json(name: str, h: Hom, source: NamedModel, target: NamedModel) -> di
 
 def hom_from_json(data: dict, source: NamedModel, target: NamedModel) -> tuple[str, Hom]:
     name = _json_field(data, "hom", "hom JSON")
-    if data.get("source") != source.name or data.get("target") != target.name:
-        raise ValueError(f"hom {name}: endpoints do not match the given models")
-    where = f"hom {name}: map"
-    mapping = {
-        _element_id(source.element_names, e, where): _element_id(target.element_names, x, where)
-        for e, x in _json_field(data, "map", f"hom {name}").items()
-    }
-    missing = [source.name_of(e) for e in source.structure.elements() if e not in mapping]
-    if missing:
-        raise ValueError(f"hom {name}: unmapped elements {missing}")
-    return name, Hom(source.structure, target.structure, mapping)
+    pairs = _json_field(data, "map", f"hom {name}", dict).items()
+    return _build_hom(
+        name, data.get("source"), data.get("target"), source, target,
+        ((f"hom {name}: map", e, x) for e, x in pairs),
+    )
 
 
 def load_model(path: str, theory: Theory) -> NamedModel:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return model_from_json(json.loads(text), theory)
-    return parse_model(text, theory)
+    return load_json_or_text(path, lambda d: model_from_json(d, theory), lambda t: parse_model(t, theory))
 
 
 def load_hom(path: str, source: NamedModel, target: NamedModel) -> tuple[str, Hom]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return hom_from_json(json.loads(text), source, target)
-    return parse_hom(text, source, target)
+    return load_json_or_text(
+        path, lambda d: hom_from_json(d, source, target), lambda t: parse_hom(t, source, target)
+    )

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Any, Callable, Mapping, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -174,16 +176,6 @@ def free_vars(term: RawTerm) -> tuple[str, ...]:
                 walk(a)
 
     walk(term)
-    return tuple(out)
-
-
-def free_vars_formula(phi: HornFormula) -> tuple[str, ...]:
-    out: list[str] = []
-    for atom in phi.atoms:
-        for t in atom_terms(atom):
-            for v in free_vars(t):
-                if v not in out:
-                    out.append(v)
     return tuple(out)
 
 
@@ -635,9 +627,10 @@ def term_to_json(term: RawTerm) -> dict:
 
 
 def term_from_json(data: dict) -> RawTerm:
-    if "var" in data:
-        return Var(data["var"])
-    return App(data["app"], tuple(term_from_json(a) for a in data["args"]))
+    if isinstance(data, dict) and "var" in data:
+        return Var(_json_field(data, "var", "term"))
+    args = _json_field(data, "args", "term", list)
+    return App(_json_field(data, "app", "term"), tuple(term_from_json(a) for a in args))
 
 
 def atom_to_json(atom: Atom) -> dict:
@@ -649,11 +642,13 @@ def atom_to_json(atom: Atom) -> dict:
 
 
 def atom_from_json(data: dict) -> Atom:
-    if "eq" in data:
-        return Eq(term_from_json(data["eq"][0]), term_from_json(data["eq"][1]))
-    if "def" in data:
+    if isinstance(data, dict) and "eq" in data:
+        lhs, rhs = _json_field(data, "eq", "atom", list)
+        return Eq(term_from_json(lhs), term_from_json(rhs))
+    if isinstance(data, dict) and "def" in data:
         return Def(term_from_json(data["def"]))
-    return Rel(data["rel"], tuple(term_from_json(a) for a in data["args"]))
+    args = _json_field(data, "args", "atom", list)
+    return Rel(_json_field(data, "rel", "atom"), tuple(term_from_json(a) for a in args))
 
 
 def formula_to_json(phi: HornFormula) -> list:
@@ -687,28 +682,69 @@ def theory_to_json(theory: Theory) -> dict:
 
 
 def theory_from_json(data: dict) -> Theory:
-    sig = Signature(
-        tuple(data["sorts"]),
-        tuple(FuncDecl(f["name"], tuple(f["args"]), f["result"]) for f in data["funcs"]),
-        tuple(RelDecl(r["name"], tuple(r["args"])) for r in data["rels"]),
-    )
-    sequents = tuple(
-        Sequent(
-            Context(tuple((n, s) for n, s in ax["context"])),
-            formula_from_json(ax["premise"]),
-            formula_from_json(ax["conclusion"]),
-            label=ax.get("label", ""),
-        )
-        for ax in data["axioms"]
-    )
-    theory = Theory(data["theory"], sig, sequents)
+    name = _json_field(data, "theory", "theory JSON")
+    where = f"theory {name}"
+    sorts = _json_names(data, "sorts", where)
+    funcs, rels, sequents = [], [], []
+    for i, f in enumerate(_json_field(data, "funcs", where, list)):
+        at = f"{where}: funcs[{i}]"
+        funcs.append(FuncDecl(_json_field(f, "name", at), _json_names(f, "args", at), _json_field(f, "result", at)))
+    for i, r in enumerate(_json_field(data, "rels", where, list)):
+        at = f"{where}: rels[{i}]"
+        rels.append(RelDecl(_json_field(r, "name", at), _json_names(r, "args", at)))
+    for i, ax in enumerate(_json_field(data, "axioms", where, list)):
+        at = f"{where}: axioms[{i}]"
+        pairs = _json_field(ax, "context", at, list)
+        if not all(isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p) for p in pairs):
+            raise ValueError(f"{at}: 'context' must list [name, sort] pairs of strings")
+        try:
+            premise = formula_from_json(_json_field(ax, "premise", at, list))
+            conclusion = formula_from_json(_json_field(ax, "conclusion", at, list))
+        except ValueError as exc:
+            raise ValueError(f"{at}: {exc}") from None
+        label = _json_field(ax, "label", at, str, "")
+        sequents.append(Sequent(Context(tuple(map(tuple, pairs))), premise, conclusion, label))
+    theory = Theory(name, Signature(sorts, tuple(funcs), tuple(rels)), tuple(sequents))
     check_theory(theory)
     return theory
 
 
-def load_theory(path: str) -> Theory:
+_REQUIRED = object()
+_KINDS = {str: "a string", list: "a list", dict: "an object", int: "an integer"}
+
+
+def _json_field(data: object, key: str, where: str, kind: type = str, default: object = _REQUIRED):
+    """``data[key]``, checked to be of the given kind; a missing optional key
+    gives ``default``.  Malformed input raises ValueError naming ``where``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing key {key!r}")
+        return default
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} must be {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _json_names(data: object, key: str, where: str) -> tuple[str, ...]:
+    """``data[key]`` as a tuple of strings (names of sorts or elements)."""
+    names = _json_field(data, key, where, list)
+    if not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{where}: {key!r} must list strings, got {names!r}")
+    return tuple(names)
+
+
+def load_json_or_text(path: str, from_json: Callable[[Any], T], from_text: Callable[[str], T]) -> T:
+    """Read a file in its JSON mirror (a ``.json`` name, or text that starts
+    with ``{``) or in its text form."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json") or text.lstrip().startswith("{"):
-        return theory_from_json(json.loads(text))
-    return parse_theory(text)
+        return from_json(json.loads(text))
+    return from_text(text)
+
+
+def load_theory(path: str) -> Theory:
+    return load_json_or_text(path, theory_from_json, parse_theory)

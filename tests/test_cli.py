@@ -75,6 +75,15 @@ def test_check_json_model_missing_name_exits_two(corpus, tmp_path, capsys):
     assert code == 2 and "missing key 'model'" in err
 
 
+@pytest.mark.parametrize("elems, message", [
+    (["ea", "eb"], "model ladder_M: 'elems' must be an object, got list"),
+    ({"s": ["ea", "eb"], "nosuchsort": ["ez"]}, "model ladder_M: elems.nosuchsort: unknown sort 'nosuchsort'"),
+])
+def test_check_json_model_malformed_elems_exits_two(corpus, tmp_path, capsys, elems, message):
+    code, _, err = check_json_model(corpus, tmp_path, capsys, dict(LADDER_M_JSON, elems=elems))
+    assert code == 2 and message in err
+
+
 def test_check_json_model_conflicting_entries_exits_two(corpus, tmp_path, capsys):
     code, out, _ = check_json_model(corpus, tmp_path, capsys, LADDER_M_JSON)
     assert code == 0 and "model ladder_M: ok" in out
@@ -89,6 +98,8 @@ def test_check_json_model_conflicting_entries_exits_two(corpus, tmp_path, capsys
                           "map": {"ea": "zz", "eb": "t"}}), "hom bang: map: unknown element 'zz'"),
     (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_T"}),
      "hom bang: missing key 'map'"),
+    (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_T", "map": ["ea"]}),
+     "hom bang: 'map' must be an object, got list"),
     (".phom", "hom bang : ladder_M -> ladder_T {\n  ea |-> zz;\n  eb |-> t;\n}\n",
      "hom bang: unknown element 'zz'"),
 ])
@@ -101,6 +112,30 @@ def test_check_malformed_hom_exits_two(corpus, tmp_path, capsys, suffix, text, m
         "--from", corpus / "models" / "ladder_M.pm",
         "--to", corpus / "models" / "ladder_T.pm",
     )
+    assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("check", {"theory": "t"}, "theory t: missing key 'sorts'"),
+    ("gat-rank", {"gat": "g", "sorts": []}, "gat g: missing key 'ops'"),
+    ("gauge-check", {"defining": {"c": [{"args": ["a", "b"]}]}}, "defining.c[0]: missing key 'scale'"),
+    ("gauge-check", {"defining": {"c": [{"scale": "nope", "args": ["a"]}]}},
+     "defining.c[0]: unknown scale entry 'nope'"),
+    ("gauge-check", {"defining": {"c": [{"scale": "eq:s", "args": ["a"]}]}},
+     "defining.c[0]: scale entry 'eq:s' takes 2 arguments, got 1"),
+    ("check", {"theory": "t", "sorts": ["s"], "funcs": [], "rels": [], "axioms": [
+        {"context": [["x", "s"]], "premise": [{"eq": [{"var": "x"}, {"app": "f"}]}], "conclusion": []}]},
+     "theory t: axioms[0]: term: missing key 'args'"),
+])
+def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "check": ["--theory", path],
+        "gat-rank": [path],
+        "gauge-check": ["--rules", path, "--theory", corpus / "theories" / "ladder.pht", "--term", "c"],
+    }[command]
+    code, _, err = run(capsys, command, *argv)
     assert code == 2 and message in err
 
 

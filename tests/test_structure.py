@@ -1,6 +1,7 @@
 """Partial structures: validation, strict evaluation, homs, model files."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -15,21 +16,21 @@ from partialhorn.structure import (
     enumerate_homs,
     eval_term,
     find_isomorphism,
-    hom_from_json,
     hom_to_json,
     hom_to_text,
     holds,
     identity_hom,
     is_hom,
     is_model,
-    model_from_json,
+    load_hom,
+    load_model,
     model_to_json,
     model_to_text,
     parse_hom,
     parse_model,
     check_structure,
 )
-from partialhorn.syntax import App, Var, parse_formula, parse_theory
+from partialhorn.syntax import App, Var, load_theory, parse_formula, parse_theory
 
 GRAPH = parse_theory("""
 theory graph {
@@ -213,18 +214,41 @@ def test_model_text_round_trip_is_byte_identical(ladder, ladder_models):
         assert model_to_text(parse_model(text, ladder)) == text
 
 
-def test_model_json_round_trip(ladder, ladder_models):
-    for m in ladder_models.values():
-        assert model_from_json(model_to_json(m), ladder) == m
+@pytest.fixture(scope="module")
+def corpus_models(corpus):
+    """Every corpus model, read from its text file against the theory it names."""
+    models = {}
+    for path in sorted((corpus / "models").glob("*.pm")):
+        of = path.read_text().split()[3]  # model NAME of THEORY {
+        theory = load_theory(str(corpus / "theories" / f"{of}.pht"))
+        m = load_model(str(path), theory)
+        models[m.name] = (theory, m)
+    return models
 
 
-def test_hom_file_round_trip(corpus, ladder, ladder_models):
-    M, T = ladder_models["ladder_M"], ladder_models["ladder_T"]
-    text = (corpus / "homs" / "ladder_bang.phom").read_text()
-    name, h = parse_hom(text, M, T)
-    assert name == "bang" and is_hom(h)
-    assert hom_to_text(name, h, M, T) == text
-    assert hom_from_json(hom_to_json(name, h, M, T), M, T) == (name, h)
+def test_model_json_round_trip(corpus_models, tmp_path):
+    # every corpus model and its JSON mirror build equal models
+    assert len(corpus_models) == 22
+    for theory, m in corpus_models.values():
+        mirror = tmp_path / f"{m.name}.json"
+        mirror.write_text(json.dumps(model_to_json(m)))
+        assert load_model(str(mirror), theory) == m
+
+
+def test_hom_file_round_trip(corpus, corpus_models, tmp_path):
+    # every corpus hom and its JSON mirror build equal homs
+    paths = sorted((corpus / "homs").glob("*.phom"))
+    assert len(paths) == 11
+    for path in paths:
+        text = path.read_text()
+        _, _, _, src, _, tgt, _ = text.split(maxsplit=6)  # hom NAME : SRC -> TGT {
+        (_, M), (_, T) = corpus_models[src], corpus_models[tgt]
+        name, h = load_hom(str(path), M, T)
+        assert is_hom(h)
+        assert hom_to_text(name, h, M, T) == text
+        mirror = tmp_path / f"{path.stem}.json"
+        mirror.write_text(json.dumps(hom_to_json(name, h, M, T)))
+        assert load_hom(str(mirror), M, T) == (name, h)
 
 
 def test_parse_hom_requires_total_mapping(ladder_models):
