@@ -6,11 +6,18 @@ forces every scale instance already true at the image, freely completed
 by the chase.  Iterating until a step changes nothing yields the
 canonical decomposition; the number of non-identity steps is the
 decomposition number of f along the scale.
+
+The instances true at the image are found without enumerating A^k: each
+entry's formula is matched once in the fixed target X by the chase's
+premise matcher, and the matches are pulled back along f through its
+fibers, then sorted, which is the order of the lexicographic enumeration.
+Every step after the first chases a base that is a model (the previous
+step's complete result), so its chase matches only the instances that use
+a fact the forced atoms wrote; the final identity step matches none.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,10 +28,11 @@ from .chase import (
     ChaseBudget,
     ChaseResult,
     Presentation,
+    _satisfying,
     chase,
     induced_hom,
 )
-from .structure import Hom, PartialStructure, compose_hom, holds, is_hom
+from .structure import Hom, PartialStructure, compose_hom, is_hom
 from .syntax import (
     Atom,
     Context,
@@ -34,6 +42,7 @@ from .syntax import (
     Theory,
     TokenStream,
     Var,
+    _located,
     _parse_formula,
     check_context,
     check_formula,
@@ -78,25 +87,48 @@ class StepResult:
     fired: tuple[tuple[str, AssignmentItems], ...]
 
 
+def _entry_matches(scale: Scale, X: PartialStructure) -> list[list[tuple[int, ...]]]:
+    """Per entry, the sorted assignments in X at which its formula holds."""
+    return _satisfying(X, [(entry.context, entry.formula) for entry in scale.entries])
+
+
 def scale_step(
-    theory: Theory, scale: Scale, f: Hom, budget: Optional[ChaseBudget] = None
+    theory: Theory,
+    scale: Scale,
+    f: Hom,
+    budget: Optional[ChaseBudget] = None,
+    *,
+    _matches: Optional[list[list[tuple[int, ...]]]] = None,
+    _base_is_model: bool = False,
 ) -> StepResult:
-    """One canonical step: force every scale instance true at the image."""
+    """One canonical step: force every scale instance true at the image.
+
+    ``_matches`` are the entries' matches in f's target, when the caller
+    has them; ``_base_is_model`` says that f's source is a model."""
     A, X = f.source, f.target
+    if _matches is None:
+        _matches = _entry_matches(scale, X)
+    fibers: dict[tuple[str, int], list[int]] = {}
+    for s, es in A.carriers.items():
+        for a in es:
+            fibers.setdefault((s, f.mapping[a]), []).append(a)
     fired: list[tuple[str, AssignmentItems]] = []
     forced: list[tuple[Atom, AssignmentItems]] = []
-    for entry in scale.entries:
+    for entry, matches in zip(scale.entries, _matches):
         names = entry.context.names()
-        pools = [A.carriers.get(s, ()) for _, s in entry.context.vars]
-        for combo in itertools.product(*pools):
-            u = dict(zip(names, combo))
-            image = {n: f.mapping[v] for n, v in u.items()}
-            if holds(X, image, entry.formula):
-                items = tuple(zip(names, combo))
-                fired.append((entry.label, items))
-                for atom in entry.formula.atoms:
-                    forced.append((atom, items))
-    result = chase(theory, Presentation(A, tuple(forced)), budget)
+        sorts = [s for _, s in entry.context.vars]
+        pulled: list[tuple[int, ...]] = []
+        for match in matches:
+            combos: list[tuple[int, ...]] = [()]
+            for s, x in zip(sorts, match):
+                combos = [c + (a,) for c in combos for a in fibers.get((s, x), ())]
+            pulled += combos
+        for combo in sorted(pulled):
+            items = tuple(zip(names, combo))
+            fired.append((entry.label, items))
+            for atom in entry.formula.atoms:
+                forced.append((atom, items))
+    result = chase(theory, Presentation(A, tuple(forced)), budget, _base_is_model=_base_is_model)
     e = Hom(A, result.model, {a: result.quotient[a] for a in A.elements()})
     if result.status != COMPLETE:
         return StepResult(e, None, result, tuple(fired))
@@ -132,8 +164,9 @@ def canonical_decomposition(
     """Iterate canonical steps until one changes nothing (not appended)."""
     steps: list[StepResult] = []
     current = f
-    for _ in range(max_steps):
-        step = scale_step(theory, scale, current, budget)
+    matches = _entry_matches(scale, f.target)  # every step's f has this target
+    for i in range(max_steps):
+        step = scale_step(theory, scale, current, budget, _matches=matches, _base_is_model=i > 0)
         if step.result.status != COMPLETE:
             return DecompositionTrace(tuple(steps), None, None, BUDGET_EXCEEDED)
         if _is_identity_step(step, current.source):
@@ -192,7 +225,7 @@ def parse_scale(text: str, sig: Signature) -> Scale:
     ts.expect("{")
     entries: list[ScaleEntry] = []
     while not ts.at("}"):
-        ts.expect("entry")
+        tok = ts.expect("entry")
         label = ts.expect_ident().text
         while ts.at(":"):
             ts.next()
@@ -213,8 +246,9 @@ def parse_scale(text: str, sig: Signature) -> Scale:
         ctx = Context(tuple(pairs))
         phi = _parse_formula(ts, sig)
         ts.expect(";")
-        check_context(sig, ctx)
-        check_formula(sig, ctx, phi)
+        with _located(f"{tok.line}:{tok.col}"):
+            check_context(sig, ctx)
+            check_formula(sig, ctx, phi)
         entries.append(ScaleEntry(label, ctx, phi))
     ts.expect("}")
     ts.expect_eof()

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, TypeVar, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -269,6 +270,22 @@ def check_sequent(sig: Signature, seq: Sequent) -> None:
 
 
 def check_theory(theory: Theory) -> None:
+    _check_theory(theory, {})
+
+
+@contextmanager
+def _located(at: Optional[str]) -> Iterator[None]:
+    """Prefix a SortError raised inside with the location ``at``, if known."""
+    try:
+        yield
+    except SortError as exc:
+        if at is None:
+            raise
+        raise SortError(f"{at}: {exc}") from None
+
+
+def _check_theory(theory: Theory, where: Mapping[int, str]) -> None:
+    """check_theory; ``where`` maps the id of a declaration or sequent to its location."""
     sig = theory.signature
     seen: set[str] = set()
     for s in sig.sorts:
@@ -276,18 +293,21 @@ def check_theory(theory: Theory) -> None:
             raise SortError(f"duplicate sort {s!r}")
         seen.add(s)
     for f in sig.funcs:
-        for s in f.arg_sorts + (f.result_sort,):
-            if s not in sig.sorts:
-                raise SortError(f"function {f.name}: undeclared sort {s!r}")
+        with _located(where.get(id(f))):
+            for s in f.arg_sorts + (f.result_sort,):
+                if s not in sig.sorts:
+                    raise SortError(f"function {f.name}: undeclared sort {s!r}")
     for r in sig.rels:
-        for s in r.arg_sorts:
-            if s not in sig.sorts:
-                raise SortError(f"relation {r.name}: undeclared sort {s!r}")
+        with _located(where.get(id(r))):
+            for s in r.arg_sorts:
+                if s not in sig.sorts:
+                    raise SortError(f"relation {r.name}: undeclared sort {s!r}")
     names = [f.name for f in sig.funcs] + [r.name for r in sig.rels]
     if len(names) != len(set(names)):
         raise SortError("duplicate function/relation symbol")
     for seq in theory.sequents:
-        check_sequent(sig, seq)
+        with _located(where.get(id(seq))):
+            check_sequent(sig, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +510,11 @@ def parse_theory(text: str) -> Theory:
     funcs: list[FuncDecl] = []
     rels: list[RelDecl] = []
     sequents: list[Sequent] = []
+    where: dict[int, str] = {}  # id of a declaration or sequent -> its line:col
     axiom_index = 0
     while not ts.at("}"):
         tok = ts.peek()
+        at = f"{tok.line}:{tok.col}"
         if tok.text == "sort":
             ts.next()
             sorts.append(ts.expect_ident().text)
@@ -512,6 +534,7 @@ def parse_theory(text: str) -> Theory:
                 funcs.append(FuncDecl(fname, tuple(args), result))
             else:
                 funcs.append(FuncDecl(fname, (), first))
+            where[id(funcs[-1])] = at
             ts.expect(";")
         elif tok.text == "rel":
             ts.next()
@@ -522,19 +545,22 @@ def parse_theory(text: str) -> Theory:
                 ts.next()
                 args.append(ts.expect_ident().text)
             rels.append(RelDecl(rname, tuple(args)))
+            where[id(rels[-1])] = at
             ts.expect(";")
         elif tok.text == "axiom":
             ts.next()
             axiom_index += 1
             sig = Signature(tuple(sorts), tuple(funcs), tuple(rels))
-            sequents.extend(_parse_axiom(ts, sig, axiom_index))
+            for seq in _parse_axiom(ts, sig, axiom_index):
+                sequents.append(seq)
+                where[id(seq)] = at
             ts.expect(";")
         else:
             raise ts.error(f"expected declaration, got {tok.text!r}")
     ts.expect("}")
     ts.expect_eof()
     theory = Theory(name, Signature(tuple(sorts), tuple(funcs), tuple(rels)), tuple(sequents))
-    check_theory(theory)
+    _check_theory(theory, where)
     return theory
 
 
@@ -686,12 +712,15 @@ def theory_from_json(data: dict) -> Theory:
     where = f"theory {name}"
     sorts = _json_names(data, "sorts", where)
     funcs, rels, sequents = [], [], []
+    located: dict[int, str] = {}  # id of a declaration or sequent -> where it is
     for i, f in enumerate(_json_field(data, "funcs", where, list)):
         at = f"{where}: funcs[{i}]"
         funcs.append(FuncDecl(_json_field(f, "name", at), _json_names(f, "args", at), _json_field(f, "result", at)))
+        located[id(funcs[-1])] = at
     for i, r in enumerate(_json_field(data, "rels", where, list)):
         at = f"{where}: rels[{i}]"
         rels.append(RelDecl(_json_field(r, "name", at), _json_names(r, "args", at)))
+        located[id(rels[-1])] = at
     for i, ax in enumerate(_json_field(data, "axioms", where, list)):
         at = f"{where}: axioms[{i}]"
         pairs = _json_field(ax, "context", at, list)
@@ -704,8 +733,9 @@ def theory_from_json(data: dict) -> Theory:
             raise ValueError(f"{at}: {exc}") from None
         label = _json_field(ax, "label", at, str, "")
         sequents.append(Sequent(Context(tuple(map(tuple, pairs))), premise, conclusion, label))
+        located[id(sequents[-1])] = at
     theory = Theory(name, Signature(sorts, tuple(funcs), tuple(rels)), tuple(sequents))
-    check_theory(theory)
+    _check_theory(theory, located)
     return theory
 
 

@@ -2,16 +2,18 @@
 
 import importlib
 import itertools
+from collections import defaultdict
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from partialhorn import (
     BUDGET_EXCEEDED,
     COMPLETE,
     INVALID,
+    STABILIZED,
     STOPPED,
     UNKNOWN,
     VALID,
@@ -21,10 +23,12 @@ from partialhorn import (
     ProveResult,
     chase,
     coequalizer,
+    equational_scale,
     induced_hom,
     is_hom,
     is_model,
     ladder_theory,
+    load_hom,
     ncat_theory,
     prove_sequent,
     reduces,
@@ -277,8 +281,8 @@ MATCH_PREMISES = {
 # Ground atoms to force over two base elements u, v.
 FORCED_ATOMS = {
     LADDER: ("u = v", "a = b", "a = c", "c !", "d !", "a = u"),
-    NCAT1: ("u = v", "d1(u) = v", "comp1(u, v) !"),
-    ORDER: ("u = v", "R(u, v)", "f(u) = v"),
+    NCAT1: ("u = v", "d1(u) = v", "comp1(u, v) !", "comp1(u, comp1(v, u)) !"),
+    ORDER: ("u = v", "R(u, v)", "f(u) = v", "R(f(u), v)", "f(f(v)) !"),
 }
 
 
@@ -326,8 +330,12 @@ def test_match_premise_matches_brute_force(data):
 
 
 class _FullRebuildState(_ChaseState):
-    """Reference closure: rebuild and re-sort every table after every union
-    until no two keys collide, and rebuild every relation set."""
+    """Reference chase: rebuild and re-sort every table after every union
+    until no two keys collide, rebuild every relation set, and match every
+    premise in full in every round (this normalize records no writes)."""
+
+    def match_premise(self, seq, delta=False):
+        return super().match_premise(seq)
 
     def normalize(self) -> None:
         changed = True
@@ -372,6 +380,38 @@ def test_chase_matches_full_rebuild_closure(data):
     assert got.quotient == want.quotient
     assert got.fresh_log == want.fresh_log
     assert (got.status, got.rounds, got.merges) == (want.status, want.rounds, want.merges)
+
+
+def _same_result(got, want):
+    assert got.model == want.model
+    assert got.quotient == want.quotient
+    assert got.fresh_log == want.fresh_log
+    assert (got.status, got.rounds, got.merges) == (want.status, want.rounds, want.merges)
+
+
+# Delta rounds, from scratch and from a model, agree with the reference that
+# rematches every premise in full each round.  The forced atoms create
+# elements, merge them and add relation tuples; merges re-key entries,
+# which must count as new facts.
+@pytest.mark.parametrize("theory", list(FORCED_ATOMS), ids=lambda th: th.name)
+@given(data=st.data())
+def test_delta_rounds_match_full_rematch(theory, data):
+    sig = theory.signature
+    budget = ChaseBudget(max_elements=150, max_rounds=8)
+    start = chase(theory, Presentation(data.draw(structures(sig, 4))), budget)
+    assume(start.status == COMPLETE)
+    base = start.model
+    elem = st.sampled_from(base.elements())
+    forced = tuple(
+        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
+        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[theory]), min_size=1, max_size=4), label="forced")
+        for atom in parse_formula(sig, text).atoms
+    )
+    presentation = Presentation(base, forced)
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
+        want = chase(theory, presentation, budget)
+    _same_result(chase(theory, presentation, budget), want)
+    _same_result(chase(theory, presentation, budget, _base_is_model=True), want)
 
 
 def _reference_eval(state, term, asg):
@@ -438,3 +478,68 @@ def test_prove_stop_matches_reference(data):
     want = chase(theory, presentation, budget, stop=stop)
     verdict = {STOPPED: VALID, COMPLETE: INVALID}.get(want.status, UNKNOWN)
     assert prove_sequent(theory, seq, budget) == ProveResult(verdict, want.rounds, want.model.size(), want.merges)
+
+
+DECOMPOSE_MODULE = importlib.import_module("partialhorn.decompose")
+
+
+def _counted_decomposition(state_cls, f):
+    """Decompose f along the equational scale with state_cls as the chase
+    state; count, per chase, the instances match_premise returns and the
+    enforce calls.  Returns the trace, the counts of the last chase and the
+    last step (the identity step, which the trace leaves out)."""
+    found: dict = defaultdict(int)
+    enforced: dict = defaultdict(int)
+    steps = []
+    match, enforce, step = state_cls.match_premise, state_cls.enforce, DECOMPOSE_MODULE.scale_step
+
+    def counting_match(self, seq, delta=False):
+        got = match(self, seq, delta)
+        found[self] += len(got)
+        return got
+
+    def counting_enforce(self, atom, items):
+        enforced[self] += 1
+        return enforce(self, atom, items)
+
+    def recording_step(*args, **kwargs):
+        steps.append(step(*args, **kwargs))
+        return steps[-1]
+
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", state_cls), \
+            mock.patch.object(state_cls, "match_premise", counting_match), \
+            mock.patch.object(state_cls, "enforce", counting_enforce), \
+            mock.patch.object(DECOMPOSE_MODULE, "scale_step", recording_step):
+        trace = DECOMPOSE_MODULE.canonical_decomposition(LADDER, equational_scale(LADDER.signature), f)
+    last = list(enforced)[-1]
+    return trace, found[last], enforced[last], steps[-1]
+
+
+# The final identity step chases a model with forced atoms that already
+# hold: from the model, it matches no premise instance and enforces only
+# the forced atoms, where the full-rematch reference matches every premise.
+def test_final_identity_step_matches_nothing(corpus, ladder_models):
+    M, T = ladder_models["ladder_M"], ladder_models["ladder_T"]
+    _, f = load_hom(str(corpus / "homs" / "ladder_bang.phom"), M, T)
+    trace, found, enforced, last = _counted_decomposition(_ChaseState, f)
+    assert trace.claimed_decnum == 3
+    forced = len(last.fired)  # one atom per instance of the equational scale
+    assert forced >= 1
+    assert (found, enforced) == (0, forced)
+    want, want_found, want_enforced, want_last = _counted_decomposition(_FullRebuildState, f)
+    assert want_found > 0 and want_enforced > forced
+    assert (trace, last) == (want, want_last)
+
+
+# A source that is not a model gets a full first round: the whole trace,
+# every step's chase result, fired instances and legs, is the reference's.
+def test_decomposition_of_a_non_model_matches_full_rematch(ladder_models):
+    T = ladder_models["ladder_T"].structure
+    (t,) = T.elements()
+    A = PartialStructure(LADDER.signature, {"s": (0, 1, 2)}, {"a": {(): 0}, "b": {}, "c": {}, "d": {}}, {})
+    assert not is_model(A, LADDER)
+    f = Hom(A, T, {0: t, 1: t, 2: t})
+    trace, _, _, last = _counted_decomposition(_ChaseState, f)
+    want, _, _, want_last = _counted_decomposition(_FullRebuildState, f)
+    assert trace.status == STABILIZED and trace.claimed_decnum >= 1
+    assert (trace, last) == (want, want_last)

@@ -126,6 +126,9 @@ def test_check_malformed_hom_exits_two(corpus, tmp_path, capsys, suffix, text, m
     ("check", {"theory": "t", "sorts": ["s"], "funcs": [], "rels": [], "axioms": [
         {"context": [["x", "s"]], "premise": [{"eq": [{"var": "x"}, {"app": "f"}]}], "conclusion": []}]},
      "theory t: axioms[0]: term: missing key 'args'"),
+    ("check", {"theory": "t", "sorts": ["s"], "funcs": [], "rels": [], "axioms": [
+        {"context": [["x", "q"]], "premise": [], "conclusion": []}]},
+     "theory t: axioms[0]: undeclared sort 'q'"),
 ])
 def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data, message):
     path = tmp_path / "bad.json"
@@ -137,6 +140,33 @@ def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data
     }[command]
     code, _, err = run(capsys, command, *argv)
     assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("decnum", "scale q {\n  entry e1 [z: s] z = z;\n  entry e2 [z: nosort] z = z;\n}\n",
+     "3:3: undeclared sort 'nosort'"),
+    ("decnum", "scale q {\n  entry e1 [z: s] g(z) = z;\n}\n", "2:3: undeclared function symbol 'g'"),
+    ("decnum", "scale q {\n  entry e1 [z: s, z: s] z = z;\n}\n", "2:3: duplicate context variable 'z'"),
+    ("check", "theory t {\n  sort s;\n  func f : s -> s;\n  axiom [x: nosort] top |- f(x) !;\n}\n",
+     "4:3: undeclared sort 'nosort'"),
+    ("check", "theory t {\n  sort s;\n  axiom [x: s] top |- g(x) !;\n}\n", "3:3: undeclared function symbol 'g'"),
+    ("check", "theory t {\n  sort s;\n  axiom [x: s, x: s] top |- x = x;\n}\n",
+     "3:3: duplicate context variable 'x'"),
+    ("check", "theory t {\n  sort s;\n  func f : s -> nosort;\n}\n", "3:3: function f: undeclared sort 'nosort'"),
+])
+def test_sort_errors_in_scale_and_theory_files_are_located(corpus, tmp_path, capsys, command, text, message):
+    path = tmp_path / ("bad.scale" if command == "decnum" else "bad.pht")
+    path.write_text(text)
+    argv = {
+        "check": ["--theory", path],
+        "decnum": [
+            "--theory", corpus / "theories" / "ladder.pht", "--scale", path,
+            "--from", corpus / "models" / "ladder_M.pm", "--to", corpus / "models" / "ladder_T.pm",
+            "--hom", corpus / "homs" / "ladder_bang.phom",
+        ],
+    }[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 2 and f"error: {message}" in err
 
 
 def test_free_prints_the_two_element_model(corpus, capsys):
