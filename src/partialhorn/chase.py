@@ -2,7 +2,7 @@
 
 From a presentation (a finite base structure plus forced ground atoms)
 the chase freely completes the structure to a model of the theory:
-premises are matched, conclusion subterms are materialized with fresh
+premises are matched, undefined conclusion subterms get fresh
 strictly-increasing ids, and equations merge elements through a
 least-id union-find kept congruence-closed.
 
@@ -20,7 +20,23 @@ of a theory shares the plans; its atoms are ordered greedily so that
 each next atom shares the most variables bound before it.  A flat atom
 is then a table lookup when its arguments are bound, a probe of the
 function's value -> arguments index (rebuilt lazily whenever the state
-changed) when only its value is, and a scan of the table otherwise.
+changed) when only its value is, and a scan of the table otherwise.  A
+probe takes along every other atom over the same argument slots whose
+value is bound, and walks the shortest of their fibers while checking
+the others by table lookup: the smallest-first intersection of generic
+join (Leapfrog Triejoin).  In ``interchange.i.j`` the last variable is
+pinned by two fibers, and in a model with few low cells one of them is
+most of the carrier.
+
+Each conclusion is compiled once too, into a straight-line program over
+slots: one slot per context variable, then one per distinct subterm in
+the post-order that recursive evaluation visits.  An application looks
+its arguments' slots up in the function's table and creates a fresh
+element (logged with its term and the instance's assignment) when the
+entry is missing; each equation ends in a union, each relation atom in
+an insert.  Forced atoms run through the same programs.  Slots are
+re-canonicalized only after a union, and an instance that creates
+nothing builds no assignment record, which is most instances.
 
 Rounds are semi-naive, as in egglog.  The state records every fact it
 writes (a table entry inserted or re-keyed, a relation tuple added or
@@ -113,7 +129,7 @@ class _Budget(Exception):
 
 # Kinds of join steps in a compiled premise (see _order).
 _LOOKUP = 0  # f(bound args): read the table, bind or check the value slot
-_PROBE = 1  # f(args) = bound value: read the value index, unify the args
+_PROBE = 1  # f(args) = bound value, g(args) = bound value, ...: intersect the fibers
 _SCAN = 2  # f(args) = value, value unbound: unify every table entry
 _REL = 3  # R(args): unify every tuple of the relation
 _CARRIER = 4  # a context variable no atom binds: every element of a pool
@@ -142,7 +158,9 @@ def _pattern(slots: tuple[int, ...], bound: set[int]) -> tuple[tuple[int, bool],
 def _order(atoms: list[_FlatAtom], bound: set[int]) -> list[_Step]:
     """Join steps for the atoms, given the slots already bound: each next
     atom shares the most slots bound before it, ties going to a pure table
-    lookup and then to the earlier atom.  Adds the slots to ``bound``."""
+    lookup and then to the earlier atom.  A probe takes along every other
+    remaining atom over the same argument slots whose value is bound: the
+    step intersects their fibers.  Adds the slots to ``bound``."""
     remaining = list(atoms)
     steps: list[_Step] = []
 
@@ -159,10 +177,25 @@ def _order(atoms: list[_FlatAtom], bound: set[int]) -> list[_Step]:
             steps.append((_LOOKUP, sym, args, (out, out not in bound)))
             bound.add(out)
         elif out in bound:
-            steps.append((_PROBE, sym, out, _pattern(args, bound)))
+            group = [atom] + [a for a in remaining if a[0] != _REL and a[2] == args and a[3] in bound]
+            for a in group[1:]:
+                remaining.remove(a)
+            steps.append((_PROBE, tuple((f, v) for _, f, _, v in group), None, _pattern(args, bound)))
         else:
             steps.append((_SCAN, sym, None, _pattern(args + (out,), bound)))
     return steps
+
+
+def _flatten(term: RawTerm, slots: dict[RawTerm, int], flat: list) -> int:
+    """The slot of ``term``.  Variables have theirs in ``slots``; an
+    application met for the first time takes the next slot, after its
+    arguments', and is listed in ``flat`` as (term, argument slots)."""
+    slot = slots.get(term)
+    if slot is None:
+        args = tuple(_flatten(a, slots, flat) for a in term.args)
+        slot = slots[term] = len(slots)
+        flat.append((term, args))
+    return slot
 
 
 class _Premise:
@@ -182,40 +215,30 @@ class _Premise:
 
     def __init__(self, seq: Sequent) -> None:
         names = self.names = seq.context.names()
-        slot_of = {n: i for i, n in enumerate(names)}
-        parent = list(range(len(names)))
-        memo: dict[RawTerm, int] = {}
-        atoms: list[_FlatAtom] = []
-
-        def flat(t: RawTerm) -> int:
-            if isinstance(t, Var):
-                return slot_of[t.name]
-            slot = memo.get(t)
-            if slot is None:
-                args = tuple(flat(a) for a in t.args)
-                slot = memo[t] = len(parent)
-                parent.append(slot)
-                atoms.append((_SCAN, t.func, args, slot))
-            return slot
+        slots: dict[RawTerm, int] = {Var(n): i for i, n in enumerate(names)}
+        flat: list[tuple[object, tuple[int, ...]]] = []
+        parent: list[int] = []
 
         def find(slot: int) -> int:
+            parent.extend(range(len(parent), len(slots)))
             while parent[slot] != slot:
                 slot = parent[slot]
             return slot
 
         for atom in normalized(seq.premise).atoms:
             if isinstance(atom, Rel):
-                atoms.append((_REL, atom.rel, tuple(flat(a) for a in atom.args), -1))
+                flat.append((atom, tuple(_flatten(a, slots, flat) for a in atom.args)))
             else:
-                a, b = find(flat(atom.lhs)), find(flat(atom.rhs))
+                a, b = find(_flatten(atom.lhs, slots, flat)), find(_flatten(atom.rhs, slots, flat))
                 parent[max(a, b)] = min(a, b)
         self.atoms: list[_FlatAtom] = []
-        for kind, sym, args, out in atoms:
-            renamed = (kind, sym, tuple(find(a) for a in args), find(out) if out >= 0 else -1)
+        for t, args in flat:
+            args = tuple(find(a) for a in args)
+            renamed = (_REL, t.rel, args, -1) if isinstance(t, Rel) else (_SCAN, t.func, args, find(slots[t]))
             if renamed not in self.atoms:
                 self.atoms.append(renamed)
-        self.emit = tuple(find(slot_of[n]) for n in names)
-        self.nslots = len(parent)
+        self.emit = tuple(find(i) for i in range(len(names)))
+        self.nslots = len(slots)
         bound: set[int] = set()
         steps = _order(self.atoms, bound)
         sorts = dict(seq.context.vars)
@@ -249,18 +272,68 @@ class _Premise:
         return self._deltas
 
 
-# id(sequent) -> its compiled premise, shared by every chase of the
-# sequent's theory.  An entry goes when its sequent is collected (before
-# the id can be reused), so the memo holds no more than the live sequents.
-_PREMISES: dict[int, _Premise] = {}
+# Operations of a compiled conclusion (see _Conclusion).
+_APPLY1 = 0  # (_APPLY1, f, arg slot, term): the next slot is f(arg), created if undefined
+_APPLY2 = 1  # (_APPLY2, f, (slot, slot), term): the same for a binary f
+_APPLY = 2  # (_APPLY, f, arg slots, term): the same for any other arity
+_UNITE = 3  # (_UNITE, None, (slot, slot), None): unite the two values
+_INSERT = 4  # (_INSERT, R, arg slots, None): add the tuple to R
 
 
-def _premise(seq: Sequent) -> _Premise:
-    premise = _PREMISES.get(id(seq))
-    if premise is None:
-        premise = _PREMISES[id(seq)] = _Premise(seq)
-        weakref.finalize(seq, _PREMISES.pop, id(seq), None)
-    return premise
+class _Conclusion:
+    """Atoms to enforce at an assignment, compiled to a straight-line program.
+
+    Slots 0..n-1 hold the context variables; every distinct application
+    gets the next slot, in the post-order in which recursive evaluation
+    first meets it.  A repeated subterm reuses its slot: evaluating it again
+    would find the entry its first visit read or created.  An application
+    looks its arguments up in the function's table and creates a fresh
+    element when the entry is missing; each atom ends in a ``_UNITE`` or an
+    ``_INSERT`` (a definedness atom in its applications alone).
+    """
+
+    __slots__ = ("names", "atoms", "ops")
+
+    def __init__(self, names: tuple[str, ...], atoms: Sequence[Atom]) -> None:
+        self.names = names
+        self.atoms = tuple(atoms)
+        slots: dict[RawTerm, int] = {Var(n): i for i, n in enumerate(names)}
+        flat: list[tuple[object, tuple[int, ...]]] = []
+        for atom in self.atoms:
+            if isinstance(atom, Def):
+                _flatten(atom.term, slots, flat)
+            elif isinstance(atom, Eq):
+                flat.append((atom, (_flatten(atom.lhs, slots, flat), _flatten(atom.rhs, slots, flat))))
+            else:
+                flat.append((atom, tuple(_flatten(a, slots, flat) for a in atom.args)))
+        ops = []
+        for t, args in flat:
+            if isinstance(t, Eq):
+                if args[0] != args[1]:
+                    ops.append((_UNITE, None, args, None))
+            elif isinstance(t, Rel):
+                ops.append((_INSERT, t.rel, args, None))
+            elif len(args) == 1:
+                ops.append((_APPLY1, t.func, args[0], t))
+            else:
+                ops.append((_APPLY2 if len(args) == 2 else _APPLY, t.func, args, t))
+        self.ops = tuple(ops)
+
+
+# id(sequent) -> its compiled premise and conclusion, shared by every chase
+# of the sequent's theory.  An entry goes when its sequent is collected
+# (before the id can be reused), so the memo holds no more than the live
+# sequents.
+_COMPILED: dict[int, tuple[_Premise, _Conclusion]] = {}
+
+
+def _compiled(seq: Sequent) -> tuple[_Premise, _Conclusion]:
+    compiled = _COMPILED.get(id(seq))
+    if compiled is None:
+        compiled = (_Premise(seq), _Conclusion(seq.context.names(), seq.conclusion.atoms))
+        _COMPILED[id(seq)] = compiled
+        weakref.finalize(seq, _COMPILED.pop, id(seq), None)
+    return compiled
 
 
 def _unify(vals: list[int], pattern: tuple[tuple[int, bool], ...], tup: tuple[int, ...]) -> bool:
@@ -270,6 +343,79 @@ def _unify(vals: list[int], pattern: tuple[tuple[int, bool], ...], tup: tuple[in
         elif vals[slot] != x:
             return False
     return True
+
+
+class _Join:
+    """One run of a join plan over a chase state.  ``step(k)`` extends the
+    bindings in ``vals`` by step k and every step after it, adding the
+    emitted slots of each complete binding to ``results``; ``pools`` holds
+    what each _CARRIER and _NEW step ranges over.  The recursion goes
+    through the bound method, not through a closure that refers to itself,
+    so nothing of a run outlives it, also when it ends in an exception."""
+
+    __slots__ = ("state", "plan", "emit", "pools", "results", "vals")
+
+    def __init__(self, state: _ChaseState, plan: _Plan, emit: tuple[int, ...], nslots: int,
+                 pools: dict, results: set) -> None:
+        self.state = state
+        self.plan = plan
+        self.emit = emit
+        self.pools = pools
+        self.results = results
+        self.vals = [0] * nslots
+
+    def step(self, k: int) -> None:
+        vals = self.vals
+        if k == len(self.plan):
+            self.results.add(tuple([vals[s] for s in self.emit]))
+            return
+        kind, sym, slots, extra = self.plan[k]
+        k += 1
+        if kind == _LOOKUP:
+            v = self.state.funcs[sym].get(tuple([vals[s] for s in slots]))
+            if v is None:
+                return
+            slot, bind = extra
+            if bind:
+                vals[slot] = v
+            elif vals[slot] != v:
+                return
+            self.step(k)
+        elif kind == _PROBE:  # sym: the (function, value slot) pairs over the same argument slots
+            index = self.state.value_index
+            shortest = None
+            for f, out in sym:
+                fiber = index(f).get(vals[out])
+                if fiber is None:
+                    return
+                if shortest is None or len(fiber) < len(shortest):
+                    shortest, walked = fiber, (f, out)
+            funcs = self.state.funcs
+            checks = [(funcs[f], vals[out]) for f, out in sym if (f, out) != walked]
+            for args in shortest:
+                if _unify(vals, extra, args):
+                    for table, v in checks:
+                        if table.get(args) != v:
+                            break
+                    else:
+                        self.step(k)
+        elif kind == _SCAN:
+            for args, v in self.state.funcs[sym].items():
+                if _unify(vals, extra, (*args, v)):
+                    self.step(k)
+        elif kind == _REL:
+            for tup in self.state.rels[sym]:
+                if _unify(vals, extra, tup):
+                    self.step(k)
+        elif kind == _CARRIER:
+            for c in self.pools[sym]:
+                vals[slots] = c
+                self.step(k)
+        else:  # _NEW: slots names f for function entries, None for relation tuples
+            table = None if slots is None else self.state.funcs[slots]
+            for tup in self.pools[sym]:
+                if _unify(vals, extra, tup if table is None else (*tup, table[tup])):
+                    self.step(k)
 
 
 class _Writes:
@@ -292,6 +438,7 @@ class _ChaseState:
         self.live: set[int] = set()
         self.parent: dict[int, int] = {}
         self.funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in sig.funcs}
+        self.result_sort = {f.name: f.result_sort for f in sig.funcs}
         self.rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in sig.rels}
         # id -> the (func, args) keys whose args or value held it when stored
         self.uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
@@ -372,7 +519,7 @@ class _ChaseState:
         afterwards every key and value is canonical."""
         if not self.pending:
             return
-        written = self.written.funcs
+        written, parent, find = self.written.funcs, self.parent, self.find
         while self.pending:
             for f, args in self.uses.pop(self.pending.pop(), ()):
                 table = self.funcs[f]
@@ -380,56 +527,70 @@ class _ChaseState:
                 if val is None:
                     continue  # re-keyed already
                 written[f].discard(args)  # the key holds a dead id or is stored again below
-                key = tuple(self.find(a) for a in args)
-                val = self.find(val)
+                key = tuple([a if parent[a] == a else find(a) for a in args])
+                val = find(val)
                 old = table.get(key)
-                if old is not None and self.find(old) != val:
+                if old is not None and find(old) != val:
                     self.union(old, val)
-                    val = self.find(val)
+                    val = find(val)
                 table[key] = val
                 written[f].add(key)
                 self._use(f, key, val)
-        parent = self.parent
         for r, tuples in self.rels.items():
             stale = [tup for tup in tuples if any(parent[a] != a for a in tup)]
             if stale:
                 tuples.difference_update(stale)
-                moved = {tuple(self.find(a) for a in tup) for tup in stale}
+                moved = {tuple([find(a) for a in tup]) for tup in stale}
                 tuples |= moved
                 self.written.rels[r] |= moved
 
-    # -- materialization
+    # -- firing
 
-    def materialize(self, term: RawTerm, asg: Mapping[str, int], items: AssignmentItems) -> int:
-        if isinstance(term, Var):
-            return self.find(asg[term.name])
-        vals = tuple(self.materialize(a, asg, items) for a in term.args)
-        got = self.funcs[term.func].get(vals)
-        if got is not None:
-            return self.find(got)
-        fresh = self.add_element(self.sig.func(term.func).result_sort)
-        self.funcs[term.func][vals] = fresh
-        self.written.funcs[term.func].add(vals)
-        self._use(term.func, vals, fresh)
-        self.fresh_log.append(FreshEntry(fresh, term.func, vals, term, items))
+    def fire(
+        self, conclusion: _Conclusion, ids: tuple[int, ...], items: Optional[AssignmentItems] = None
+    ) -> None:
+        """Enforce the conclusion at the assignment ``ids`` (in the order of
+        its names; ids may have lost a union since).  ``items``, recorded
+        with every element the instance creates, defaults to the names
+        zipped with ``ids`` and is built once, at the first creation."""
+        find, funcs, parent = self.find, self.funcs, self.parent
+        vals = [i if parent[i] == i else find(i) for i in ids]
+        for op, sym, args, term in conclusion.ops:
+            if op <= _APPLY:
+                if op == _APPLY1:
+                    key: tuple[int, ...] = (vals[args],)
+                elif op == _APPLY2:
+                    key = (vals[args[0]], vals[args[1]])
+                else:
+                    key = tuple([vals[a] for a in args])
+                val = funcs[sym].get(key)
+                if val is None:
+                    if items is None:
+                        items = tuple(zip(conclusion.names, ids))
+                    val = self.create(sym, key, term, items)
+                vals.append(val)
+            elif op == _UNITE:
+                a, b = vals[args[0]], vals[args[1]]
+                if a != b:
+                    self.union(a, b)
+                    self.normalize()
+                    vals = [v if parent[v] == v else find(v) for v in vals]
+            else:
+                tup = tuple([vals[a] for a in args])
+                if tup not in self.rels[sym]:
+                    self.rels[sym].add(tup)
+                    self.written.rels[sym].add(tup)
+                    self.version += 1
+
+    def create(self, f: str, args: tuple[int, ...], term: RawTerm, items: AssignmentItems) -> int:
+        """A fresh element as the value of f at args, logged with the term
+        and the assignment that called for it."""
+        fresh = self.add_element(self.result_sort[f])
+        self.funcs[f][args] = fresh
+        self.written.funcs[f].add(args)
+        self._use(f, args, fresh)
+        self.fresh_log.append(FreshEntry(fresh, f, args, term, items))
         return fresh
-
-    def enforce(self, atom: Atom, items: AssignmentItems) -> None:
-        asg = {n: self.find(i) for n, i in items}
-        if isinstance(atom, Def):
-            self.materialize(atom.term, asg, items)
-        elif isinstance(atom, Eq):
-            l = self.materialize(atom.lhs, asg, items)
-            r = self.materialize(atom.rhs, asg, items)
-            if l != r:
-                self.union(l, r)
-                self.normalize()
-        else:
-            vals = tuple(self.find(self.materialize(a, asg, items)) for a in atom.args)
-            if vals not in self.rels[atom.rel]:
-                self.rels[atom.rel].add(vals)
-                self.written.rels[atom.rel].add(vals)
-                self.version += 1
 
     # -- premise matching (compiled join, lexicographic output)
 
@@ -460,62 +621,10 @@ class _ChaseState:
             new, old, held = now.rels[sym], before.rels[sym], self.rels[sym]
         return [x for x in new if x in held] + [x for x in old if x in held and x not in new]
 
-    def run_plan(self, plan: _Plan, emit: tuple[int, ...], nslots: int, pools: dict, results: set) -> None:
-        """Add to ``results`` the emitted slots of every way to run the plan.
-        ``pools`` holds what each _CARRIER and _NEW step ranges over."""
-        funcs, rels = self.funcs, self.rels
-        vals = [0] * nslots
-        end = len(plan)
-
-        def join(k: int) -> None:
-            if k == end:
-                results.add(tuple(vals[s] for s in emit))
-                return
-            kind, sym, slots, extra = plan[k]
-            k += 1
-            if kind == _LOOKUP:
-                v = funcs[sym].get(tuple(vals[s] for s in slots))
-                if v is None:
-                    return
-                slot, bind = extra
-                if bind:
-                    vals[slot] = v
-                elif vals[slot] != v:
-                    return
-                join(k)
-            elif kind == _PROBE:
-                for args in self.value_index(sym).get(vals[slots], ()):
-                    if _unify(vals, extra, args):
-                        join(k)
-            elif kind == _SCAN:
-                for args, v in funcs[sym].items():
-                    if _unify(vals, extra, (*args, v)):
-                        join(k)
-            elif kind == _REL:
-                for tup in rels[sym]:
-                    if _unify(vals, extra, tup):
-                        join(k)
-            elif kind == _CARRIER:
-                for c in pools[sym]:
-                    vals[slots] = c
-                    join(k)
-            else:  # _NEW: slots names f for function entries, None for relation tuples
-                for tup in pools[sym]:
-                    if _unify(vals, extra, tup if slots is None else (*tup, funcs[slots][tup])):
-                        join(k)
-
-        join(0)
-
-    def match_premise(self, seq: Sequent, delta: bool = False) -> list[AssignmentItems]:
-        """The assignments at which the premise holds, sorted.  With
-        ``delta``, only those that use a fact written in this round or the
-        one before."""
-        premise = _premise(seq)
-        names = premise.names
-        return [tuple(zip(names, tup)) for tup in self.matches(premise, delta)]
-
     def matches(self, premise: _Premise, delta: bool = False) -> list[tuple[int, ...]]:
-        """match_premise on a compiled premise: sorted id tuples in context order."""
+        """The assignments at which the premise holds, as id tuples in
+        context order, sorted.  With ``delta``, only those that use a fact
+        written in this round or the one before."""
         pools: dict = {}
         results: set[tuple[int, ...]] = set()
         for plan in premise.deltas() if delta else (premise.full,):
@@ -526,25 +635,25 @@ class _ChaseState:
                     if not pools[sym]:
                         break  # the plan needs an element of every pool
             else:
-                self.run_plan(plan, premise.emit, premise.nslots, pools, results)
+                _Join(self, plan, premise.emit, premise.nslots, pools, results).step(0)
         return sorted(results)
 
     # -- rounds
 
     def run_round(self, theory: Theory, delta: bool = False) -> bool:
-        """Match every sequent and enforce its conclusions.  With ``delta``
-        (every sequent was matched in the round before, or the base is a
-        model), match only instances that use a fact written in this round
-        or the one before: any other instance was matched in the round
-        before, or holds in the base, so its conclusion already holds and
-        enforcing it again would change nothing."""
+        """Match every sequent and fire its conclusion at each match.  With
+        ``delta`` (every sequent was matched in the round before, or the
+        base is a model), match only instances that use a fact written in
+        this round or the one before: any other instance was matched in the
+        round before, or holds in the base, so its conclusion already holds
+        and firing it again would change nothing."""
         v0 = self.version
         self.normalize()
         self.written_before, self.written = self.written, _Writes(self.sig)
         for seq in theory.sequents:
-            for items in self.match_premise(seq, delta):
-                for atom in seq.conclusion.atoms:
-                    self.enforce(atom, items)
+            premise, conclusion = _compiled(seq)
+            for ids in self.matches(premise, delta):
+                self.fire(conclusion, ids)
         return self.version != v0
 
     def snapshot(self) -> PartialStructure:
@@ -575,8 +684,13 @@ def chase(
     rounds = 0
     try:
         state.load(presentation.base)
+        programs: dict[tuple[Atom, tuple[str, ...]], _Conclusion] = {}
         for atom, items in presentation.forced:
-            state.enforce(atom, items)
+            names = tuple(n for n, _ in items)
+            program = programs.get((atom, names))
+            if program is None:
+                program = programs[atom, names] = _Conclusion(names, (atom,))
+            state.fire(program, tuple(i for _, i in items), items)
         state.normalize()
         if stop is not None and stop(state):
             status = STOPPED

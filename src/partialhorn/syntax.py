@@ -284,27 +284,26 @@ def _located(at: Optional[str]) -> Iterator[None]:
         raise SortError(f"{at}: {exc}") from None
 
 
-def _check_theory(theory: Theory, where: Mapping[int, str]) -> None:
-    """check_theory; ``where`` maps the id of a declaration or sequent to its location."""
+def _check_theory(theory: Theory, where: Mapping[object, str]) -> None:
+    """check_theory; ``where`` maps the id of a declaration or sequent, and
+    ``("sort", i)`` for the i-th sort, to its location."""
     sig = theory.signature
     seen: set[str] = set()
-    for s in sig.sorts:
-        if s in seen:
-            raise SortError(f"duplicate sort {s!r}")
+    for i, s in enumerate(sig.sorts):
+        with _located(where.get(("sort", i))):
+            if s in seen:
+                raise SortError(f"duplicate sort {s!r}")
         seen.add(s)
-    for f in sig.funcs:
-        with _located(where.get(id(f))):
-            for s in f.arg_sorts + (f.result_sort,):
-                if s not in sig.sorts:
-                    raise SortError(f"function {f.name}: undeclared sort {s!r}")
-    for r in sig.rels:
-        with _located(where.get(id(r))):
-            for s in r.arg_sorts:
-                if s not in sig.sorts:
-                    raise SortError(f"relation {r.name}: undeclared sort {s!r}")
-    names = [f.name for f in sig.funcs] + [r.name for r in sig.rels]
-    if len(names) != len(set(names)):
-        raise SortError("duplicate function/relation symbol")
+    symbols: set[str] = set()
+    for decls, kind in ((sig.funcs, "function"), (sig.rels, "relation")):
+        for d in decls:
+            with _located(where.get(id(d))):
+                if d.name in symbols:
+                    raise SortError(f"duplicate {kind} symbol {d.name!r}")
+                symbols.add(d.name)
+                for s in d.arg_sorts + ((d.result_sort,) if isinstance(d, FuncDecl) else ()):
+                    if s not in sig.sorts:
+                        raise SortError(f"{kind} {d.name}: undeclared sort {s!r}")
     for seq in theory.sequents:
         with _located(where.get(id(seq))):
             check_sequent(sig, seq)
@@ -406,16 +405,24 @@ class TokenStream:
 # Parser
 
 
-def _parse_term(ts: TokenStream, sig: Signature) -> RawTerm:
+# Applications nest at most this deep in a term read from text or JSON;
+# deeper terms are rejected where they are read, before any recursive
+# evaluation, printing or hashing of them could exhaust the stack.
+MAX_TERM_DEPTH = 256
+
+
+def _parse_term(ts: TokenStream, sig: Signature, depth: int = 0) -> RawTerm:
     name = ts.expect_ident().text
     if ts.at("("):
+        if depth == MAX_TERM_DEPTH:
+            raise ts.error(f"term nested deeper than {MAX_TERM_DEPTH} applications")
         ts.next()
         args: list[RawTerm] = []
         if not ts.at(")"):
-            args.append(_parse_term(ts, sig))
+            args.append(_parse_term(ts, sig, depth + 1))
             while ts.at(","):
                 ts.next()
-                args.append(_parse_term(ts, sig))
+                args.append(_parse_term(ts, sig, depth + 1))
         ts.expect(")")
         return App(name, tuple(args))
     if sig.has_func(name):
@@ -510,13 +517,14 @@ def parse_theory(text: str) -> Theory:
     funcs: list[FuncDecl] = []
     rels: list[RelDecl] = []
     sequents: list[Sequent] = []
-    where: dict[int, str] = {}  # id of a declaration or sequent -> its line:col
+    where: dict[object, str] = {}  # id of a declaration or sequent, ("sort", i) -> its line:col
     axiom_index = 0
     while not ts.at("}"):
         tok = ts.peek()
         at = f"{tok.line}:{tok.col}"
         if tok.text == "sort":
             ts.next()
+            where["sort", len(sorts)] = at
             sorts.append(ts.expect_ident().text)
             ts.expect(";")
         elif tok.text == "func":
@@ -652,11 +660,13 @@ def term_to_json(term: RawTerm) -> dict:
     return {"app": term.func, "args": [term_to_json(a) for a in term.args]}
 
 
-def term_from_json(data: dict) -> RawTerm:
+def term_from_json(data: dict, depth: int = 0) -> RawTerm:
     if isinstance(data, dict) and "var" in data:
         return Var(_json_field(data, "var", "term"))
     args = _json_field(data, "args", "term", list)
-    return App(_json_field(data, "app", "term"), tuple(term_from_json(a) for a in args))
+    if depth == MAX_TERM_DEPTH:
+        raise ValueError(f"term: nested deeper than {MAX_TERM_DEPTH} applications")
+    return App(_json_field(data, "app", "term"), tuple(term_from_json(a, depth + 1) for a in args))
 
 
 def atom_to_json(atom: Atom) -> dict:
@@ -712,7 +722,7 @@ def theory_from_json(data: dict) -> Theory:
     where = f"theory {name}"
     sorts = _json_names(data, "sorts", where)
     funcs, rels, sequents = [], [], []
-    located: dict[int, str] = {}  # id of a declaration or sequent -> where it is
+    located: dict[object, str] = {("sort", i): f"{where}: sorts[{i}]" for i in range(len(sorts))}
     for i, f in enumerate(_json_field(data, "funcs", where, list)):
         at = f"{where}: funcs[{i}]"
         funcs.append(FuncDecl(_json_field(f, "name", at), _json_names(f, "args", at), _json_field(f, "result", at)))

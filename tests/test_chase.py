@@ -1,5 +1,6 @@
 """Deterministic chase: free models, prover verdicts, quotients, budgets."""
 
+import gc
 import importlib
 import itertools
 from collections import defaultdict
@@ -35,7 +36,7 @@ from partialhorn import (
     representing_model,
     term_equivalent,
 )
-from partialhorn.chase import _ChaseState
+from partialhorn.chase import FreshEntry, _ChaseState
 from partialhorn.structure import PartialStructure, enumerate_homs, holds
 from partialhorn.syntax import (
     Context,
@@ -251,12 +252,16 @@ theory order {
 }
 """)
 
+NCAT2 = ncat_theory(2)
+
 # Premises, one per shape the compiled matcher treats differently:
 # equalities of variables, a join of two flat applications, a bound side
 # against a flat open application, nested terms, an application equal to
 # one of its arguments, repeated variables, a disconnected four-atom
 # premise shaped like interchange, definedness of a binary application, a
-# context variable no atom mentions, and relation atoms.
+# context variable no atom mentions, relation atoms, and probes that
+# intersect the fibers of two or three atoms over the same arguments
+# (ncat2's interchange, unary and binary pairs, one atom's value an argument).
 MATCH_PREMISES = {
     NCAT1: (
         "[x: *, y: *, z: *] x = y & y = z",
@@ -269,6 +274,15 @@ MATCH_PREMISES = {
         "[x: *, y: *] comp1(x, y) = comp1(x, y)",
         "[x: *, y: *] comp1(x, y) ! & d1(y) = x",
         "[x: *, y: *] d1(x) !",
+    ),
+    NCAT2: (
+        "[x: *, y: *, z: *, w: *] d1(x) = c1(y) & d1(z) = c1(w) & d2(x) = c2(z) & d2(y) = c2(w)",
+        "[x: *, y: *] d1(x) = c1(y) & d2(x) = c2(y)",
+        "[x: *, y: *, z: *] d1(z) = z & comp1(x, y) = z & comp2(x, y) = z",
+        "[x: *, y: *, z: *] d1(x) = z & comp1(x, y) = z & comp2(x, y) = z",
+        "[x: *, y: *, z: *] c2(z) = d2(z) & comp1(x, y) = c2(z) & comp2(x, y) = d1(z) & d1(z) = d2(z)",
+        "[x: *, y: *] d1(x) = y & c1(y) = d2(x) & c2(y) = d2(x) & d1(y) = d2(x)",
+        "[x: *, y: *] d1(y) = y & c1(x) = y & d2(x) = y",
     ),
     ORDER: (
         "[x: s, y: s] R(x, y) & R(y, x)",
@@ -302,7 +316,7 @@ def structures(draw, sig, max_size):
     return PartialStructure(sig, {sig.sorts[0]: tuple(range(n))}, funcs, rels)
 
 
-# match_premise agrees with brute-force satisfaction over all assignments,
+# The premise matcher agrees with brute-force satisfaction over all assignments,
 # before and after unions (which must refresh the value indexes).
 @given(st.data())
 def test_match_premise_matches_brute_force(data):
@@ -318,7 +332,7 @@ def test_match_premise_matches_brute_force(data):
         for text in MATCH_PREMISES[theory]:
             (seq,) = parse_sequent(sig, f"{text} |- top")
             names = seq.context.names()
-            found = set(state.match_premise(seq))
+            found = {tuple(zip(names, ids)) for ids in state.matches(CHASE_MODULE._compiled(seq)[0])}
             brute = set()
             for combo in itertools.product(model.elements(), repeat=len(names)):
                 if holds(model, dict(zip(names, combo)), seq.premise):
@@ -329,13 +343,63 @@ def test_match_premise_matches_brute_force(data):
         state.normalize()
 
 
+# Some premises above compile to probes that intersect two or more fibers,
+# in the full plan and in delta plans.
+def test_match_premises_include_fiber_intersections():
+    full, delta = set(), set()
+    for theory, texts in MATCH_PREMISES.items():
+        for text in texts:
+            premise, _ = CHASE_MODULE._compiled(parse_sequent(theory.signature, f"{text} |- top")[0])
+            for plans, sizes in (((premise.full,), full), (premise.deltas(), delta)):
+                sizes.update(len(sym) for plan in plans for kind, sym, _, _ in plan if kind == CHASE_MODULE._PROBE)
+    assert max(full) >= 2 and max(delta) >= 3
+
+
 class _FullRebuildState(_ChaseState):
     """Reference chase: rebuild and re-sort every table after every union
-    until no two keys collide, rebuild every relation set, and match every
-    premise in full in every round (this normalize records no writes)."""
+    until no two keys collide, rebuild every relation set, match every
+    premise in full in every round (this normalize records no writes), and
+    fire conclusions atom by atom through recursive materialization."""
 
-    def match_premise(self, seq, delta=False):
-        return super().match_premise(seq)
+    def matches(self, premise, delta=False):
+        return super().matches(premise)
+
+    def fire(self, conclusion, ids, items=None):
+        if items is None:
+            items = tuple(zip(conclusion.names, ids))
+        for atom in conclusion.atoms:
+            self.enforce(atom, items)
+
+    def materialize(self, term, asg, items):
+        if isinstance(term, Var):
+            return self.find(asg[term.name])
+        vals = tuple(self.materialize(a, asg, items) for a in term.args)
+        got = self.funcs[term.func].get(vals)
+        if got is not None:
+            return self.find(got)
+        fresh = self.add_element(self.sig.func(term.func).result_sort)
+        self.funcs[term.func][vals] = fresh
+        self.written.funcs[term.func].add(vals)
+        self._use(term.func, vals, fresh)
+        self.fresh_log.append(FreshEntry(fresh, term.func, vals, term, items))
+        return fresh
+
+    def enforce(self, atom, items):
+        asg = {n: self.find(i) for n, i in items}
+        if isinstance(atom, Def):
+            self.materialize(atom.term, asg, items)
+        elif isinstance(atom, Eq):
+            l = self.materialize(atom.lhs, asg, items)
+            r = self.materialize(atom.rhs, asg, items)
+            if l != r:
+                self.union(l, r)
+                self.normalize()
+        else:
+            vals = tuple(self.find(self.materialize(a, asg, items)) for a in atom.args)
+            if vals not in self.rels[atom.rel]:
+                self.rels[atom.rel].add(vals)
+                self.written.rels[atom.rel].add(vals)
+                self.version += 1
 
     def normalize(self) -> None:
         changed = True
@@ -356,6 +420,39 @@ class _FullRebuildState(_ChaseState):
                 self.funcs[f] = rebuilt
             for r in self.rels:
                 self.rels[r] = {tuple(self.find(a) for a in tup) for tup in self.rels[r]}
+
+
+class _FailingIndexState(_ChaseState):
+    def value_index(self, f):
+        raise CHASE_MODULE._Budget
+
+
+# Chases leave no reference cycles for the cyclic collector: a join run
+# holds its bindings, pools and results only while it runs, also when an
+# exception ends it inside a probe.
+def test_chase_leaves_no_reference_cycles():
+    (seq,) = parse_sequent(NCAT1.signature, "[x: *, y: *] d1(x) = c1(y) |- comp1(x, y) !")
+    premise, _ = CHASE_MODULE._compiled(seq)
+    assert any(kind == CHASE_MODULE._PROBE for kind, _, _, _ in premise.full)
+    base = representing_model(NCAT1, Context((("x", "*"), ("y", "*"))), TOP)[0].model
+    prove_sequent(NCAT1, seq)  # compile the theory's sequents outside the window
+    gc.collect()
+    gc.disable()
+    try:
+        assert prove_sequent(NCAT1, seq).verdict == VALID
+        assert representing_model(GROWING, EMPTY, TOP, ChaseBudget(max_elements=10))[0].status == BUDGET_EXCEEDED
+        state = _FailingIndexState(NCAT1.signature, ChaseBudget())
+        state.load(base)
+        try:
+            state.matches(premise)
+        except CHASE_MODULE._Budget:
+            pass
+        else:
+            raise AssertionError("the probe did not run")
+        del state
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # The incremental closure reaches the full rebuild's fixpoint after every
@@ -485,30 +582,31 @@ DECOMPOSE_MODULE = importlib.import_module("partialhorn.decompose")
 
 def _counted_decomposition(state_cls, f):
     """Decompose f along the equational scale with state_cls as the chase
-    state; count, per chase, the instances match_premise returns and the
-    enforce calls.  Returns the trace, the counts of the last chase and the
-    last step (the identity step, which the trace leaves out)."""
+    state; count, per chase, the premise instances matched and the
+    instances fired (forced atoms included).  Returns the trace, the counts
+    of the last chase and the last step (the identity step, which the trace
+    leaves out)."""
     found: dict = defaultdict(int)
     enforced: dict = defaultdict(int)
     steps = []
-    match, enforce, step = state_cls.match_premise, state_cls.enforce, DECOMPOSE_MODULE.scale_step
+    match, fire, step = state_cls.matches, state_cls.fire, DECOMPOSE_MODULE.scale_step
 
-    def counting_match(self, seq, delta=False):
-        got = match(self, seq, delta)
+    def counting_match(self, premise, delta=False):
+        got = match(self, premise, delta)
         found[self] += len(got)
         return got
 
-    def counting_enforce(self, atom, items):
+    def counting_fire(self, conclusion, ids, items=None):
         enforced[self] += 1
-        return enforce(self, atom, items)
+        return fire(self, conclusion, ids, items)
 
     def recording_step(*args, **kwargs):
         steps.append(step(*args, **kwargs))
         return steps[-1]
 
     with mock.patch.object(CHASE_MODULE, "_ChaseState", state_cls), \
-            mock.patch.object(state_cls, "match_premise", counting_match), \
-            mock.patch.object(state_cls, "enforce", counting_enforce), \
+            mock.patch.object(state_cls, "matches", counting_match), \
+            mock.patch.object(state_cls, "fire", counting_fire), \
             mock.patch.object(DECOMPOSE_MODULE, "scale_step", recording_step):
         trace = DECOMPOSE_MODULE.canonical_decomposition(LADDER, equational_scale(LADDER.signature), f)
     last = list(enforced)[-1]
@@ -516,8 +614,8 @@ def _counted_decomposition(state_cls, f):
 
 
 # The final identity step chases a model with forced atoms that already
-# hold: from the model, it matches no premise instance and enforces only
-# the forced atoms, where the full-rematch reference matches every premise.
+# hold: from the model, it matches no premise instance and fires only the
+# forced atoms, where the full-rematch reference matches every premise.
 def test_final_identity_step_matches_nothing(corpus, ladder_models):
     M, T = ladder_models["ladder_M"], ladder_models["ladder_T"]
     _, f = load_hom(str(corpus / "homs" / "ladder_bang.phom"), M, T)

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, output formats."""
 
+import functools
 import json
 
 import jsonschema
@@ -129,6 +130,10 @@ def test_check_malformed_hom_exits_two(corpus, tmp_path, capsys, suffix, text, m
     ("check", {"theory": "t", "sorts": ["s"], "funcs": [], "rels": [], "axioms": [
         {"context": [["x", "q"]], "premise": [], "conclusion": []}]},
      "theory t: axioms[0]: undeclared sort 'q'"),
+    ("check", {"theory": "t", "sorts": ["s"], "funcs": [{"name": "f", "args": ["s"], "result": "s"}], "rels": [],
+               "axioms": [{"context": [["x", "s"]], "premise": [], "conclusion": [
+                   {"def": functools.reduce(lambda t, _: {"app": "f", "args": [t]}, range(257), {"var": "x"})}]}]},
+     "theory t: axioms[0]: term: nested deeper than 256 applications"),
 ])
 def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data, message):
     path = tmp_path / "bad.json"
@@ -153,6 +158,14 @@ def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data
     ("check", "theory t {\n  sort s;\n  axiom [x: s, x: s] top |- x = x;\n}\n",
      "3:3: duplicate context variable 'x'"),
     ("check", "theory t {\n  sort s;\n  func f : s -> nosort;\n}\n", "3:3: function f: undeclared sort 'nosort'"),
+    ("check", "theory t {\n  sort s;\n  func f : s;\n  func f : s;\n}\n", "4:3: duplicate function symbol 'f'"),
+    ("check", "theory t {\n  sort s;\n  func f : s;\n  rel f : s;\n}\n", "4:3: duplicate relation symbol 'f'"),
+    ("check", "theory t {\n  sort s;\n  sort s;\n}\n", "3:3: duplicate sort 's'"),
+    ("check", json.dumps({"theory": "t", "sorts": ["s"], "rels": [], "axioms": [], "funcs": [
+        {"name": "f", "args": [], "result": "s"}, {"name": "f", "args": ["s"], "result": "s"}]}),
+     "theory t: funcs[1]: duplicate function symbol 'f'"),
+    ("check", json.dumps({"theory": "t", "sorts": ["s", "s"], "funcs": [], "rels": [], "axioms": []}),
+     "theory t: sorts[1]: duplicate sort 's'"),
 ])
 def test_sort_errors_in_scale_and_theory_files_are_located(corpus, tmp_path, capsys, command, text, message):
     path = tmp_path / ("bad.scale" if command == "decnum" else "bad.pht")
@@ -332,6 +345,26 @@ def test_ncat_normalize(capsys, schema):
 def test_ncat_normalize_rejects_garbage(capsys):
     code, _, err = run(capsys, "ncat-normalize", "-n", "2", "comp9(x)")
     assert code == 2 and "error" in err
+
+
+# Terms may nest applications up to MAX_TERM_DEPTH deep; one more level is
+# a located input error (exit 2), not a stack overflow in a later pass.
+@pytest.mark.parametrize("depth", [256, 257, 400])
+def test_term_nesting_limit(corpus, capsys, schema, depth):
+    term = "d1(" * depth + "x" + ")" * depth
+    column = 3 * 256 + 3  # the '(' that opens the 257th application
+    argvs = {
+        "ncat-normalize": ("ncat-normalize", "-n", "2", term),
+        "prove": ("prove", "--theory", corpus / "theories" / "ncat2.pht", "--sequent", f"[x: *] top |- {term} = x"),
+    }
+    for command, argv in argvs.items():
+        code, out, err = run(capsys, *argv)
+        if depth <= 256:
+            assert code == (0 if command == "ncat-normalize" else 1) and not err, command
+            assert run_json(capsys, schema, *argv)[0] == code
+        else:
+            at = column + (len("[x: *] top |- ") if command == "prove" else 0)
+            assert code == 2 and f"error: 1:{at}: term nested deeper than 256 applications" in err, command
 
 
 def test_topdec(capsys, schema):
