@@ -7,11 +7,16 @@ strictly-increasing ids, and equations merge elements through a
 least-id union-find kept congruence-closed.
 
 Congruence closure is incremental, as in egg's rebuilding: every table
-entry is listed in a use-list under each id it holds, a union queues the
-losing id, and ``normalize`` re-keys only the entries on the queued ids'
-use-lists, uniting the values of entries whose keys collide, until the
-queue is empty.  Every key and value is then canonical (the least id of
-its class), the same fixpoint a full rebuild reaches.
+entry and relation tuple is listed in a use-list under each id it holds, a
+union queues the losing id, and ``normalize`` re-keys only the entries and
+tuples on the queued ids' use-lists, uniting the values of entries whose
+keys collide, until the queue is empty.  Every key, value and tuple is then
+canonical (the least id of its class), the same fixpoint a full rebuild
+reaches.  Most unions in a chase unite an element with the one entry that
+holds it, as its value: a fresh element, created by an instance whose
+equation then merges it.  Such a union needs no rebuild, as in egg when a
+class has one e-node: ``unite`` re-keys that entry in place, and the test
+for "no other use" is exact because relation tuples have use-lists too.
 
 Premises are matched by a join over flattened atoms ``f(x1..xk) = y``,
 in the spirit of relational e-matching.  Each sequent's premise is
@@ -63,6 +68,7 @@ from __future__ import annotations
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .structure import Hom, PartialStructure, empty_structure, holds
@@ -117,10 +123,14 @@ class FreshEntry:
 class ChaseResult:
     model: PartialStructure
     quotient: dict[int, int]  # every id ever created -> canonical id
-    fresh_log: tuple[FreshEntry, ...]
+    log: tuple[tuple, ...]  # per fresh element: (elem, func, args, term, names, ids)
     status: str
     rounds: int
     merges: int
+
+    @cached_property
+    def fresh_log(self) -> tuple[FreshEntry, ...]:  # built on first read: the prover never reads it
+        return tuple(FreshEntry(e, f, args, t, tuple(zip(names, ids))) for e, f, args, t, names, ids in self.log)
 
 
 class _Budget(Exception):
@@ -442,6 +452,8 @@ class _ChaseState:
         self.rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in sig.rels}
         # id -> the (func, args) keys whose args or value held it when stored
         self.uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
+        # id -> the (rel, tuple) pairs whose tuple held it when stored
+        self.rel_uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
         self.pending: list[int] = []  # ids that lost a union, not yet re-keyed
         self.indexes: dict[str, tuple[int, dict[int, list[tuple[int, ...]]]]] = {}
         self.written = _Writes(sig)  # facts written in this round
@@ -450,7 +462,7 @@ class _ChaseState:
         self.created = 0
         self.version = 0
         self.merges = 0
-        self.fresh_log: list[FreshEntry] = []
+        self.fresh_log: list[tuple] = []  # see ChaseResult.log
 
     # -- union-find (least id is the representative)
 
@@ -501,6 +513,8 @@ class _ChaseState:
                 self._use(f, args, val)
         for r, tuples in base.rels.items():
             self.rels[r] = set(tuples)
+            for tup in tuples:
+                self._rel_use(r, tup)
 
     def carrier(self, sort: str) -> list[int]:
         return sorted(e for e in self.live if self.sort_of[e] == sort)
@@ -508,9 +522,14 @@ class _ChaseState:
     # -- congruence closure: keep tables keyed by canonical ids
 
     def _use(self, f: str, args: tuple[int, ...], val: int) -> None:
-        entry = (f, args)
-        for i in {*args, val}:
-            self.uses[i].append(entry)
+        entry, uses = (f, args), self.uses
+        for i in args:
+            uses[i].append(entry)
+        uses[val].append(entry)
+
+    def _rel_use(self, r: str, tup: tuple[int, ...]) -> None:
+        for i in tup:
+            self.rel_uses[i].append((r, tup))
 
     def normalize(self) -> None:
         """Re-key the entries that mention an id which lost a union, and
@@ -520,8 +539,11 @@ class _ChaseState:
         if not self.pending:
             return
         written, parent, find = self.written.funcs, self.parent, self.find
+        stale: list[tuple[str, tuple[int, ...]]] = []
         while self.pending:
-            for f, args in self.uses.pop(self.pending.pop(), ()):
+            lost = self.pending.pop()
+            stale += self.rel_uses.pop(lost, ())
+            for f, args in self.uses.pop(lost, ()):
                 table = self.funcs[f]
                 val = table.pop(args, None)
                 if val is None:
@@ -536,23 +558,42 @@ class _ChaseState:
                 table[key] = val
                 written[f].add(key)
                 self._use(f, key, val)
-        for r, tuples in self.rels.items():
-            stale = [tup for tup in tuples if any(parent[a] != a for a in tup)]
-            if stale:
-                tuples.difference_update(stale)
-                moved = {tuple([find(a) for a in tup]) for tup in stale}
-                tuples |= moved
-                self.written.rels[r] |= moved
+        for r, tup in stale:
+            if tup in self.rels[r]:  # not moved already
+                self.rels[r].remove(tup)
+                moved = tuple([find(a) for a in tup])
+                self.rels[r].add(moved)
+                self._rel_use(r, moved)
+                self.written.rels[r].add(moved)
+
+    def unite(self, a: int, b: int) -> None:
+        """Unite two canonical ids and normalize.  When the losing id is the
+        value of one entry and held by no other entry or tuple (most often
+        an element its instance just created), re-keying that entry is all
+        that ``normalize`` would do, so it is done here."""
+        lo, hi = (a, b) if a < b else (b, a)
+        uses = self.uses.get(hi, ())
+        if len(uses) == 1 and not self.pending and hi not in self.rel_uses:
+            f, key = entry = uses[0]
+            if self.funcs[f].get(key) == hi and hi not in key:
+                self.parent[hi] = lo
+                self.live.discard(hi)
+                del self.uses[hi]
+                self.merges += 1
+                self.version += 1
+                self.funcs[f][key] = lo
+                self.written.funcs[f].add(key)  # hi may be an old element, its entry not yet written
+                self.uses[lo].append(entry)  # the ids of key list the entry already
+                return
+        self.union(a, b)
+        self.normalize()
 
     # -- firing
 
-    def fire(
-        self, conclusion: _Conclusion, ids: tuple[int, ...], items: Optional[AssignmentItems] = None
-    ) -> None:
+    def fire(self, conclusion: _Conclusion, ids: tuple[int, ...]) -> None:
         """Enforce the conclusion at the assignment ``ids`` (in the order of
-        its names; ids may have lost a union since).  ``items``, recorded
-        with every element the instance creates, defaults to the names
-        zipped with ``ids`` and is built once, at the first creation."""
+        its names; ids may have lost a union since), which is logged with
+        every element the instance creates."""
         find, funcs, parent = self.find, self.funcs, self.parent
         vals = [i if parent[i] == i else find(i) for i in ids]
         for op, sym, args, term in conclusion.ops:
@@ -565,31 +606,37 @@ class _ChaseState:
                     key = tuple([vals[a] for a in args])
                 val = funcs[sym].get(key)
                 if val is None:
-                    if items is None:
-                        items = tuple(zip(conclusion.names, ids))
-                    val = self.create(sym, key, term, items)
+                    val = self.create(sym, key, term, conclusion.names, ids)
                 vals.append(val)
             elif op == _UNITE:
                 a, b = vals[args[0]], vals[args[1]]
                 if a != b:
-                    self.union(a, b)
-                    self.normalize()
+                    self.unite(a, b)
                     vals = [v if parent[v] == v else find(v) for v in vals]
             else:
                 tup = tuple([vals[a] for a in args])
                 if tup not in self.rels[sym]:
                     self.rels[sym].add(tup)
+                    self._rel_use(sym, tup)
                     self.written.rels[sym].add(tup)
                     self.version += 1
 
-    def create(self, f: str, args: tuple[int, ...], term: RawTerm, items: AssignmentItems) -> int:
+    def create(self, f: str, args: tuple[int, ...], term: RawTerm, names: Sequence[str], ids: Sequence[int]) -> int:
         """A fresh element as the value of f at args, logged with the term
-        and the assignment that called for it."""
-        fresh = self.add_element(self.result_sort[f])
+        and the assignment (names, ids) that called for it."""
+        if self.created >= self.budget.max_elements:
+            raise _Budget
+        fresh = self.next_id
+        self.next_id, self.created = fresh + 1, self.created + 1
+        self.sort_of[fresh] = self.result_sort[f]
+        self.parent[fresh] = fresh
+        self.live.add(fresh)
+        self.written.elems.add(fresh)
+        self.version += 1
         self.funcs[f][args] = fresh
         self.written.funcs[f].add(args)
         self._use(f, args, fresh)
-        self.fresh_log.append(FreshEntry(fresh, f, args, term, items))
+        self.fresh_log.append((fresh, f, args, term, names, ids))
         return fresh
 
     # -- premise matching (compiled join, lexicographic output)
@@ -690,7 +737,7 @@ def chase(
             program = programs.get((atom, names))
             if program is None:
                 program = programs[atom, names] = _Conclusion(names, (atom,))
-            state.fire(program, tuple(i for _, i in items), items)
+            state.fire(program, tuple(i for _, i in items))
         state.normalize()
         if stop is not None and stop(state):
             status = STOPPED

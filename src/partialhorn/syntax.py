@@ -180,14 +180,6 @@ def free_vars(term: RawTerm) -> tuple[str, ...]:
     return tuple(out)
 
 
-def atom_terms(atom: Atom) -> tuple[RawTerm, ...]:
-    if isinstance(atom, Eq):
-        return (atom.lhs, atom.rhs)
-    if isinstance(atom, Def):
-        return (atom.term,)
-    return atom.args
-
-
 def substitute(term: RawTerm, mapping: Mapping[str, RawTerm]) -> RawTerm:
     if isinstance(term, Var):
         return mapping.get(term.name, term)

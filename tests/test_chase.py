@@ -2,8 +2,11 @@
 
 import gc
 import importlib
+import importlib.util
 import itertools
+import json
 from collections import defaultdict
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -36,7 +39,7 @@ from partialhorn import (
     representing_model,
     term_equivalent,
 )
-from partialhorn.chase import FreshEntry, _ChaseState
+from partialhorn.chase import _ChaseState
 from partialhorn.structure import PartialStructure, enumerate_homs, holds
 from partialhorn.syntax import (
     Context,
@@ -296,6 +299,7 @@ MATCH_PREMISES = {
 FORCED_ATOMS = {
     LADDER: ("u = v", "a = b", "a = c", "c !", "d !", "a = u"),
     NCAT1: ("u = v", "d1(u) = v", "comp1(u, v) !", "comp1(u, comp1(v, u)) !"),
+    NCAT2: ("comp2(u, v) !", "d2(u) = c1(v)", "comp1(u, comp2(v, u)) !"),
     ORDER: ("u = v", "R(u, v)", "f(u) = v", "R(f(u), v)", "f(f(v)) !"),
 }
 
@@ -381,7 +385,7 @@ class _FullRebuildState(_ChaseState):
         self.funcs[term.func][vals] = fresh
         self.written.funcs[term.func].add(vals)
         self._use(term.func, vals, fresh)
-        self.fresh_log.append(FreshEntry(fresh, term.func, vals, term, items))
+        self.fresh_log.append((fresh, term.func, vals, term, tuple(n for n, _ in items), tuple(i for _, i in items)))
         return fresh
 
     def enforce(self, atom, items):
@@ -484,6 +488,29 @@ def _same_result(got, want):
     assert got.quotient == want.quotient
     assert got.fresh_log == want.fresh_log
     assert (got.status, got.rounds, got.merges) == (want.status, want.rounds, want.merges)
+
+
+# Uniting an element with the entry that created it, its one use, re-keys
+# that entry in place: normalize never sees a pending id, and the chase ends
+# as the full-rebuild reference does.
+def test_uniting_a_fresh_element_needs_no_normalize():
+    base = PartialStructure(NCAT1.signature, {"*": (0,)}, {"d1": {(0,): 0}, "c1": {(0,): 0}, "comp1": {}}, {})
+    (seq,) = parse_sequent(NCAT1.signature, "[x: *] top |- comp1(x, d1(x)) = x")
+    presentation = Presentation(base, tuple((atom, (("x", 0),)) for atom in seq.conclusion.atoms))
+    pending = []
+    normalize = _ChaseState.normalize
+
+    def watched(self):
+        pending.append(len(self.pending))
+        return normalize(self)
+
+    with mock.patch.object(_ChaseState, "normalize", watched):
+        got = chase(NCAT1, presentation)
+    assert got.merges == 1 and [e.elem for e in got.fresh_log] == [1] and got.quotient == {0: 0, 1: 0}
+    assert pending and not any(pending)
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
+        want = chase(NCAT1, presentation)
+    _same_result(got, want)
 
 
 # Delta rounds, from scratch and from a model, agree with the reference that
@@ -596,9 +623,9 @@ def _counted_decomposition(state_cls, f):
         found[self] += len(got)
         return got
 
-    def counting_fire(self, conclusion, ids, items=None):
+    def counting_fire(self, conclusion, ids):
         enforced[self] += 1
-        return fire(self, conclusion, ids, items)
+        return fire(self, conclusion, ids)
 
     def recording_step(*args, **kwargs):
         steps.append(step(*args, **kwargs))
@@ -641,3 +668,14 @@ def test_decomposition_of_a_non_model_matches_full_rematch(ladder_models):
     want, _, _, want_last = _counted_decomposition(_FullRebuildState, f)
     assert trace.status == STABILIZED and trace.claimed_decnum >= 1
     assert (trace, last) == (want, want_last)
+
+
+# Prover results on benchmark inputs and whole chase results (fresh logs
+# included) over ncat1, ncat2 and order are those recorded in
+# tests/data/engine_digests.json by scripts/record_engine_digests.py.
+def test_engine_results_match_recorded_digests():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "record_engine_digests.py"
+    spec = importlib.util.spec_from_file_location("record_engine_digests", path)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    assert recorder.digests() == json.loads(recorder.DIGESTS_FILE.read_text())
