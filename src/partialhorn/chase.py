@@ -31,7 +31,10 @@ value is bound, and walks the shortest of their fibers while checking
 the others by table lookup: the smallest-first intersection of generic
 join (Leapfrog Triejoin).  In ``interchange.i.j`` the last variable is
 pinned by two fibers, and in a model with few low cells one of them is
-most of the carrier.
+most of the carrier.  Each plan is then generated as the source of one
+Python function, a kernel, compiled once: slots become local variables,
+scans and probes nested loops with inline comparisons, lookups guards
+(as in compiling query plans to code, Neumann 2011, and Souffle).
 
 Each conclusion is compiled once too, into a straight-line program over
 slots: one slot per context variable, then one per distinct subterm in
@@ -39,9 +42,15 @@ the post-order that recursive evaluation visits.  An application looks
 its arguments' slots up in the function's table and creates a fresh
 element (logged with its term and the instance's assignment) when the
 entry is missing; each equation ends in a union, each relation atom in
-an insert.  Forced atoms run through the same programs.  Slots are
-re-canonicalized only after a union, and an instance that creates
-nothing builds no assignment record, which is most instances.
+an insert.  A sequent's program becomes a kernel as well, which after a
+union re-canonicalizes only the slots it still reads.  The one-shot
+programs of forced atoms are interpreted op by op instead: their terms
+differ on nearly every prover call.
+
+Kernels are keyed by shape: the plan or program with every symbol
+replaced by the index of its first occurrence.  Names and terms reach a
+kernel as arguments, never as source, and every theory, and every
+premise built on the fly, that shares a shape shares its compiled code.
 
 Rounds are semi-naive, as in egglog.  The state records every fact it
 writes (a table entry inserted or re-keyed, a relation tuple added or
@@ -67,7 +76,7 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -119,18 +128,34 @@ class FreshEntry:
     assignment: AssignmentItems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChaseResult:
     model: PartialStructure
-    quotient: dict[int, int]  # every id ever created -> canonical id
+    union_find: dict[int, int] = field(repr=False)  # every id ever created -> a lesser id of its class, or itself
     log: tuple[tuple, ...]  # per fresh element: (elem, func, args, term, names, ids)
     status: str
     rounds: int
     merges: int
 
+    # Both built on first read: the prover reads neither.
+
     @cached_property
-    def fresh_log(self) -> tuple[FreshEntry, ...]:  # built on first read: the prover never reads it
+    def quotient(self) -> dict[int, int]:
+        """Every id ever created -> the canonical (least) id of its class."""
+        quotient: dict[int, int] = {}
+        for i, p in sorted(self.union_find.items()):
+            quotient[i] = i if p == i else quotient[p]  # p < i, so its class is known
+        return quotient
+
+    @cached_property
+    def fresh_log(self) -> tuple[FreshEntry, ...]:
         return tuple(FreshEntry(e, f, args, t, tuple(zip(names, ids))) for e, f, args, t, names, ids in self.log)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChaseResult):
+            return NotImplemented
+        return ((self.model, self.quotient, self.log, self.status, self.rounds, self.merges)
+                == (other.model, other.quotient, other.log, other.status, other.rounds, other.merges))
 
 
 class _Budget(Exception):
@@ -221,7 +246,7 @@ class _Premise:
     lately and joins the rest against the whole tables.
     """
 
-    __slots__ = ("names", "atoms", "carriers", "emit", "nslots", "full", "_deltas")
+    __slots__ = ("names", "atoms", "carriers", "emit", "full", "full_run", "_deltas", "_delta_runs")
 
     def __init__(self, seq: Sequent) -> None:
         names = self.names = seq.context.names()
@@ -248,7 +273,6 @@ class _Premise:
             if renamed not in self.atoms:
                 self.atoms.append(renamed)
         self.emit = tuple(find(i) for i in range(len(names)))
-        self.nslots = len(slots)
         bound: set[int] = set()
         steps = _order(self.atoms, bound)
         sorts = dict(seq.context.vars)
@@ -258,7 +282,9 @@ class _Premise:
                 self.carriers.append((sorts[name], slot))
                 bound.add(slot)
         self.full: _Plan = tuple(steps) + self._carrier_steps(-1)
+        self.full_run = _run(self.full, self.emit)
         self._deltas: Optional[tuple[_Plan, ...]] = None
+        self._delta_runs: tuple[_Run, ...] = ()
 
     def _carrier_steps(self, skip: int) -> _Plan:
         return tuple((_CARRIER, sort, slot, None) for sort, slot in self.carriers if slot != skip)
@@ -279,15 +305,18 @@ class _Premise:
                 first = (_CARRIER, (_ELEM, sort), slot, None)
                 plans.append((first, *_order(self.atoms, bound), *self._carrier_steps(slot)))
             self._deltas = tuple(plans)
+            self._delta_runs = tuple(_run(plan, self.emit) for plan in plans)
         return self._deltas
+
+    def delta_runs(self) -> tuple[_Run, ...]:
+        self.deltas()
+        return self._delta_runs
 
 
 # Operations of a compiled conclusion (see _Conclusion).
-_APPLY1 = 0  # (_APPLY1, f, arg slot, term): the next slot is f(arg), created if undefined
-_APPLY2 = 1  # (_APPLY2, f, (slot, slot), term): the same for a binary f
-_APPLY = 2  # (_APPLY, f, arg slots, term): the same for any other arity
-_UNITE = 3  # (_UNITE, None, (slot, slot), None): unite the two values
-_INSERT = 4  # (_INSERT, R, arg slots, None): add the tuple to R
+_APPLY = 0  # (_APPLY, f, arg slots, term): the next slot is f(args), created if undefined
+_UNITE = 1  # (_UNITE, None, (slot, slot), None): unite the two values
+_INSERT = 2  # (_INSERT, R, arg slots, None): add the tuple to R
 
 
 class _Conclusion:
@@ -299,10 +328,12 @@ class _Conclusion:
     would find the entry its first visit read or created.  An application
     looks its arguments up in the function's table and creates a fresh
     element when the entry is missing; each atom ends in a ``_UNITE`` or an
-    ``_INSERT`` (a definedness atom in its applications alone).
+    ``_INSERT`` (a definedness atom in its applications alone).  A
+    sequent's conclusion also holds the program's kernel (see
+    _fire_source); the one-shot programs of forced atoms have none.
     """
 
-    __slots__ = ("names", "atoms", "ops")
+    __slots__ = ("names", "atoms", "ops", "kernel")
 
     def __init__(self, names: tuple[str, ...], atoms: Sequence[Atom]) -> None:
         self.names = names
@@ -323,11 +354,201 @@ class _Conclusion:
                     ops.append((_UNITE, None, args, None))
             elif isinstance(t, Rel):
                 ops.append((_INSERT, t.rel, args, None))
-            elif len(args) == 1:
-                ops.append((_APPLY1, t.func, args[0], t))
             else:
-                ops.append((_APPLY2 if len(args) == 2 else _APPLY, t.func, args, t))
+                ops.append((_APPLY, t.func, args, t))
         self.ops = tuple(ops)
+        self.kernel: Optional[Callable[[_ChaseState, tuple[int, ...]], None]] = None
+
+
+# ---------------------------------------------------------------------------
+# Kernels: join plans and conclusion programs compiled to Python functions.
+# The source generated from a shape (symbols replaced by their first-occurrence
+# index, K0, K1, ...) defines a factory ``make(K0, K1, ...)`` that takes the
+# symbols and returns the kernel as a closure over them.  A kernel reads each
+# function table from the state once, on entry: after ``load`` a state only
+# ever changes its tables in place.
+
+_KERNELS: dict[tuple, Callable[..., Callable]] = {}  # shape -> compiled factory, one per shape in the process
+
+_MAX_LOOPS = 16  # nested loops per generated function, under CPython's limit of 20 nested blocks
+
+_Run = tuple[tuple, Callable]  # (pool keys, kernel) of a join plan; see _ChaseState.matches
+
+
+def _kernel(shape: tuple, symbols: dict, source: Callable[..., list[str]]) -> Callable:
+    make = _KERNELS.get(shape)
+    if make is None:
+        namespace: dict = {}
+        code = "\n".join(source(*shape[1:], len(symbols)))
+        exec(compile(code, f"<partialhorn {shape[0]} kernel>", "exec"), namespace)
+        make = _KERNELS[shape] = namespace.pop("make")  # no cycle between make and its globals
+    return make(*symbols)
+
+
+def _symbol(symbols: dict, x: object) -> int:
+    return symbols.setdefault(x, len(symbols))
+
+
+def _tuple(items: Sequence[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _run(plan: _Plan, emit: tuple[int, ...]) -> _Run:
+    """The plan's kernel, with the keys of the pools it ranges over."""
+    symbols: dict = {}
+    steps = []
+    for kind, sym, slots, extra in plan:
+        if kind == _PROBE:
+            sym = tuple((_symbol(symbols, f), out) for f, out in sym)
+        else:
+            sym = _symbol(symbols, sym)
+        if kind == _NEW and slots is not None:
+            slots = _symbol(symbols, slots)
+        steps.append((kind, sym, slots, extra))
+    keys = tuple(dict.fromkeys(s for kind, s, _, _ in plan if kind == _CARRIER or kind == _NEW))
+    return keys, _kernel(("join", emit, tuple(steps)), symbols, _join_source)
+
+
+def _join_source(emit: tuple[int, ...], steps: tuple, nsymbols: int) -> list[str]:
+    """Source of the factory of a join kernel ``kernel(state, pools,
+    results)``, which adds the emitted slots of every binding of the plan
+    to ``results``.  Slot i is the local ``s<i>``.  Each step becomes a
+    loop or a lookup, and a binding that fails a check goes on to the
+    next iteration (or, before the first loop, ends the kernel).  Every
+    _MAX_LOOPS loops the rest of the plan moves into a function of its
+    own, called with the slots bound so far."""
+    tables = sorted({s for k, s, _, _ in steps if k in (_LOOKUP, _SCAN)}
+                    | {f for k, s, _, _ in steps if k == _PROBE and len(s) > 1 for f, _ in s}
+                    | {f for k, _, f, _ in steps if k == _NEW and f is not None})
+    rels = sorted({s for k, s, _, _ in steps if k == _REL})
+    prelude = ["funcs, rels, index = state.funcs, state.rels, state.value_index",
+               *(f"T{f} = funcs[K{f}]" for f in tables), *(f"R{r} = rels[K{r}]" for r in rels)]
+    lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):"]
+
+    def part(name: str, start: int, bound: list[int]) -> None:
+        body = [f"    def {name}(state, pools, results{''.join(f', s{s}' for s in bound)}):"]
+        body += [f"        {line}" for line in prelude]
+        loops = 0
+        bound = list(bound)
+
+        def put(text: str) -> None:
+            body.append("    " * (loops + 2) + text)
+
+        def unpack(pattern: tuple, j: int) -> tuple[list[str], list[str]]:
+            """Loop targets for a pattern, and the checks against slots bound before."""
+            targets, checks = [], []
+            for i, (slot, bind) in enumerate(pattern):
+                if bind:
+                    targets.append(f"s{slot}")
+                    bound.append(slot)
+                else:
+                    targets.append(f"c{j}_{i}")
+                    checks.append(f"c{j}_{i} != s{slot}")
+            return targets, checks
+
+        for j in range(start, len(steps)):
+            if loops == _MAX_LOOPS:
+                put(f"part{j}(state, pools, results{''.join(f', s{s}' for s in bound)})")
+                lines.extend(body)
+                part(f"part{j}", j, bound)
+                return
+            kind, sym, slots, extra = steps[j]
+            fail = "continue" if loops else "return"
+            checks: list[str] = []
+            if kind == _LOOKUP:
+                out, bind = extra
+                key = _tuple([f"s{a}" for a in slots])
+                if bind:
+                    put(f"s{out} = T{sym}.get({key})")
+                    put(f"if s{out} is None: {fail}")
+                    bound.append(out)
+                else:
+                    put(f"if T{sym}.get({key}) != s{out}: {fail}")
+                continue
+            if kind == _PROBE:  # walk the shortest fiber, check the others by table lookup
+                fibers = [f"F{j}_{i}" for i in range(len(sym))]
+                for fiber, (f, out) in zip(fibers, sym):
+                    put(f"{fiber} = index(K{f}).get(s{out})")
+                    put(f"if {fiber} is None: {fail}")
+                targets, checks = unpack(extra, j)
+                if len(sym) == 1:
+                    put(f"for {_tuple(targets)} in {fibers[0]}:")
+                else:
+                    pairs = [(f"C{j}_{m}", f"D{j}_{m}") for m in range(len(sym) - 1)]
+                    names = ", ".join(f"{c}, {d}" for c, d in pairs)
+                    for i, fiber in enumerate(fibers):
+                        others = ", ".join(f"T{f}, s{out}" for m, (f, out) in enumerate(sym) if m != i)
+                        choose = f"W{j}, {names} = {fiber}, {others}"
+                        put(choose if i == 0 else f"if len({fiber}) < len(W{j}): {choose}")
+                    put(f"for A{j} in W{j}:")
+                    checks = [f"{c}.get(A{j}) != {d}" for c, d in pairs] + checks
+                    put(f"    {_tuple(targets)} = A{j}")
+            elif kind == _SCAN:
+                targets, checks = unpack(extra, j)
+                put(f"for {_tuple(targets[:-1])}, {targets[-1]} in T{sym}.items():")
+            elif kind == _REL:
+                targets, checks = unpack(extra, j)
+                put(f"for {_tuple(targets)} in R{sym}:")
+            elif kind == _CARRIER:
+                put(f"for s{slots} in pools[K{sym}]:")
+                bound.append(slots)
+            elif slots is None:  # _NEW over a relation's tuples
+                targets, checks = unpack(extra, j)
+                put(f"for {_tuple(targets)} in pools[K{sym}]:")
+            else:  # _NEW over a function's keys
+                targets, checks = unpack(extra, j)
+                put(f"for A{j} in pools[K{sym}]:")
+                if len(targets) > 1:
+                    put(f"    {_tuple(targets[:-1])} = A{j}")
+                put(f"    {targets[-1]} = T{slots}[A{j}]")
+            loops += 1
+            if checks:
+                put(f"if {' or '.join(checks)}: continue")
+        put(f"results.add({_tuple([f's{s}' for s in emit])})")
+        lines.extend(body)
+
+    part("kernel", 0, [])
+    lines.append("    return kernel")
+    return lines
+
+
+def _fire_kernel(conclusion: _Conclusion) -> Callable[[_ChaseState, tuple[int, ...]], None]:
+    symbols: dict = {conclusion.names: 0}
+    ops = tuple((op, None if sym is None else _symbol(symbols, sym), args,
+                 None if term is None else _symbol(symbols, term)) for op, sym, args, term in conclusion.ops)
+    return _kernel(("fire", len(conclusion.names), ops), symbols, _fire_source)
+
+
+def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
+    """Source of the factory of a conclusion kernel ``kernel(state, ids)``,
+    which runs the program's ops in order with slot i in the local ``v<i>``
+    (K0 holds the context's names).  After a union it re-canonicalizes only
+    the slots that later ops read."""
+    tables = sorted({sym for op, sym, _, _ in ops if op == _APPLY})
+    lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):",
+             "    def kernel(state, ids):",
+             "        parent, find, funcs = state.parent, state.find, state.funcs",
+             *(f"        T{f} = funcs[K{f}]" for f in tables)]
+    if nnames:
+        lines.append(f"        {_tuple([f'v{i}' for i in range(nnames)])} = ids")
+    refind = [f"if parent[v{i}] != v{i}: v{i} = find(v{i})" for i in range(nnames + len(ops))]
+    lines += [f"        {refind[i]}" for i in range(nnames)]
+    slot = nnames
+    for k, (op, sym, args, term) in enumerate(ops):
+        vals = [f"v{a}" for a in args]
+        if op == _APPLY:
+            lines += [f"        k{slot} = {_tuple(vals)}",
+                      f"        v{slot} = T{sym}.get(k{slot})",
+                      f"        if v{slot} is None: v{slot} = state.create(K{sym}, k{slot}, K{term}, K0, ids)"]
+            slot += 1
+        elif op == _UNITE:
+            lines += [f"        if {vals[0]} != {vals[1]}:", f"            state.unite({vals[0]}, {vals[1]})"]
+            read = sorted({a for _, _, later, _ in ops[k + 1:] for a in later if a < slot})
+            lines += [f"            {refind[a]}" for a in read]
+        else:
+            lines.append(f"        state.insert(K{sym}, {_tuple(vals)})")
+    lines.append("    return kernel")
+    return lines
 
 
 # id(sequent) -> its compiled premise and conclusion, shared by every chase
@@ -340,92 +561,11 @@ _COMPILED: dict[int, tuple[_Premise, _Conclusion]] = {}
 def _compiled(seq: Sequent) -> tuple[_Premise, _Conclusion]:
     compiled = _COMPILED.get(id(seq))
     if compiled is None:
-        compiled = (_Premise(seq), _Conclusion(seq.context.names(), seq.conclusion.atoms))
-        _COMPILED[id(seq)] = compiled
+        conclusion = _Conclusion(seq.context.names(), seq.conclusion.atoms)
+        conclusion.kernel = _fire_kernel(conclusion)
+        compiled = _COMPILED[id(seq)] = (_Premise(seq), conclusion)
         weakref.finalize(seq, _COMPILED.pop, id(seq), None)
     return compiled
-
-
-def _unify(vals: list[int], pattern: tuple[tuple[int, bool], ...], tup: tuple[int, ...]) -> bool:
-    for (slot, bind), x in zip(pattern, tup):
-        if bind:
-            vals[slot] = x
-        elif vals[slot] != x:
-            return False
-    return True
-
-
-class _Join:
-    """One run of a join plan over a chase state.  ``step(k)`` extends the
-    bindings in ``vals`` by step k and every step after it, adding the
-    emitted slots of each complete binding to ``results``; ``pools`` holds
-    what each _CARRIER and _NEW step ranges over.  The recursion goes
-    through the bound method, not through a closure that refers to itself,
-    so nothing of a run outlives it, also when it ends in an exception."""
-
-    __slots__ = ("state", "plan", "emit", "pools", "results", "vals")
-
-    def __init__(self, state: _ChaseState, plan: _Plan, emit: tuple[int, ...], nslots: int,
-                 pools: dict, results: set) -> None:
-        self.state = state
-        self.plan = plan
-        self.emit = emit
-        self.pools = pools
-        self.results = results
-        self.vals = [0] * nslots
-
-    def step(self, k: int) -> None:
-        vals = self.vals
-        if k == len(self.plan):
-            self.results.add(tuple([vals[s] for s in self.emit]))
-            return
-        kind, sym, slots, extra = self.plan[k]
-        k += 1
-        if kind == _LOOKUP:
-            v = self.state.funcs[sym].get(tuple([vals[s] for s in slots]))
-            if v is None:
-                return
-            slot, bind = extra
-            if bind:
-                vals[slot] = v
-            elif vals[slot] != v:
-                return
-            self.step(k)
-        elif kind == _PROBE:  # sym: the (function, value slot) pairs over the same argument slots
-            index = self.state.value_index
-            shortest = None
-            for f, out in sym:
-                fiber = index(f).get(vals[out])
-                if fiber is None:
-                    return
-                if shortest is None or len(fiber) < len(shortest):
-                    shortest, walked = fiber, (f, out)
-            funcs = self.state.funcs
-            checks = [(funcs[f], vals[out]) for f, out in sym if (f, out) != walked]
-            for args in shortest:
-                if _unify(vals, extra, args):
-                    for table, v in checks:
-                        if table.get(args) != v:
-                            break
-                    else:
-                        self.step(k)
-        elif kind == _SCAN:
-            for args, v in self.state.funcs[sym].items():
-                if _unify(vals, extra, (*args, v)):
-                    self.step(k)
-        elif kind == _REL:
-            for tup in self.state.rels[sym]:
-                if _unify(vals, extra, tup):
-                    self.step(k)
-        elif kind == _CARRIER:
-            for c in self.pools[sym]:
-                vals[slots] = c
-                self.step(k)
-        else:  # _NEW: slots names f for function entries, None for relation tuples
-            table = None if slots is None else self.state.funcs[slots]
-            for tup in self.pools[sym]:
-                if _unify(vals, extra, tup if table is None else (*tup, table[tup])):
-                    self.step(k)
 
 
 class _Writes:
@@ -594,16 +734,14 @@ class _ChaseState:
         """Enforce the conclusion at the assignment ``ids`` (in the order of
         its names; ids may have lost a union since), which is logged with
         every element the instance creates."""
+        if conclusion.kernel is not None:
+            conclusion.kernel(self, ids)
+            return
         find, funcs, parent = self.find, self.funcs, self.parent
         vals = [i if parent[i] == i else find(i) for i in ids]
         for op, sym, args, term in conclusion.ops:
-            if op <= _APPLY:
-                if op == _APPLY1:
-                    key: tuple[int, ...] = (vals[args],)
-                elif op == _APPLY2:
-                    key = (vals[args[0]], vals[args[1]])
-                else:
-                    key = tuple([vals[a] for a in args])
+            if op == _APPLY:
+                key = tuple([vals[a] for a in args])
                 val = funcs[sym].get(key)
                 if val is None:
                     val = self.create(sym, key, term, conclusion.names, ids)
@@ -614,12 +752,15 @@ class _ChaseState:
                     self.unite(a, b)
                     vals = [v if parent[v] == v else find(v) for v in vals]
             else:
-                tup = tuple([vals[a] for a in args])
-                if tup not in self.rels[sym]:
-                    self.rels[sym].add(tup)
-                    self._rel_use(sym, tup)
-                    self.written.rels[sym].add(tup)
-                    self.version += 1
+                self.insert(sym, tuple([vals[a] for a in args]))
+
+    def insert(self, r: str, tup: tuple[int, ...]) -> None:
+        """Add a tuple of canonical ids to R."""
+        if tup not in self.rels[r]:
+            self.rels[r].add(tup)
+            self._rel_use(r, tup)
+            self.written.rels[r].add(tup)
+            self.version += 1
 
     def create(self, f: str, args: tuple[int, ...], term: RawTerm, names: Sequence[str], ids: Sequence[int]) -> int:
         """A fresh element as the value of f at args, logged with the term
@@ -674,15 +815,14 @@ class _ChaseState:
         written in this round or the one before."""
         pools: dict = {}
         results: set[tuple[int, ...]] = set()
-        for plan in premise.deltas() if delta else (premise.full,):
-            for kind, sym, _, _ in plan:
-                if kind == _CARRIER or kind == _NEW:
-                    if sym not in pools:
-                        pools[sym] = self.pool(sym)
-                    if not pools[sym]:
-                        break  # the plan needs an element of every pool
+        for keys, kernel in premise.delta_runs() if delta else (premise.full_run,):
+            for key in keys:
+                if key not in pools:
+                    pools[key] = self.pool(key)
+                if not pools[key]:
+                    break  # the plan needs an element of every pool
             else:
-                _Join(self, plan, premise.emit, premise.nslots, pools, results).step(0)
+                kernel(self, pools, results)
         return sorted(results)
 
     # -- rounds
@@ -756,9 +896,7 @@ def chase(
                     break
     except _Budget:
         status = BUDGET_EXCEEDED
-    model = state.snapshot()
-    quotient = {i: state.find(i) for i in sorted(state.parent)}
-    return ChaseResult(model, quotient, tuple(state.fresh_log), status, rounds, state.merges)
+    return ChaseResult(state.snapshot(), state.parent, tuple(state.fresh_log), status, rounds, state.merges)
 
 
 def _satisfying(

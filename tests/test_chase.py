@@ -47,12 +47,21 @@ from partialhorn.syntax import (
     Eq,
     HornFormula,
     Rel,
+    Sequent,
     Var,
+    atom_from_json,
+    atom_to_json,
+    formula_from_json,
+    formula_to_json,
     normalized,
     parse_formula,
     parse_sequent,
     parse_term,
     parse_theory,
+    term_from_json,
+    term_to_json,
+    theory_from_json,
+    theory_to_json,
 )
 
 CHASE_MODULE = importlib.import_module("partialhorn.chase")  # the package exports chase()
@@ -256,16 +265,38 @@ theory order {
 """)
 
 NCAT2 = ncat_theory(2)
+# Two sorts, so that a premise ranges over two carriers.
+GRAPH = parse_theory("""
+theory graph {
+  sort v;
+  sort e;
+  func src : e -> v;
+  func tgt : e -> v;
+  rel L : v, v;
+  axiom [x: e] top |- src(x) ! & tgt(x) !;
+  axiom [u: v, w: v] L(u, w) |- L(w, u);
+}
+""")
 
 # Premises, one per shape the compiled matcher treats differently:
 # equalities of variables, a join of two flat applications, a bound side
 # against a flat open application, nested terms, an application equal to
-# one of its arguments, repeated variables, a disconnected four-atom
-# premise shaped like interchange, definedness of a binary application, a
-# context variable no atom mentions, relation atoms, and probes that
-# intersect the fibers of two or three atoms over the same arguments
-# (ncat2's interchange, unary and binary pairs, one atom's value an argument).
+# one of its arguments, repeated variables (also as the value), a
+# disconnected four-atom premise shaped like interchange, definedness of a
+# binary application, a context variable no atom mentions, relation atoms,
+# probes that intersect the fibers of two or three atoms over the same
+# arguments (ncat2's interchange, unary and binary pairs, one atom's value an
+# argument), nullary constants (a plan that starts with a lookup outside any
+# loop), empty contexts, and atoms and carriers over two sorts.
 MATCH_PREMISES = {
+    LADDER: (
+        "[] a = b",
+        "[] c !",
+        "[] a = c & d !",
+        "[] top",
+        "[x: s] c = x & a = x",
+        "[x: s, y: s] a = x & d = y",
+    ),
     NCAT1: (
         "[x: *, y: *, z: *] x = y & y = z",
         "[x: *, y: *] d1(x) = c1(y)",
@@ -273,6 +304,8 @@ MATCH_PREMISES = {
         "[x: *, y: *] d1(d1(x)) = c1(y)",
         "[x: *] comp1(x, d1(x)) = x",
         "[x: *, y: *] comp1(x, x) = y",
+        "[x: *] comp1(x, x) = x",
+        "[] top",
         "[x: *, y: *, z: *, w: *] d1(x) = c1(y) & d1(z) = c1(w) & c1(x) = c1(z) & d1(y) = d1(w)",
         "[x: *, y: *] comp1(x, y) = comp1(x, y)",
         "[x: *, y: *] comp1(x, y) ! & d1(y) = x",
@@ -293,6 +326,13 @@ MATCH_PREMISES = {
         "[x: s, y: s] R(x, x) & f(x) = y",
         "[x: s, y: s, z: s] R(x, y) & R(y, z) & x = z",
     ),
+    GRAPH: (
+        "[x: e, y: e] src(x) = src(y) & tgt(x) = tgt(y)",
+        "[x: e, u: v, w: v] src(x) = u & L(u, w)",
+        "[x: e, u: v] src(x) = tgt(x) & L(u, u)",
+        "[u: v, x: e] top",
+        "[u: v, w: v] L(u, w) & L(w, u)",
+    ),
 }
 
 # Ground atoms to force over two base elements u, v.
@@ -306,18 +346,23 @@ FORCED_ATOMS = {
 
 @st.composite
 def structures(draw, sig, max_size):
-    """A random single-sorted partial structure on 1..max_size elements."""
-    n = draw(st.integers(1, max_size), label="elements")
-    elem = st.integers(0, n - 1)
+    """A random partial structure with 1..max_size elements per sort."""
+    carriers: dict = {}
+    for s in sig.sorts:
+        start = sum(map(len, carriers.values()))
+        carriers[s] = tuple(range(start, start + draw(st.integers(1, max_size), label=f"elements of {s}")))
+    elem = {s: st.integers(c[0], c[-1]) for s, c in carriers.items()}
+    n = sum(map(len, carriers.values()))
     funcs = {
-        f.name: draw(st.dictionaries(st.tuples(*[elem] * len(f.arg_sorts)), elem, max_size=n), label=f.name)
+        f.name: draw(st.dictionaries(st.tuples(*[elem[s] for s in f.arg_sorts]), elem[f.result_sort],
+                                     max_size=len(carriers[f.result_sort])), label=f.name)
         for f in sig.funcs
     }
     rels = {
-        r.name: frozenset(draw(st.sets(st.tuples(*[elem] * len(r.arg_sorts)), max_size=2 * n), label=r.name))
+        r.name: frozenset(draw(st.sets(st.tuples(*[elem[s] for s in r.arg_sorts]), max_size=2 * n), label=r.name))
         for r in sig.rels
     }
-    return PartialStructure(sig, {sig.sorts[0]: tuple(range(n))}, funcs, rels)
+    return PartialStructure(sig, carriers, funcs, rels)
 
 
 # The premise matcher agrees with brute-force satisfaction over all assignments,
@@ -327,8 +372,8 @@ def test_match_premise_matches_brute_force(data):
     theory = data.draw(st.sampled_from(list(MATCH_PREMISES)), label="theory")
     sig = theory.signature
     base = data.draw(structures(sig, 4))
-    elem = st.sampled_from(base.elements())
-    pairs = data.draw(st.lists(st.tuples(elem, elem), max_size=3), label="unions")
+    pair = st.sampled_from(sig.sorts).flatmap(lambda s: st.tuples(*[st.sampled_from(base.carriers[s])] * 2))
+    pairs = data.draw(st.lists(pair, max_size=3), label="unions")
     state = _ChaseState(sig, ChaseBudget())
     state.load(base)
     for step in range(2):
@@ -338,7 +383,7 @@ def test_match_premise_matches_brute_force(data):
             names = seq.context.names()
             found = {tuple(zip(names, ids)) for ids in state.matches(CHASE_MODULE._compiled(seq)[0])}
             brute = set()
-            for combo in itertools.product(model.elements(), repeat=len(names)):
+            for combo in itertools.product(*(model.carriers[s] for _, s in seq.context.vars)):
                 if holds(model, dict(zip(names, combo)), seq.premise):
                     brute.add(tuple(zip(names, combo)))
             assert found == brute, (step, text)
@@ -536,6 +581,100 @@ def test_delta_rounds_match_full_rematch(theory, data):
         want = chase(theory, presentation, budget)
     _same_result(chase(theory, presentation, budget), want)
     _same_result(chase(theory, presentation, budget, _base_is_model=True), want)
+
+
+# A premise with more loops than CPython nests in one function (20) is
+# compiled into chained functions; full and delta rounds agree with the
+# reference chase.
+def test_long_premise_compiles_into_chained_kernels():
+    n = 24
+    context = ", ".join(f"x{i}: s" for i in range(n))
+    path = " & ".join(f"R(x{i}, x{i + 1})" for i in range(n - 1))
+    axiom = f"axiom [{context}, y: s] {path} |- P(x0, y);"
+    theory = parse_theory(f"theory path {{ sort s; rel R : s, s; rel P : s, s; {axiom} }}")
+    (seq,) = theory.sequents
+    assert len(CHASE_MODULE._compiled(seq)[0].full) > 20
+    base = PartialStructure(theory.signature, {"s": tuple(range(n + 2))}, {}, {})
+    forced = tuple((Rel("R", (Var("u"), Var("v"))), (("u", i), ("v", i + 1))) for i in range(n + 1))
+    presentation = Presentation(base, forced)
+    got = chase(theory, presentation, _base_is_model=True)
+    assert got.model.rels["P"] == {(i, j) for i in range(3) for j in range(n + 2)}
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
+        want = chase(theory, presentation)
+    _same_result(got, want)
+    _same_result(chase(theory, presentation), want)
+
+
+# Names reach kernels as arguments, never as source: a theory whose sort,
+# symbol and variable names are not Python identifiers (or are the kernels'
+# own local names) chases and proves exactly as its renamed copy.
+RENAMED = {"s": 'f")\nimport os#', "f": "R'x", "R": "x y", "x": "s0", "y": "K0", "z": 'v"1 ('}
+
+
+def _renamed(data):
+    if isinstance(data, str):
+        return RENAMED.get(data, data)
+    if isinstance(data, list):
+        return [_renamed(x) for x in data]
+    if isinstance(data, dict):
+        return {k: _renamed(v) for k, v in data.items()}
+    return data
+
+
+ORDER_RENAMED = theory_from_json(_renamed(theory_to_json(ORDER)))
+
+
+def _renamed_structure(S):
+    return PartialStructure(ORDER_RENAMED.signature, {_renamed(s): c for s, c in S.carriers.items()},
+                            {_renamed(f): t for f, t in S.funcs.items()}, {_renamed(r): t for r, t in S.rels.items()})
+
+
+@given(st.data())
+def test_kernels_take_names_that_are_not_identifiers(data):
+    sig = ORDER.signature
+    base = data.draw(structures(sig, 3))
+    elem = st.sampled_from(base.elements())
+    forced = tuple(
+        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
+        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[ORDER]), max_size=3), label="forced")
+        for atom in parse_formula(sig, text).atoms
+    )
+    budget = ChaseBudget(max_elements=150, max_rounds=6)
+    want = chase(ORDER, Presentation(base, forced), budget)
+    renamed = tuple((atom_from_json(_renamed(atom_to_json(atom))), items) for atom, items in forced)
+    got = chase(ORDER_RENAMED, Presentation(_renamed_structure(base), renamed), budget)
+    assert got.model == _renamed_structure(want.model)
+    assert got.quotient == want.quotient
+    assert got.log == tuple((e, _renamed(f), args, term_from_json(_renamed(term_to_json(t))), tuple(map(_renamed, ns)),
+                             ids) for e, f, args, t, ns, ids in want.log)
+    assert (got.status, got.rounds, got.merges) == (want.status, want.rounds, want.merges)
+    ctx, atoms = PROVE_ATOMS[ORDER]
+    premise, conclusion = (
+        " & ".join(data.draw(st.lists(st.sampled_from(atoms), max_size=3), label=side)) or "top"
+        for side in ("premise", "conclusion")
+    )
+    (seq,) = parse_sequent(sig, f"{ctx} {premise} |- {conclusion}")
+    copy = Sequent(Context(tuple((_renamed(n), _renamed(s)) for n, s in seq.context.vars)),
+                   formula_from_json(_renamed(formula_to_json(seq.premise))),
+                   formula_from_json(_renamed(formula_to_json(seq.conclusion))))
+    assert prove_sequent(ORDER_RENAMED, copy, budget) == prove_sequent(ORDER, seq, budget)
+
+
+# Kernels are keyed by shape, not by the terms a prover call forces: once a
+# theory's shapes are compiled, new terms compile nothing more.
+def test_kernel_memo_does_not_grow_with_prover_terms():
+    def seq(k):
+        term = "x"
+        for bit in range(6):
+            term = f"{'d1' if k >> bit & 1 else 'c1'}({term})"
+        return parse_sequent(NCAT1.signature, f"[x: *] {term} ! |- d1({term}) = d1(x)")[0]
+
+    for k in range(8):
+        prove_sequent(NCAT1, seq(k))
+    size = len(CHASE_MODULE._KERNELS)
+    for k in range(8, 58):
+        assert prove_sequent(NCAT1, seq(k)).verdict in (VALID, INVALID)
+    assert len(CHASE_MODULE._KERNELS) == size
 
 
 def _reference_eval(state, term, asg):
