@@ -10,13 +10,18 @@ Congruence closure is incremental, as in egg's rebuilding: every table
 entry and relation tuple is listed in a use-list under each id it holds, a
 union queues the losing id, and ``normalize`` re-keys only the entries and
 tuples on the queued ids' use-lists, uniting the values of entries whose
-keys collide, until the queue is empty.  Every key, value and tuple is then
-canonical (the least id of its class), the same fixpoint a full rebuild
-reaches.  Most unions in a chase unite an element with the one entry that
-holds it, as its value: a fresh element, created by an instance whose
-equation then merges it.  Such a union needs no rebuild, as in egg when a
-class has one e-node: ``unite`` re-keys that entry in place, and the test
-for "no other use" is exact because relation tuples have use-lists too.
+keys collide, until the queue is empty.  An entry whose key is still
+canonical, only its value having lost, keeps its key and is listed again
+under the new value alone.  Every key, value and tuple is then canonical
+(the least id of its class), the same fixpoint a full rebuild reaches.
+Most unions in a chase unite an element with the one entry that holds it,
+as its value: a fresh element, created by an instance whose equation then
+merges it.  Such a union needs no rebuild, as in egg when a class has one
+e-node: ``unite`` re-keys that entry in place, and the test for "no other
+use" is exact because relation tuples have use-lists too.  When the
+equation's other side is already computed, a conclusion kernel creates the
+element merged: ``create_merged`` stores the entry with its final value,
+and the fresh id is used up and logged but never live.
 
 Premises are matched by a join over flattened atoms ``f(x1..xk) = y``,
 in the spirit of relational e-matching.  Each sequent's premise is
@@ -523,7 +528,9 @@ def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
     """Source of the factory of a conclusion kernel ``kernel(state, ids)``,
     which runs the program's ops in order with slot i in the local ``v<i>``
     (K0 holds the context's names).  After a union it re-canonicalizes only
-    the slots that later ops read."""
+    the slots that later ops read.  A miss of an application whose next op
+    unites its slot with another is a ``create_merged`` into the other's
+    value, which leaves every slot canonical."""
     tables = sorted({sym for op, sym, _, _ in ops if op == _APPLY})
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):",
              "    def kernel(state, ids):",
@@ -537,9 +544,13 @@ def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
     for k, (op, sym, args, term) in enumerate(ops):
         vals = [f"v{a}" for a in args]
         if op == _APPLY:
+            call = f"state.create(K{sym}, k{slot}, K{term}, K0, ids)"
+            if k + 1 < len(ops) and ops[k + 1][0] == _UNITE and slot in ops[k + 1][2]:
+                # into the union's other slot; the union then finds its sides equal
+                call = f"state.create_merged(K{sym}, k{slot}, K{term}, K0, ids, v{sum(ops[k + 1][2]) - slot})"
             lines += [f"        k{slot} = {_tuple(vals)}",
                       f"        v{slot} = T{sym}.get(k{slot})",
-                      f"        if v{slot} is None: v{slot} = state.create(K{sym}, k{slot}, K{term}, K0, ids)"]
+                      f"        if v{slot} is None: v{slot} = {call}"]
             slot += 1
         elif op == _UNITE:
             lines += [f"        if {vals[0]} != {vals[1]}:", f"            state.unite({vals[0]}, {vals[1]})"]
@@ -584,8 +595,7 @@ class _ChaseState:
     def __init__(self, sig: Signature, budget: ChaseBudget) -> None:
         self.sig = sig
         self.budget = budget
-        self.sort_of: dict[int, str] = {}
-        self.live: set[int] = set()
+        self.live: dict[int, str] = {}  # canonical id -> its sort
         self.parent: dict[int, int] = {}
         self.funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in sig.funcs}
         self.result_sort = {f.name: f.result_sort for f in sig.funcs}
@@ -614,39 +624,17 @@ class _ChaseState:
             self.parent[a], a = root, self.parent[a]
         return root
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        lo, hi = min(ra, rb), max(ra, rb)
-        self.parent[hi] = lo
-        self.live.discard(hi)
-        self.pending.append(hi)
-        self.merges += 1
-        self.version += 1
-
     # -- elements
-
-    def register(self, elem: int, sort: str) -> None:
-        if self.created + 1 > self.budget.max_elements:
-            raise _Budget
-        self.sort_of[elem] = sort
-        self.parent[elem] = elem
-        self.live.add(elem)
-        self.created += 1
-        self.next_id = max(self.next_id, elem + 1)
-
-    def add_element(self, sort: str) -> int:
-        elem = self.next_id
-        self.register(elem, sort)
-        self.written.elems.add(elem)
-        self.version += 1
-        return elem
 
     def load(self, base: PartialStructure) -> None:
         for s in self.sig.sorts:
             for e in base.carriers.get(s, ()):
-                self.register(e, s)
+                if self.created >= self.budget.max_elements:
+                    raise _Budget
+                self.live[e] = s
+                self.parent[e] = e
+                self.created += 1
+                self.next_id = max(self.next_id, e + 1)
         for f, table in base.funcs.items():
             self.funcs[f] = dict(table)
             for args, val in table.items():
@@ -657,7 +645,7 @@ class _ChaseState:
                 self._rel_use(r, tup)
 
     def carrier(self, sort: str) -> list[int]:
-        return sorted(e for e in self.live if self.sort_of[e] == sort)
+        return sorted(e for e, s in self.live.items() if s == sort)
 
     # -- congruence closure: keep tables keyed by canonical ids
 
@@ -675,26 +663,46 @@ class _ChaseState:
         """Re-key the entries that mention an id which lost a union, and
         unite the values of entries whose keys then collide, until no id
         is pending.  Entries are registered under every id they hold, so
-        afterwards every key and value is canonical."""
-        if not self.pending:
+        afterwards every key and value is canonical.  An entry whose key is
+        still canonical keeps it and is listed again under its new value
+        alone.  A key that holds a dead id is never stored again, so it may
+        stay among the written keys."""
+        pending = self.pending
+        if not pending:
             return
-        written, parent, find = self.written.funcs, self.parent, self.find
+        written, parent, find, uses = self.written.funcs, self.parent, self.find, self.uses
         stale: list[tuple[str, tuple[int, ...]]] = []
-        while self.pending:
-            lost = self.pending.pop()
+        while pending:
+            lost = pending.pop()
             stale += self.rel_uses.pop(lost, ())
-            for f, args in self.uses.pop(lost, ()):
+            for entry in uses.pop(lost, ()):
+                f, args = entry
                 table = self.funcs[f]
-                val = table.pop(args, None)
+                val = table.get(args)
                 if val is None:
                     continue  # re-keyed already
-                written[f].discard(args)  # the key holds a dead id or is stored again below
                 key = tuple([a if parent[a] == a else find(a) for a in args])
-                val = find(val)
-                old = table.get(key)
-                if old is not None and find(old) != val:
-                    self.union(old, val)
+                if key == args:
+                    if parent[val] != val:  # else re-keyed already, the value in place
+                        val = table[args] = find(val)
+                        written[f].add(args)
+                        uses[val].append(entry)
+                    continue
+                del table[args]
+                if parent[val] != val:
                     val = find(val)
+                old = table.get(key)
+                if old is not None:
+                    if parent[old] != old:
+                        old = find(old)
+                    if old != val:  # congruent keys: unite the values
+                        lo, hi = (old, val) if old < val else (val, old)
+                        parent[hi] = lo
+                        del self.live[hi]
+                        pending.append(hi)
+                        self.merges += 1
+                        self.version += 1
+                        val = lo
                 table[key] = val
                 written[f].add(key)
                 self._use(f, key, val)
@@ -712,20 +720,20 @@ class _ChaseState:
         an element its instance just created), re-keying that entry is all
         that ``normalize`` would do, so it is done here."""
         lo, hi = (a, b) if a < b else (b, a)
+        self.parent[hi] = lo
+        del self.live[hi]
+        self.merges += 1
+        self.version += 1
         uses = self.uses.get(hi, ())
         if len(uses) == 1 and not self.pending and hi not in self.rel_uses:
             f, key = entry = uses[0]
             if self.funcs[f].get(key) == hi and hi not in key:
-                self.parent[hi] = lo
-                self.live.discard(hi)
                 del self.uses[hi]
-                self.merges += 1
-                self.version += 1
                 self.funcs[f][key] = lo
                 self.written.funcs[f].add(key)  # hi may be an old element, its entry not yet written
                 self.uses[lo].append(entry)  # the ids of key list the entry already
                 return
-        self.union(a, b)
+        self.pending.append(hi)
         self.normalize()
 
     # -- firing
@@ -769,9 +777,8 @@ class _ChaseState:
             raise _Budget
         fresh = self.next_id
         self.next_id, self.created = fresh + 1, self.created + 1
-        self.sort_of[fresh] = self.result_sort[f]
         self.parent[fresh] = fresh
-        self.live.add(fresh)
+        self.live[fresh] = self.result_sort[f]
         self.written.elems.add(fresh)
         self.version += 1
         self.funcs[f][args] = fresh
@@ -779,6 +786,25 @@ class _ChaseState:
         self._use(f, args, fresh)
         self.fresh_log.append((fresh, f, args, term, names, ids))
         return fresh
+
+    def create_merged(self, f: str, args: tuple[int, ...], term: RawTerm, names: Sequence[str],
+                      ids: Sequence[int], into: int) -> int:
+        """``create`` then ``unite`` with the canonical id ``into``, whose
+        fast path re-keys the one entry that holds the fresh (largest) id:
+        the entry is stored with its final value, and the fresh id is used
+        up and logged but never live (``pool`` reads only live elements)."""
+        if self.created >= self.budget.max_elements:
+            raise _Budget
+        fresh = self.next_id
+        self.next_id, self.created = fresh + 1, self.created + 1
+        self.parent[fresh] = into
+        self.merges += 1
+        self.version += 1
+        self.funcs[f][args] = into
+        self.written.funcs[f].add(args)
+        self._use(f, args, into)
+        self.fresh_log.append((fresh, f, args, term, names, ids))
+        return into
 
     # -- premise matching (compiled join, lexicographic output)
 
@@ -802,7 +828,7 @@ class _ChaseState:
         kind, sym = key
         now, before = self.written, self.written_before
         if kind == _ELEM:
-            return [e for e in now.elems | before.elems if e in self.live and self.sort_of[e] == sym]
+            return [e for e in now.elems | before.elems if self.live.get(e) == sym]
         if kind == _FUNC:
             new, old, held = now.funcs[sym], before.funcs[sym], self.funcs[sym]
         else:
@@ -930,10 +956,12 @@ def representing_model(
     phi: HornFormula,
     budget: Optional[ChaseBudget] = None,
 ) -> tuple[ChaseResult, dict[str, int]]:
-    """Chase the generic context; the generic assignment lands in the model."""
+    """Chase the generic context; the generic assignment lands in the model
+    (its variables whose elements a budget below the context's size left
+    unloaded do not)."""
     presentation, items = _generic_presentation(theory, ctx, phi)
     result = chase(theory, presentation, budget)
-    generic = {name: result.quotient[i] for name, i in items}
+    generic = {name: result.quotient[i] for name, i in items if i in result.union_find}
     return result, generic
 
 

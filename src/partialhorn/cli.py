@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -90,6 +90,9 @@ class RunConfig:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    for flag in ("max_elements", "max_rounds", "max_steps"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must not be negative, got {getattr(args, flag)}")
     return RunConfig(
         max_elements=args.max_elements,
         max_rounds=args.max_rounds,
@@ -464,10 +467,6 @@ def _cmd_ncat_normalize(args: argparse.Namespace) -> int:
 # topdec
 
 
-def _point_json(p) -> list:
-    return list(p)
-
-
 def _cmd_topdec(args: argparse.Namespace) -> int:
     cfg = _config(args)
     f = koizumi_map(args.lam)
@@ -490,11 +489,11 @@ def _cmd_topdec(args: argparse.Namespace) -> int:
             "status": trace.status,
             "stabilizationIndex": trace.stabilization_index,
             "steps": [
-                {"classes": [sorted(_point_json(p) for p in c) for c in step.classes]}
+                {"classes": [sorted(list(p) for p in c) for c in step.classes]}
                 for step in trace.steps
             ],
             "kernels": [
-                [sorted(_point_json(p) for p in c) for c in kernel if len(c) > 1]
+                [sorted(list(p) for p in c) for c in kernel if len(c) > 1]
                 for kernel in trace.kernels
             ],
         },
@@ -600,10 +599,8 @@ def _example_cases(corpus: Path, cfg: RunConfig) -> list[tuple[str, str, Callabl
         return _case_decnum(corpus, cfg, "chain_fwd.pht", "chain_fwd_A0.pm", "chain_fwd_T.pm", "chain_fwd_bang.phom")
 
     def chainfwd_truncated() -> str:
-        theory = load_theory(str(corpus / "theories" / "chain_fwd.pht"))
-        h = _load_corpus_hom(corpus, theory, "chain_fwd_A0.pm", "chain_fwd_T.pm", "chain_fwd_bang.phom")
-        trace = canonical_decomposition(theory, equational_scale(theory.signature), h, cfg.budget(), 7)
-        return trace.status
+        steps7 = replace(cfg, max_steps=7)
+        return _case_decnum(corpus, steps7, "chain_fwd.pht", "chain_fwd_A0.pm", "chain_fwd_T.pm", "chain_fwd_bang.phom")
 
     def koizumi(lam: int) -> Callable[[], str]:
         def run() -> str:

@@ -43,6 +43,7 @@ from .syntax import (
     TokenStream,
     Var,
     _located,
+    _parse_context,
     _parse_formula,
     check_context,
     check_formula,
@@ -81,8 +82,8 @@ def equational_scale(sig: Signature) -> Scale:
 
 @dataclass(frozen=True)
 class StepResult:
-    e: Hom
-    f_prime: Optional[Hom]  # None when the chase ran out of budget
+    e: Optional[Hom]  # None, as f_prime, when the chase ran out of budget
+    f_prime: Optional[Hom]
     result: ChaseResult
     fired: tuple[tuple[str, AssignmentItems], ...]
 
@@ -129,9 +130,9 @@ def scale_step(
             for atom in entry.formula.atoms:
                 forced.append((atom, items))
     result = chase(theory, Presentation(A, tuple(forced)), budget, _base_is_model=_base_is_model)
+    if result.status != COMPLETE:  # perhaps before every element of A was loaded
+        return StepResult(None, None, result, tuple(fired))
     e = Hom(A, result.model, {a: result.quotient[a] for a in A.elements()})
-    if result.status != COMPLETE:
-        return StepResult(e, None, result, tuple(fired))
     f_prime = induced_hom(result, f.mapping, X)
     for h, tag in ((e, "quotient"), (f_prime, "mediating")):
         rep = is_hom(h)
@@ -230,20 +231,7 @@ def parse_scale(text: str, sig: Signature) -> Scale:
         while ts.at(":"):
             ts.next()
             label += ":" + ts.expect_ident().text
-        ts.expect("[")
-        pairs: list[tuple[str, str]] = []
-        if not ts.at("]"):
-            while True:
-                vname = ts.expect_ident().text
-                ts.expect(":")
-                vsort = ts.expect_ident().text
-                pairs.append((vname, vsort))
-                if ts.at(","):
-                    ts.next()
-                    continue
-                break
-        ts.expect("]")
-        ctx = Context(tuple(pairs))
+        ctx = _parse_context(ts)
         phi = _parse_formula(ts, sig)
         ts.expect(";")
         with _located(f"{tok.line}:{tok.col}"):

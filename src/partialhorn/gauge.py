@@ -428,30 +428,18 @@ def _boundary_index(term: RawTerm) -> Optional[int]:
     return None
 
 
-def _norm_d(i: int, nu: RawTerm) -> RawTerm:
+def _norm_boundary(side: str, i: int, nu: RawTerm) -> RawTerm:
+    """The normal form of d<i>(nu) (side "d") or c<i>(nu) (side "c")."""
     if isinstance(nu, Var):
-        return App(f"d{i}", (nu,))
+        return App(f"{side}{i}", (nu,))
     j = _boundary_index(nu)
     if j is not None:
-        return nu if j <= i else App(f"d{i}", (nu.args[0],))
+        return nu if j <= i else App(f"{side}{i}", (nu.args[0],))
     k = _comp_level(nu)
     assert k is not None
-    if i <= k:
-        return _norm_d(i, _flatten(k, nu)[-1])
-    return _chain(k, [_norm_d(i, c) for c in _flatten(k, nu)])
-
-
-def _norm_c(i: int, nu: RawTerm) -> RawTerm:
-    if isinstance(nu, Var):
-        return App(f"c{i}", (nu,))
-    j = _boundary_index(nu)
-    if j is not None:
-        return nu if j <= i else App(f"c{i}", (nu.args[0],))
-    k = _comp_level(nu)
-    assert k is not None
-    if i <= k:
-        return _norm_c(i, _flatten(k, nu)[0])
-    return _chain(k, [_norm_c(i, c) for c in _flatten(k, nu)])
+    if i <= k:  # the source boundary of the last component, the target of the first
+        return _norm_boundary(side, i, _flatten(k, nu)[-1 if side == "d" else 0])
+    return _chain(k, [_norm_boundary(side, i, c) for c in _flatten(k, nu)])
 
 
 def _norm_comp(i: int, nu1: RawTerm, nu2: RawTerm) -> RawTerm:
@@ -463,11 +451,11 @@ def _norm_comp(i: int, nu1: RawTerm, nu2: RawTerm) -> RawTerm:
         return _chain(i, _flatten(i, nu1) + _flatten(i, nu2))
     if k1 >= k2:
         comps = _flatten(k1, nu1)
-        rho = _norm_d(k1, nu2)
+        rho = _norm_boundary("d", k1, nu2)
         parts = [_norm_comp(i, comps[0], nu2)] + [_norm_comp(i, c, rho) for c in comps[1:]]
     else:
         comps = _flatten(k2, nu2)
-        rho = _norm_c(k2, nu1)
+        rho = _norm_boundary("c", k2, nu1)
         parts = [_norm_comp(i, rho, c) for c in comps[:-1]] + [_norm_comp(i, nu1, comps[-1])]
     flat: list[RawTerm] = []
     for p in parts:
@@ -493,10 +481,7 @@ def _normalize(term: RawTerm) -> RawTerm:
         return term
     j = _boundary_index(term)
     if j is not None:
-        inner = _normalize(term.args[0])
-        if _D_RE.match(term.func):
-            return _norm_d(j, inner)
-        return _norm_c(j, inner)
+        return _norm_boundary(term.func[0], j, _normalize(term.args[0]))  # func is d<j> or c<j>
     k = _comp_level(term)
     if k is None:
         raise ValueError(f"not an n-category symbol: {term.func}")
@@ -545,7 +530,7 @@ class NcatGaugeRules(GaugeRules):
                     out.append(e)
         own = GaugeEntry(
             "eq:*",
-            (_norm_d(k, _normalize(term.args[0])), _norm_c(k, _normalize(term.args[1]))),
+            (_norm_boundary("d", k, _normalize(term.args[0])), _norm_boundary("c", k, _normalize(term.args[1]))),
         )
         if own not in out:
             out.append(own)

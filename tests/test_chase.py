@@ -365,13 +365,35 @@ def structures(draw, sig, max_size):
     return PartialStructure(sig, carriers, funcs, rels)
 
 
+# Free ncat2 models, whose d1/c1 and d2/c2 are defined at the same cells.
+NCAT2_MODELS = tuple(
+    representing_model(NCAT2, seq.context, seq.premise)[0].model
+    for text in ("[x: *] top", "[x: *, y: *] d2(x) = c2(y)", "[x: *, y: *] d1(x) = c1(y)")
+    for seq in parse_sequent(NCAT2.signature, f"{text} |- top")
+)
+
+
+@st.composite
+def substructures(draw, models, max_size):
+    """A model restricted to at most max_size of its elements: a table keeps
+    the entries whose arguments and value are kept.  Unlike random tables,
+    the boundaries of a kept cell stay defined together, so a probe that
+    walks one fiber meets cells that fail the other fibers' checks."""
+    M = draw(st.sampled_from(models), label="model")
+    keep = set(draw(st.lists(st.sampled_from(M.elements()), min_size=1, max_size=max_size, unique=True)))
+    carriers = {s: tuple(e for e in es if e in keep) for s, es in M.carriers.items()}
+    funcs = {f: {k: v for k, v in t.items() if v in keep and keep.issuperset(k)} for f, t in M.funcs.items()}
+    return PartialStructure(M.signature, carriers, funcs, M.rels)
+
+
 # The premise matcher agrees with brute-force satisfaction over all assignments,
 # before and after unions (which must refresh the value indexes).
 @given(st.data())
 def test_match_premise_matches_brute_force(data):
     theory = data.draw(st.sampled_from(list(MATCH_PREMISES)), label="theory")
     sig = theory.signature
-    base = data.draw(structures(sig, 4))
+    drawn = structures(sig, 4)
+    base = data.draw(st.one_of(drawn, substructures(NCAT2_MODELS, 6)) if theory is NCAT2 else drawn)
     pair = st.sampled_from(sig.sorts).flatmap(lambda s: st.tuples(*[st.sampled_from(base.carriers[s])] * 2))
     pairs = data.draw(st.lists(pair, max_size=3), label="unions")
     state = _ChaseState(sig, ChaseBudget())
@@ -388,8 +410,9 @@ def test_match_premise_matches_brute_force(data):
                     brute.add(tuple(zip(names, combo)))
             assert found == brute, (step, text)
         for u, v in pairs:
-            state.union(u, v)
-        state.normalize()
+            a, b = state.find(u), state.find(v)
+            if a != b:
+                state.unite(a, b)
 
 
 # Some premises above compile to probes that intersect two or more fibers,
@@ -413,6 +436,15 @@ class _FullRebuildState(_ChaseState):
     def matches(self, premise, delta=False):
         return super().matches(premise)
 
+    def union(self, a, b):
+        a, b = self.find(a), self.find(b)
+        if a != b:
+            lo, hi = min(a, b), max(a, b)
+            self.parent[hi] = lo
+            del self.live[hi]
+            self.merges += 1
+            self.version += 1
+
     def fire(self, conclusion, ids, items=None):
         if items is None:
             items = tuple(zip(conclusion.names, ids))
@@ -426,12 +458,7 @@ class _FullRebuildState(_ChaseState):
         got = self.funcs[term.func].get(vals)
         if got is not None:
             return self.find(got)
-        fresh = self.add_element(self.sig.func(term.func).result_sort)
-        self.funcs[term.func][vals] = fresh
-        self.written.funcs[term.func].add(vals)
-        self._use(term.func, vals, fresh)
-        self.fresh_log.append((fresh, term.func, vals, term, tuple(n for n, _ in items), tuple(i for _, i in items)))
-        return fresh
+        return self.create(term.func, vals, term, tuple(n for n, _ in items), tuple(i for _, i in items))
 
     def enforce(self, atom, items):
         asg = {n: self.find(i) for n, i in items}
@@ -556,6 +583,60 @@ def test_uniting_a_fresh_element_needs_no_normalize():
     with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
         want = chase(NCAT1, presentation)
     _same_result(got, want)
+
+
+# Each equation below ends in a union of an application with an older slot,
+# so a miss creates the element and merges it at once, with the equation
+# either way round and with the merged slot read again by a later op.
+FUSED = parse_theory("""
+theory fused {
+  sort s;
+  func e : s -> s;
+  func m : s, s -> s;
+  axiom [x: s] top |- m(x, e(x)) = x & m(m(x, e(x)), x) = x;
+  axiom [x: s] top |- x = m(e(x), x);
+}
+""")
+FUSED_BASE = PartialStructure(FUSED.signature, {"s": (0, 1, 2)}, {"e": {(0,): 1, (1,): 1, (2,): 0}, "m": {}}, {})
+
+
+def _create_merged_calls(presentation, budget=None):
+    """The chase, run with create and unite forbidden, and the number of
+    create_merged calls it made."""
+    forbidden = AssertionError("the fused path called create or unite")
+    with mock.patch.object(_ChaseState, "create", side_effect=forbidden), \
+            mock.patch.object(_ChaseState, "unite", side_effect=forbidden), \
+            mock.patch.object(_ChaseState, "create_merged", autospec=True,
+                              side_effect=_ChaseState.create_merged) as fused:
+        got = chase(FUSED, presentation, budget)
+    return got, fused.call_count
+
+
+# A conclusion kernel turns a missing application that its next op unites
+# with another slot into one create_merged call: no create, no unite, and
+# the same result as the reference, fresh log and merges included.
+def test_fused_create_and_merge_matches_full_rebuild():
+    presentation = Presentation(FUSED_BASE)
+    got, calls = _create_merged_calls(presentation)
+    assert got.status == COMPLETE and calls == got.merges == len(got.log) > 3
+    assert got.model.carriers == {"s": (0, 1, 2)}
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
+        want = chase(FUSED, presentation)
+    assert got == want
+    _same_result(got, want)
+
+
+# The fused creation that exceeds the budget stops the chase exactly where
+# the reference's creation does.
+def test_fused_creation_over_budget_matches_full_rebuild():
+    presentation = Presentation(FUSED_BASE)
+    budget = ChaseBudget(max_elements=5)  # the base and two fresh elements
+    got, calls = _create_merged_calls(presentation, budget)
+    assert got.status == BUDGET_EXCEEDED and calls == 3 and len(got.log) == 2
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
+        want = chase(FUSED, presentation, budget)
+    assert got == want
+    assert (got.status, got.rounds, got.merges, got.log) == (want.status, want.rounds, want.merges, want.log)
 
 
 # Delta rounds, from scratch and from a model, agree with the reference that

@@ -212,6 +212,48 @@ def test_prove_unknown_exits_three(tmp_path, capsys):
     assert code == 3 and "Unknown" in out
 
 
+# A budget below the size of the base stops the chase before every base
+# element is loaded: the command reports the budget and exits 3.
+def test_budget_below_the_base_exits_three(corpus, capsys, schema):
+    code, payload, _ = run_json(
+        capsys, schema, "free",
+        "--theory", corpus / "theories" / "ncat1.pht",
+        "--context", "[x:*, y:*]", "--formula", "d1(x)=c1(y)", "--max-elements", "1",
+    )
+    result = payload["result"]
+    assert code == 3 and result["status"] == "BudgetExceeded"
+    assert result["model"]["carriers"] == {"*": [0]} and result["generic"] == {"x": 0}
+    code, out, _ = run(
+        capsys, "decnum",
+        "--theory", corpus / "theories" / "ladder.pht",
+        "--from", corpus / "models" / "ladder_M.pm",
+        "--to", corpus / "models" / "ladder_T.pm",
+        "--hom", corpus / "homs" / "ladder_bang.phom",
+        "--max-elements", "1",
+    )
+    assert code == 3 and out.strip() == "status BudgetExceeded"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("free", "--max-rounds"),
+    ("free", "--max-elements"),
+    ("decnum", "--max-steps"),
+    ("decnum", "--max-elements"),
+    ("topdec", "--max-steps"),
+])
+def test_negative_budget_flags_exit_two(corpus, capsys, command, flag):
+    theory = corpus / "theories" / "ladder.pht"
+    argv = {
+        "free": ("--theory", theory),
+        "decnum": ("--theory", theory, "--from", corpus / "models" / "ladder_M.pm",
+                   "--to", corpus / "models" / "ladder_T.pm"),
+        "topdec": ("--lambda", "1"),
+    }[command]
+    code, out, err = run(capsys, command, *argv, flag, "-1")
+    assert code == 2 and not out
+    assert err == f"error: {flag} must not be negative, got -1\n"
+
+
 def test_decnum_text_and_json(corpus, capsys, schema):
     args = (
         "decnum",
