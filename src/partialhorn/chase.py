@@ -1038,8 +1038,8 @@ def term_equivalent(
 
 def coequalizer(
     theory: Theory, f: Hom, g: Hom, budget: Optional[ChaseBudget] = None
-) -> tuple[ChaseResult, Hom]:
-    """Coequalizer of f, g : A -> B in models: force f(a) = g(a), chase."""
+) -> tuple[ChaseResult, Optional[Hom]]:
+    """Coequalizer of f, g : A -> B in models: force f(a) = g(a), chase (no map if incomplete)."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("parallel pair required")
     B = f.target
@@ -1048,8 +1048,9 @@ def coequalizer(
         for a in sorted(f.mapping)
     )
     result = chase(theory, Presentation(B, forced), budget)
-    q = Hom(B, result.model, {b: result.quotient[b] for b in B.elements()})
-    return result, q
+    if result.status != COMPLETE:  # perhaps before every element of B was loaded
+        return result, None
+    return result, Hom(B, result.model, {b: result.quotient[b] for b in B.elements()})
 
 
 def induced_hom(result: ChaseResult, base_map: Mapping[int, int], target: PartialStructure) -> Hom:

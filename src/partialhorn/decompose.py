@@ -11,9 +11,10 @@ The instances true at the image are found without enumerating A^k: each
 entry's formula is matched once in the fixed target X by the chase's
 premise matcher, and the matches are pulled back along f through its
 fibers, then sorted, which is the order of the lexicographic enumeration.
-Every step after the first chases a base that is a model (the previous
-step's complete result), so its chase matches only the instances that use
-a fact the forced atoms wrote; the final identity step matches none.
+Only the atoms that fail in the source are forced (facts only grow).  Every
+step after the first starts from a model (the previous step's complete
+result), so its chase matches only the instances that use a fact the forced
+atoms wrote, and a step that forces nothing is the identity: not chased.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .chase import (
     chase,
     induced_hom,
 )
-from .structure import Hom, PartialStructure, compose_hom, is_hom
+from .structure import Hom, PartialStructure, compose_hom, holds_atom, is_hom
 from .syntax import (
     Atom,
     Context,
@@ -93,33 +94,22 @@ def _entry_matches(scale: Scale, X: PartialStructure) -> list[list[tuple[int, ..
     return _satisfying(X, [(entry.context, entry.formula) for entry in scale.entries])
 
 
-def scale_step(
-    theory: Theory,
-    scale: Scale,
-    f: Hom,
-    budget: Optional[ChaseBudget] = None,
-    *,
-    _matches: Optional[list[list[tuple[int, ...]]]] = None,
-    _base_is_model: bool = False,
-) -> StepResult:
-    """One canonical step: force every scale instance true at the image.
-
-    ``_matches`` are the entries' matches in f's target, when the caller
-    has them; ``_base_is_model`` says that f's source is a model."""
-    A, X = f.source, f.target
-    if _matches is None:
-        _matches = _entry_matches(scale, X)
+def _pull_back(scale: Scale, f: Hom, matches: list) -> tuple[tuple, list[tuple[Atom, AssignmentItems]]]:
+    """The scale instances true at f's image (``matches`` in f's target), pulled
+    back along f through its fibers in lexicographic order, and the atoms of
+    those instances that fail in f's source."""
+    A = f.source
     fibers: dict[tuple[str, int], list[int]] = {}
     for s, es in A.carriers.items():
         for a in es:
             fibers.setdefault((s, f.mapping[a]), []).append(a)
     fired: list[tuple[str, AssignmentItems]] = []
     forced: list[tuple[Atom, AssignmentItems]] = []
-    for entry, matches in zip(scale.entries, _matches):
+    for entry, entry_matches in zip(scale.entries, matches):
         names = entry.context.names()
         sorts = [s for _, s in entry.context.vars]
         pulled: list[tuple[int, ...]] = []
-        for match in matches:
+        for match in entry_matches:
             combos: list[tuple[int, ...]] = [()]
             for s, x in zip(sorts, match):
                 combos = [c + (a,) for c in combos for a in fibers.get((s, x), ())]
@@ -127,11 +117,27 @@ def scale_step(
         for combo in sorted(pulled):
             items = tuple(zip(names, combo))
             fired.append((entry.label, items))
-            for atom in entry.formula.atoms:
-                forced.append((atom, items))
+            forced += [(atom, items) for atom in entry.formula.atoms if not holds_atom(A, dict(items), atom)]
+    return tuple(fired), forced
+
+
+def scale_step(
+    theory: Theory,
+    scale: Scale,
+    f: Hom,
+    budget: Optional[ChaseBudget] = None,
+    *,
+    _pulled: Optional[tuple] = None,
+    _base_is_model: bool = False,
+) -> StepResult:
+    """One canonical step: force the scale instances true at the image (the
+    atoms that fail in the source).  ``_pulled`` is ``_pull_back``'s result
+    for f, when the caller has it; ``_base_is_model`` says f's source is a model."""
+    A, X = f.source, f.target
+    fired, forced = _pulled or _pull_back(scale, f, _entry_matches(scale, X))
     result = chase(theory, Presentation(A, tuple(forced)), budget, _base_is_model=_base_is_model)
     if result.status != COMPLETE:  # perhaps before every element of A was loaded
-        return StepResult(None, None, result, tuple(fired))
+        return StepResult(None, None, result, fired)
     e = Hom(A, result.model, {a: result.quotient[a] for a in A.elements()})
     f_prime = induced_hom(result, f.mapping, X)
     for h, tag in ((e, "quotient"), (f_prime, "mediating")):
@@ -140,7 +146,7 @@ def scale_step(
             raise RuntimeError(f"{tag} leg is not a homomorphism: {rep.reason}")
     if compose_hom(f_prime, e).mapping != f.mapping:
         raise RuntimeError("canonical step does not factor the given map")
-    return StepResult(e, f_prime, result, tuple(fired))
+    return StepResult(e, f_prime, result, fired)
 
 
 @dataclass(frozen=True)
@@ -167,15 +173,20 @@ def canonical_decomposition(
     current = f
     matches = _entry_matches(scale, f.target)  # every step's f has this target
     for i in range(max_steps):
-        step = scale_step(theory, scale, current, budget, _matches=matches, _base_is_model=i > 0)
+        pulled = _pull_back(scale, current, matches)
+        if i > 0 and not pulled[1]:  # the source is a model: this step is the identity
+            break
+        step = scale_step(theory, scale, current, budget, _pulled=pulled, _base_is_model=i > 0)
         if step.result.status != COMPLETE:
             return DecompositionTrace(tuple(steps), None, None, BUDGET_EXCEEDED)
         if _is_identity_step(step, current.source):
-            n = len(steps)
-            return DecompositionTrace(tuple(steps), n, n, STABILIZED)
+            break
         steps.append(step)
         current = step.f_prime
-    return DecompositionTrace(tuple(steps), None, None, NOT_STABILIZED)
+    else:
+        return DecompositionTrace(tuple(steps), None, None, NOT_STABILIZED)
+    n = len(steps)
+    return DecompositionTrace(tuple(steps), n, n, STABILIZED)
 
 
 def decnum(

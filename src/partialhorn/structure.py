@@ -191,16 +191,19 @@ def is_hom(h: Hom) -> HomReport:
                 return HomReport(False, f"element {e} unmapped")
             if tsort.get(t) != s:
                 return HomReport(False, f"element {e}:{s} sent to {t} of wrong sort")
+    image = h.mapping.__getitem__
     for f, table in A.funcs.items():
+        target = B.funcs.get(f, {})
         for args, val in table.items():
-            timg = B.funcs.get(f, {}).get(tuple(h.mapping[a] for a in args))
+            timg = target.get(tuple(map(image, args)))
             if timg is None:
                 return HomReport(False, f"{f}{args} defined in source, undefined at image")
             if timg != h.mapping[val]:
                 return HomReport(False, f"{f}{args}: image {timg} != mapped value {h.mapping[val]}")
     for r, tuples in A.rels.items():
+        target_rel = B.rels.get(r, frozenset())
         for tup in tuples:
-            if tuple(h.mapping[a] for a in tup) not in B.rels.get(r, frozenset()):
+            if tuple(map(image, tup)) not in target_rel:
                 return HomReport(False, f"{r}{tup} holds in source, not at image")
     return HomReport(True)
 

@@ -223,6 +223,17 @@ def test_coequalizer_universal_property(ladder, ladder_models):
             assert len(mediators) == 1
 
 
+# A chase that runs out of budget, here before the second element of B is
+# loaded, gives no quotient map.
+def test_coequalizer_over_budget_has_no_quotient_map(ladder, ladder_models):
+    M = ladder_models["ladder_M"].structure
+    identity = Hom(M, M, {e: e for e in M.elements()})
+    result, q = coequalizer(ladder, identity, identity, ChaseBudget(max_elements=1))
+    assert result.status == BUDGET_EXCEEDED and q is None
+    result, q = coequalizer(ladder, identity, identity, ChaseBudget(max_elements=2))
+    assert result.status == COMPLETE and q == identity
+
+
 def test_coequalizer_rejects_non_parallel(ladder, ladder_models):
     M = ladder_models["ladder_M"].structure
     T = ladder_models["ladder_T"].structure
@@ -829,10 +840,9 @@ DECOMPOSE_MODULE = importlib.import_module("partialhorn.decompose")
 
 def _counted_decomposition(state_cls, f):
     """Decompose f along the equational scale with state_cls as the chase
-    state; count, per chase, the premise instances matched and the
-    instances fired (forced atoms included).  Returns the trace, the counts
-    of the last chase and the last step (the identity step, which the trace
-    leaves out)."""
+    state; count, per chase that fires, the premise instances matched
+    and the instances fired (forced atoms included).  Returns the trace, the
+    results of every scale_step call and the counts of their chases."""
     found: dict = defaultdict(int)
     enforced: dict = defaultdict(int)
     steps = []
@@ -856,24 +866,31 @@ def _counted_decomposition(state_cls, f):
             mock.patch.object(state_cls, "fire", counting_fire), \
             mock.patch.object(DECOMPOSE_MODULE, "scale_step", recording_step):
         trace = DECOMPOSE_MODULE.canonical_decomposition(LADDER, equational_scale(LADDER.signature), f)
-    last = list(enforced)[-1]
-    return trace, found[last], enforced[last], steps[-1]
+    chases = list(enforced)  # premise matching in the target fires nothing
+    return trace, steps, [found[c] for c in chases], [enforced[c] for c in chases]
 
 
-# The final identity step chases a model with forced atoms that already
-# hold: from the model, it matches no premise instance and fires only the
-# forced atoms, where the full-rematch reference matches every premise.
-def test_final_identity_step_matches_nothing(corpus, ladder_models):
+# After the first step every source is a model, so the step that would
+# change nothing forces nothing and is not chased: the ladder tower
+# (decnum 3) chases its three steps and no fourth.  Each chase after the
+# first matches only what its forced atoms wrote, and the whole trace is
+# the full-rematch reference's.
+def test_stable_step_is_not_chased(corpus, ladder_models):
     M, T = ladder_models["ladder_M"], ladder_models["ladder_T"]
     _, f = load_hom(str(corpus / "homs" / "ladder_bang.phom"), M, T)
-    trace, found, enforced, last = _counted_decomposition(_ChaseState, f)
-    assert trace.claimed_decnum == 3
-    forced = len(last.fired)  # one atom per instance of the equational scale
-    assert forced >= 1
-    assert (found, enforced) == (0, forced)
-    want, want_found, want_enforced, want_last = _counted_decomposition(_FullRebuildState, f)
-    assert want_found > 0 and want_enforced > forced
-    assert (trace, last) == (want, want_last)
+    trace, steps, found, enforced = _counted_decomposition(_ChaseState, f)
+    assert trace.status == STABILIZED and trace.claimed_decnum == 3
+    assert len(steps) == len(found) == 3 and trace.steps == tuple(steps)
+    last = steps[-1].f_prime
+    assert last.source.size() == 1 and is_model(last.source, LADDER)
+    scale = equational_scale(LADDER.signature)
+    matches = DECOMPOSE_MODULE._entry_matches(scale, T.structure)
+    pulled, forced = DECOMPOSE_MODULE._pull_back(scale, last, matches)
+    assert len(pulled) == 1 and forced == []  # z1 = z2 at (t, t) holds already
+    want, want_steps, want_found, want_enforced = _counted_decomposition(_FullRebuildState, f)
+    assert (trace, steps) == (want, want_steps)
+    assert all(n < m for n, m in zip(found[1:], want_found[1:]))
+    assert all(n <= m for n, m in zip(enforced, want_enforced))
 
 
 # A source that is not a model gets a full first round: the whole trace,
@@ -884,10 +901,10 @@ def test_decomposition_of_a_non_model_matches_full_rematch(ladder_models):
     A = PartialStructure(LADDER.signature, {"s": (0, 1, 2)}, {"a": {(): 0}, "b": {}, "c": {}, "d": {}}, {})
     assert not is_model(A, LADDER)
     f = Hom(A, T, {0: t, 1: t, 2: t})
-    trace, _, _, last = _counted_decomposition(_ChaseState, f)
-    want, _, _, want_last = _counted_decomposition(_FullRebuildState, f)
+    trace, steps, _, _ = _counted_decomposition(_ChaseState, f)
+    want, want_steps, _, _ = _counted_decomposition(_FullRebuildState, f)
     assert trace.status == STABILIZED and trace.claimed_decnum >= 1
-    assert (trace, last) == (want, want_last)
+    assert (trace, steps) == (want, want_steps)
 
 
 # Prover results on benchmark inputs and whole chase results (fresh logs

@@ -321,6 +321,47 @@ def test_decompose_truncated_exits_three(corpus, capsys):
     assert code == 3 and "NotStabilized" in out
 
 
+# The ladder tower has three steps: a fourth step is needed to see that the
+# tower stopped, so --max-steps 3 cuts it and --max-steps 4 does not.
+@pytest.mark.parametrize("max_steps, code, lines", [
+    ("3", 3, {
+        "decompose": "status NotStabilized",
+        "decnum": "status NotStabilized",
+        "image": "status decomposition did not stabilize: NotStabilized",
+    }),
+    ("4", 0, {
+        "decompose": "decnum 3 (stabilized after 3 steps)",
+        "decnum": "3",
+        "image": "mono: 1 -> 1 elements (injective)",
+    }),
+])
+def test_max_steps_boundary(corpus, capsys, schema, max_steps, code, lines):
+    steps = [
+        f"step {i}: elements {n}, merges 1, fresh {fresh}, fired 4"
+        for i, n, fresh in ((1, 2, 1), (2, 2, 1), (3, 1, 0))
+    ]
+    for command, last in lines.items():
+        args = (
+            command,
+            "--theory", corpus / "theories" / "ladder.pht",
+            "--from", corpus / "models" / "ladder_M.pm",
+            "--to", corpus / "models" / "ladder_T.pm",
+            "--hom", corpus / "homs" / "ladder_bang.phom",
+            "--max-steps", max_steps,
+        )
+        got, out, _ = run(capsys, *args)
+        assert got == code and out.splitlines()[-1] == last
+        if command == "decompose":
+            assert out.splitlines() == steps + [last]
+        got, payload, _ = run_json(capsys, schema, *args)
+        result = payload["result"]
+        assert got == code
+        if command != "image":
+            assert (result["decnum"], result["status"]) == ((None, "NotStabilized") if code else (3, "Stabilized"))
+        if command == "decompose":
+            assert len(result["steps"]) == 3 and result["stabilizationIndex"] == result["decnum"]
+
+
 def test_decompose_with_scale_file(corpus, capsys):
     code, out, _ = run(
         capsys, "decompose",

@@ -1,9 +1,11 @@
 """Canonical decompositions along scales and decomposition numbers."""
 
+import importlib
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partialhorn import (
@@ -25,14 +27,16 @@ from partialhorn import (
     is_model,
     ladder_theory,
     load_hom,
+    load_model,
     ncat_theory,
     parse_scale,
     scale_step,
     scale_to_text,
 )
 from partialhorn.structure import PartialStructure, holds
-from partialhorn.syntax import parse_theory
+from partialhorn.syntax import load_theory, parse_theory
 
+DECOMPOSE_MODULE = importlib.import_module("partialhorn.decompose")
 LADDER = ladder_theory()
 
 
@@ -270,3 +274,98 @@ def test_scale_firing_matches_brute_force(theory, data):
     for scale in FIRING_SCALES[theory]:
         step = scale_step(theory, scale, f, ChaseBudget(max_elements=60, max_rounds=6))
         assert step.fired == brute_force_fired(scale, f)
+
+
+def every_atom_forced(theory, scale, f, budget, base_is_model):
+    """scale_step forcing every pulled-back atom, the ones that hold in f's
+    source included."""
+    with mock.patch.object(DECOMPOSE_MODULE, "holds_atom", lambda S, assignment, atom: False):
+        return scale_step(theory, scale, f, budget, _base_is_model=base_is_model)
+
+
+def assert_tower_matches_oracle(theory, scale, f, budget=None):
+    """Walk f's tower against the oracle: every step equals the oracle's
+    (legs, chase result, fired instances), and from the second step on
+    nothing is forced exactly when the oracle's step is the identity, which
+    ends a stabilized tower.  Returns the trace."""
+    trace = canonical_decomposition(theory, scale, f, budget)
+    matches = DECOMPOSE_MODULE._entry_matches(scale, f.target)
+    current = f
+    for i, step in enumerate(trace.steps + (None,)):
+        want = every_atom_forced(theory, scale, current, budget, i > 0)
+        complete = want.result.status == COMPLETE
+        identity = complete and DECOMPOSE_MODULE._is_identity_step(want, current.source)
+        if i > 0:
+            assert (not DECOMPOSE_MODULE._pull_back(scale, current, matches)[1]) == identity
+        if step is None:
+            assert trace.status == (STABILIZED if identity else BUDGET_EXCEEDED if not complete else NOT_STABILIZED)
+            return trace
+        assert step == want and not identity
+        current = step.f_prime
+
+
+def relabel(S, new):
+    """S with every element id e renamed new[e]."""
+    return PartialStructure(
+        S.signature,
+        {s: tuple(sorted(new[e] for e in es)) for s, es in S.carriers.items()},
+        {fn: {tuple(map(new.get, args)): new[v] for args, v in t.items()} for fn, t in S.funcs.items()},
+        {r: frozenset(tuple(map(new.get, tup)) for tup in ts) for r, ts in S.rels.items()},
+    )
+
+
+@st.composite
+def relabelled(draw, f):
+    """f with the ids of its source and of its target renamed at random,
+    into ranges with gaps."""
+    renames = []
+    for S in (f.source, f.target):
+        elems = S.elements()
+        ids = draw(st.permutations(range(len(elems) + 3)))
+        renames.append(dict(zip(elems, ids)))
+    p, q = renames
+    return Hom(relabel(f.source, p), relabel(f.target, q), {p[a]: q[x] for a, x in f.mapping.items()})
+
+
+# theory file, source, target, hom, decnum
+CORPUS_TOWERS = [
+    ("ladder", "ladder_M", "ladder_T", "ladder_bang", 3),
+    ("ncat1", "cat_merge_src", "cat_merge_tgt", "cat_merge_phi", 2),
+    ("ncat2", "twocat_src", "twocat_tgt", "twocat_F", 3),
+    ("chain_fwd", "chain_fwd_A0", "chain_fwd_T", "chain_fwd_bang", 9),
+] + [("chain_bidir", f"chain_bidir_M{n}", "chain_bidir_T", f"chain_bidir_bang{n}", n + 1) for n in range(7)]
+
+
+# Over every corpus tower, along the equational scale and (sort s) along
+# corpus/scales/eq_s.scale, and over random relabellings of its maps: the
+# stable step is found without chasing it, and every step is the oracle's.
+@pytest.mark.parametrize("tower", CORPUS_TOWERS, ids=lambda t: t[3])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_corpus_towers_match_every_atom_forced(corpus, tower, data):
+    theory_name, source, target, hom, want_decnum = tower
+    theory = load_theory(str(corpus / "theories" / f"{theory_name}.pht"))
+    A, X = (load_model(str(corpus / "models" / f"{m}.pm"), theory) for m in (source, target))
+    _, f = load_hom(str(corpus / "homs" / f"{hom}.phom"), A, X)
+    scales = [equational_scale(theory.signature)]
+    if theory.signature.sorts == ("s",):
+        scales.append(parse_scale((corpus / "scales" / "eq_s.scale").read_text(), theory.signature))
+    if data.draw(st.booleans(), label="relabel"):
+        f = data.draw(relabelled(f), label="f")
+    for scale in scales:
+        assert assert_tower_matches_oracle(theory, scale, f).claimed_decnum == want_decnum
+
+
+# The same over random maps into random models, along scales with function
+# terms, definedness and relation atoms, under budgets near the source's
+# size, which many of these towers exceed.
+@pytest.mark.parametrize("theory", list(FIRING_SCALES), ids=lambda th: th.name)
+@given(data=st.data())
+def test_random_towers_match_every_atom_forced(theory, data):
+    f = data.draw(homs_to_models(theory), label="f")
+    budget = ChaseBudget(
+        max_elements=f.source.size() + data.draw(st.integers(-1, 8), label="spare elements"),
+        max_rounds=data.draw(st.integers(1, 6), label="rounds"),
+    )
+    for scale in FIRING_SCALES[theory]:
+        assert_tower_matches_oracle(theory, scale, f, budget)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from partialhorn import ladder_theory
 from partialhorn.structure import (
     Hom,
+    HomReport,
     PartialStructure,
     compose_hom,
     empty_structure,
@@ -123,6 +124,27 @@ def test_is_hom_checks_sorts_funcs_rels():
     drops_rel = Hom(L, N, {0: 0, 1: 1})
     report = is_hom(drops_rel)
     assert not report and report.reason
+
+
+# Each check reports its first failure, with the element, entry or tuple
+# that fails; the checks run in this order: elements, entries, tuples.
+A_EDGE = graph_structure(2, [(0, 1)])  # vertices 0, 1; edge 2 from 0 to 1
+LOOP = graph_structure(1, [(0, 0)], loops=[0])  # vertex 0; looping edge 1
+NO_ENTRIES = PartialStructure(GRAPH.signature, A_EDGE.carriers, {"src": {}, "tgt": {}}, A_EDGE.rels)
+NO_LOOPS = graph_structure(1, [(0, 0)])
+
+
+@pytest.mark.parametrize("h, reason", [
+    (Hom(A_EDGE, LOOP, {0: 0, 1: 0}), "element 2 unmapped"),
+    (Hom(A_EDGE, LOOP, {0: 0, 1: 1, 2: 1}), "element 1:V sent to 1 of wrong sort"),
+    (Hom(A_EDGE, NO_ENTRIES, {0: 0, 1: 1, 2: 2}), "src(2,) defined in source, undefined at image"),
+    (Hom(A_EDGE, A_EDGE, {0: 1, 1: 0, 2: 2}), "src(2,): image 0 != mapped value 1"),
+    (Hom(A_EDGE, graph_structure(2, [(0, 0)]), {0: 0, 1: 1, 2: 2}), "tgt(2,): image 0 != mapped value 1"),
+    (Hom(LOOP, NO_LOOPS, {0: 0, 1: 1}), "loop(1,) holds in source, not at image"),
+    (Hom(LOOP, NO_ENTRIES, {0: 0, 1: 2}), "src(1,) defined in source, undefined at image"),
+])
+def test_is_hom_failure_reasons(h, reason):
+    assert is_hom(h) == HomReport(False, reason)
 
 
 def test_hom_must_preserve_defined_entries():
