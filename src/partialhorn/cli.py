@@ -119,10 +119,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     lines = [f"theory {theory.name}: ok ({len(theory.sequents)} sequents)"]
     records = [{"file": args.theory, "kind": "theory", "ok": True}]
     failed = False
-    models: dict[str, NamedModel] = {}
     for path in args.models:
         m = load_model(path, theory)
-        models[m.name] = m
         rep = is_model(m.structure, theory)
         ok = bool(rep)
         failed = failed or not ok
@@ -130,9 +128,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             lines.append(f"model {m.name}: ok ({m.structure.size()} elements)")
         else:
             seq, asg = rep.failure  # type: ignore[misc]
-            lines.append(
-                f"model {m.name}: FAIL at {seq.label or sequent_to_text(seq)} under {asg}"
-            )
+            under = ", ".join(f"{x} = {m.name_of(e)}" for x, e in asg.items())
+            where = seq.label or sequent_to_text(seq)
+            lines.append(f"model {m.name}: FAIL at {where}" + (f" under {under}" if under else ""))
         records.append({"file": path, "kind": "model", "ok": ok})
     if args.hom:
         if not (args.src and args.tgt):

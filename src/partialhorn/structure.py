@@ -4,18 +4,18 @@ A partial structure interprets each sort as a finite carrier of integer
 ids (globally unique across sorts), each function symbol as a partial
 map given by its table, and each relation symbol as a set of tuples.
 Term evaluation is strict: an application is defined only if all
-arguments are and the table has the entry.
+arguments are and the table has the entry.  ``is_model`` matches each
+premise with the chase's compiled join and tests the conclusion at each
+match with ``holds``, the one evaluator of formulas.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
     Atom,
-    Context,
     Def,
     Eq,
     HornFormula,
@@ -126,14 +126,6 @@ def holds(S: PartialStructure, assignment: Mapping[str, int], phi: HornFormula) 
     return all(holds_atom(S, assignment, a) for a in phi.atoms)
 
 
-def assignments(S: PartialStructure, ctx: Context) -> Iterator[dict[str, int]]:
-    """All context assignments, lexicographic in the ids (carriers are sorted)."""
-    names = ctx.names()
-    pools = [S.carriers.get(s, ()) for _, s in ctx.vars]
-    for combo in itertools.product(*pools):
-        yield dict(zip(names, combo))
-
-
 @dataclass(frozen=True)
 class ModelReport:
     ok: bool
@@ -143,18 +135,19 @@ class ModelReport:
         return self.ok
 
 
-def validates(S: PartialStructure, seq: Sequent) -> ModelReport:
-    for a in assignments(S, seq.context):
-        if holds(S, a, seq.premise) and not holds(S, a, seq.conclusion):
-            return ModelReport(False, (seq, a))
-    return ModelReport(True)
-
-
 def is_model(S: PartialStructure, theory: Theory) -> ModelReport:
-    for seq in theory.sequents:
-        rep = validates(S, seq)
-        if not rep:
-            return rep
+    """Whether every sequent holds in S; else the first failure, with
+    sequents in declaration order and each premise's matches (the chase's
+    join) in lexicographic id order."""
+    from .chase import _satisfying  # chase imports this module
+
+    matches = _satisfying(S, [(seq.context, seq.premise) for seq in theory.sequents])
+    for seq, found in zip(theory.sequents, matches):
+        names = seq.context.names()
+        for ids in found:
+            a = dict(zip(names, ids))
+            if not holds(S, a, seq.conclusion):
+                return ModelReport(False, (seq, a))
     return ModelReport(True)
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -40,7 +41,7 @@ from partialhorn import (
     term_equivalent,
 )
 from partialhorn.chase import _ChaseState
-from partialhorn.structure import PartialStructure, enumerate_homs, holds
+from partialhorn.structure import ModelReport, PartialStructure, enumerate_homs, holds
 from partialhorn.syntax import (
     Context,
     Def,
@@ -397,8 +398,33 @@ def substructures(draw, models, max_size):
     return PartialStructure(M.signature, carriers, funcs, M.rels)
 
 
+# The brute-force oracle for is_model: every assignment of each sequent's
+# context, lexicographic in the ids (carriers are sorted), in declaration
+# order; the first one where the premise holds and the conclusion does not.
+def assignments(S, ctx):
+    names = ctx.names()
+    for combo in itertools.product(*(S.carriers.get(s, ()) for _, s in ctx.vars)):
+        yield dict(zip(names, combo))
+
+
+def validates(S, seq):
+    for a in assignments(S, seq.context):
+        if holds(S, a, seq.premise) and not holds(S, a, seq.conclusion):
+            return ModelReport(False, (seq, a))
+    return ModelReport(True)
+
+
+def brute_is_model(S, theory):
+    for seq in theory.sequents:
+        rep = validates(S, seq)
+        if not rep:
+            return rep
+    return ModelReport(True)
+
+
 # The premise matcher agrees with brute-force satisfaction over all assignments,
-# before and after unions (which must refresh the value indexes).
+# and is_model with the oracle, before and after unions (which must refresh
+# the value indexes).
 @given(st.data())
 def test_match_premise_matches_brute_force(data):
     theory = data.draw(st.sampled_from(list(MATCH_PREMISES)), label="theory")
@@ -411,6 +437,7 @@ def test_match_premise_matches_brute_force(data):
     state.load(base)
     for step in range(2):
         model = state.snapshot()
+        assert is_model(model, theory) == brute_is_model(model, theory), step
         for text in MATCH_PREMISES[theory]:
             (seq,) = parse_sequent(sig, f"{text} |- top")
             names = seq.context.names()
@@ -436,6 +463,54 @@ def test_match_premises_include_fiber_intersections():
             for plans, sizes in (((premise.full,), full), (premise.deltas(), delta)):
                 sizes.update(len(sym) for plan in plans for kind, sym, _, _ in plan if kind == CHASE_MODULE._PROBE)
     assert max(full) >= 2 and max(delta) >= 3
+
+
+# Chase-built structures for the model check: each premise above chased
+# under a budget of 10 elements (complete, or cut short), and the free ncat
+# models of a cell and of a composable pair.
+FREE_NCAT = {
+    NCAT1: tuple(
+        representing_model(NCAT1, seq.context, seq.premise)[0].model
+        for text in ("[x: *] top", "[x: *, y: *] d1(x) = c1(y)")
+        for seq in parse_sequent(NCAT1.signature, f"{text} |- top")
+    ),
+    NCAT2: NCAT2_MODELS[:2],
+}
+
+
+def _chased_models(theory):
+    for text in MATCH_PREMISES[theory]:
+        (seq,) = parse_sequent(theory.signature, f"{text} |- top")
+        yield representing_model(theory, seq.context, seq.premise, ChaseBudget(max_elements=10))[0].model
+    yield from FREE_NCAT.get(theory, ())
+
+
+def _one_fact_dropped(S):
+    """S, then S without each one of its entries and tuples in turn."""
+    yield S
+    for f, table in S.funcs.items():
+        for key in table:
+            yield replace(S, funcs={**S.funcs, f: {k: v for k, v in table.items() if k != key}})
+    for r, tuples in S.rels.items():
+        for key in sorted(tuples):
+            yield replace(S, rels={**S.rels, r: tuples - {key}})
+
+
+# is_model reports what the oracle does, ``ok`` and the first failure
+# (sequent and assignment) alike, on chased models and on each of them
+# with one entry or tuple dropped.  Every theory meets models and
+# non-models, and some non-model fails only its theory's last sequent.
+def test_is_model_matches_brute_force_on_chased_models():
+    outcomes = defaultdict(set)  # index of the first failing sequent, None for a model
+    for theory in MATCH_PREMISES:
+        for base in _chased_models(theory):
+            for S in _one_fact_dropped(base):
+                want = brute_is_model(S, theory)
+                assert is_model(S, theory) == want
+                outcomes[theory].add(want.failure and theory.sequents.index(want.failure[0]))
+    for theory, found in outcomes.items():
+        assert None in found and len(found) > 1, theory.name
+    assert any(len(theory.sequents) - 1 in found for theory, found in outcomes.items())
 
 
 class _FullRebuildState(_ChaseState):

@@ -43,12 +43,22 @@ def test_check_models_and_hom(corpus, capsys):
     assert "model ladder_M: ok" in out and "hom bang: ok" in out
 
 
+# A failure names the sequent and, unless its context is empty, the
+# assignment by element names.
+NON_MODELS = (
+    ("ladder", "elem s : e1;\n  a = e1;", "model bad: FAIL at ax1"),
+    ("ncat1", "elem * : o f;\n  d1(o) = o;\n  c1(o) = o;\n  d1(f) = o;\n  c1(f) = o;\n  comp1(o, o) = o;",
+     "model bad: FAIL at ax3 under x = o, y = f"),
+)
+
+
 def test_check_rejects_non_model(corpus, tmp_path, capsys):
-    bad = tmp_path / "bad.pm"
-    bad.write_text("model bad of ladder {\n  elem s : e1;\n  a = e1;\n}\n")
-    code, out, _ = run(capsys, "check", "--theory", corpus / "theories" / "ladder.pht", bad)
-    assert code == 1
-    assert "model bad: FAIL at ax1" in out
+    for theory, body, line in NON_MODELS:
+        bad = tmp_path / "bad.pm"
+        bad.write_text(f"model bad of {theory} {{\n  {body}\n}}\n")
+        code, out, _ = run(capsys, "check", "--theory", corpus / "theories" / f"{theory}.pht", bad)
+        assert code == 1
+        assert out.splitlines()[1:] == [line]
 
 
 LADDER_M_JSON = {
