@@ -71,6 +71,14 @@ those of full matching.  A chase whose base is known to be a model (a
 decomposition step after the first) is delta-driven from its first round:
 the base's facts count as old and only what the forced atoms wrote is new.
 
+The chase is restricted (standard), not oblivious (Fagin, Kolaitis, Miller
+and Popa, "Data exchange", 2005): a round's join kernel tests the
+conclusion, read only, where its last loop emits, and drops each match at
+which it holds.  Outputs are those of firing every match: facts only grow
+and unions keep every fact true, so the conclusion still holds at fire
+time, and firing it would create, merge and log nothing.  Premises matched
+for their own sake (``_satisfying``) and empty conclusions get no test.
+
 Everything fires in a fixed order (sequents by declaration, assignments
 lexicographically in canonical ids), so results are bit-for-bit
 reproducible; snapshots list every table in sorted key order, so a
@@ -251,10 +259,11 @@ class _Premise:
     lately and joins the rest against the whole tables.
     """
 
-    __slots__ = ("names", "atoms", "carriers", "emit", "full", "full_run", "_deltas", "_delta_runs")
+    __slots__ = ("names", "atoms", "carriers", "emit", "guard", "full", "full_run", "_deltas", "_delta_runs")
 
-    def __init__(self, seq: Sequent) -> None:
+    def __init__(self, seq: Sequent, guard: tuple = ()) -> None:
         names = self.names = seq.context.names()
+        self.guard = guard  # the ops of a conclusion whose holding drops a match (see _join_source)
         slots: dict[RawTerm, int] = {Var(n): i for i, n in enumerate(names)}
         flat: list[tuple[object, tuple[int, ...]]] = []
         parent: list[int] = []
@@ -287,7 +296,7 @@ class _Premise:
                 self.carriers.append((sorts[name], slot))
                 bound.add(slot)
         self.full: _Plan = tuple(steps) + self._carrier_steps(-1)
-        self.full_run = _run(self.full, self.emit)
+        self.full_run = _run(self.full, self.emit, guard)
         self._deltas: Optional[tuple[_Plan, ...]] = None
         self._delta_runs: tuple[_Run, ...] = ()
 
@@ -310,7 +319,7 @@ class _Premise:
                 first = (_CARRIER, (_ELEM, sort), slot, None)
                 plans.append((first, *_order(self.atoms, bound), *self._carrier_steps(slot)))
             self._deltas = tuple(plans)
-            self._delta_runs = tuple(_run(plan, self.emit) for plan in plans)
+            self._delta_runs = tuple(_run(plan, self.emit, self.guard) for plan in plans)
         return self._deltas
 
     def delta_runs(self) -> tuple[_Run, ...]:
@@ -398,7 +407,7 @@ def _tuple(items: Sequence[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _run(plan: _Plan, emit: tuple[int, ...]) -> _Run:
+def _run(plan: _Plan, emit: tuple[int, ...], guard: tuple) -> _Run:
     """The plan's kernel, with the keys of the pools it ranges over."""
     symbols: dict = {}
     steps = []
@@ -411,21 +420,25 @@ def _run(plan: _Plan, emit: tuple[int, ...]) -> _Run:
             slots = _symbol(symbols, slots)
         steps.append((kind, sym, slots, extra))
     keys = tuple(dict.fromkeys(s for kind, s, _, _ in plan if kind == _CARRIER or kind == _NEW))
-    return keys, _kernel(("join", emit, tuple(steps)), symbols, _join_source)
+    test = tuple((op, None if sym is None else _symbol(symbols, sym), args) for op, sym, args, _ in guard)
+    return keys, _kernel(("join", emit, tuple(steps), test), symbols, _join_source)
 
 
-def _join_source(emit: tuple[int, ...], steps: tuple, nsymbols: int) -> list[str]:
+def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int) -> list[str]:
     """Source of the factory of a join kernel ``kernel(state, pools,
     results)``, which adds the emitted slots of every binding of the plan
     to ``results``.  Slot i is the local ``s<i>``.  Each step becomes a
     loop or a lookup, and a binding that fails a check goes on to the
     next iteration (or, before the first loop, ends the kernel).  Every
     _MAX_LOOPS loops the rest of the plan moves into a function of its
-    own, called with the slots bound so far."""
+    own, called with the slots bound so far.  The last loop drops a binding
+    at which the conclusion ``test`` holds, read only (its slots ``g<i>``):
+    an application is a lookup, a union an equality, an insert a membership."""
     tables = sorted({s for k, s, _, _ in steps if k in (_LOOKUP, _SCAN)}
                     | {f for k, s, _, _ in steps if k == _PROBE and len(s) > 1 for f, _ in s}
-                    | {f for k, _, f, _ in steps if k == _NEW and f is not None})
-    rels = sorted({s for k, s, _, _ in steps if k == _REL})
+                    | {f for k, _, f, _ in steps if k == _NEW and f is not None}
+                    | {f for op, f, _ in test if op == _APPLY})
+    rels = sorted({s for k, s, _, _ in steps if k == _REL} | {r for op, r, _ in test if op == _INSERT})
     prelude = ["funcs, rels, index = state.funcs, state.rels, state.value_index",
                *(f"T{f} = funcs[K{f}]" for f in tables), *(f"R{r} = rels[K{r}]" for r in rels)]
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):"]
@@ -509,6 +522,18 @@ def _join_source(emit: tuple[int, ...], steps: tuple, nsymbols: int) -> list[str
             loops += 1
             if checks:
                 put(f"if {' or '.join(checks)}: continue")
+        if test:  # one line of short-circuit tests, so no block is nested
+            var, clauses = [f"s{s}" for s in emit], []
+            for op, sym, args in test:
+                vals = [var[a] for a in args]
+                if op == _APPLY:
+                    var.append(f"g{len(var)}")
+                    clauses.append(f"({var[-1]} := T{sym}.get({_tuple(vals)})) is not None")
+                elif op == _UNITE:
+                    clauses.append(f"{vals[0]} == {vals[1]}")
+                else:
+                    clauses.append(f"{_tuple(vals)} in R{sym}")
+            put(f"if {' and '.join(clauses)}: {'continue' if loops else 'return'}")
         put(f"results.add({_tuple([f's{s}' for s in emit])})")
         lines.extend(body)
 
@@ -574,7 +599,7 @@ def _compiled(seq: Sequent) -> tuple[_Premise, _Conclusion]:
     if compiled is None:
         conclusion = _Conclusion(seq.context.names(), seq.conclusion.atoms)
         conclusion.kernel = _fire_kernel(conclusion)
-        compiled = _COMPILED[id(seq)] = (_Premise(seq), conclusion)
+        compiled = _COMPILED[id(seq)] = (_Premise(seq, conclusion.ops), conclusion)
         weakref.finalize(seq, _COMPILED.pop, id(seq), None)
     return compiled
 
@@ -836,9 +861,9 @@ class _ChaseState:
         return [x for x in new if x in held] + [x for x in old if x in held and x not in new]
 
     def matches(self, premise: _Premise, delta: bool = False) -> list[tuple[int, ...]]:
-        """The assignments at which the premise holds, as id tuples in
-        context order, sorted.  With ``delta``, only those that use a fact
-        written in this round or the one before."""
+        """The assignments at which the premise holds (and its guard does
+        not), as id tuples in context order, sorted.  With ``delta``, only
+        those that use a fact written in this round or the one before."""
         pools: dict = {}
         results: set[tuple[int, ...]] = set()
         for keys, kernel in premise.delta_runs() if delta else (premise.full_run,):
@@ -854,12 +879,12 @@ class _ChaseState:
     # -- rounds
 
     def run_round(self, theory: Theory, delta: bool = False) -> bool:
-        """Match every sequent and fire its conclusion at each match.  With
-        ``delta`` (every sequent was matched in the round before, or the
+        """Match every sequent and fire its conclusion at each active match
+        (the join drops those where it holds, whose firing changes nothing).
+        With ``delta`` (every sequent was matched in the round before, or the
         base is a model), match only instances that use a fact written in
         this round or the one before: any other instance was matched in the
-        round before, or holds in the base, so its conclusion already holds
-        and firing it again would change nothing."""
+        round before, or holds in the base, so its conclusion already holds."""
         v0 = self.version
         self.normalize()
         self.written_before, self.written = self.written, _Writes(self.sig)

@@ -138,7 +138,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         src = load_model(args.src, theory)
         tgt = load_model(args.tgt, theory)
         name, h = load_hom(args.hom, src, tgt)
-        rep = is_hom(h)
+        rep = is_hom(h, src.name_of, tgt.name_of)
         ok = bool(rep)
         failed = failed or not ok
         lines.append(f"hom {name}: {'ok' if ok else 'FAIL (' + rep.reason + ')'}")
@@ -244,7 +244,7 @@ def _resolve_hom(args: argparse.Namespace, theory) -> tuple[NamedModel, NamedMod
                 f"expected exactly one hom {src.name} -> {tgt.name}, found {len(hs)}; pass --hom"
             )
         h = hs[0]
-    rep = is_hom(h)
+    rep = is_hom(h, src.name_of, tgt.name_of)
     if not rep:
         raise ValueError(f"not a homomorphism: {rep.reason}")
     return src, tgt, h

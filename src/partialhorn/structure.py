@@ -174,30 +174,37 @@ class HomReport:
         return self.ok
 
 
-def is_hom(h: Hom) -> HomReport:
+def is_hom(h: Hom, source_name: Callable[[int], str] = str, target_name: Callable[[int], str] = str) -> HomReport:
+    """Whether h preserves sorts, entries and tuples; else the first failure,
+    its elements written by ``source_name`` and ``target_name`` (ids by default)."""
     A, B = h.source, h.target
+
+    def at(sym: str, args: tuple[int, ...]) -> str:  # as a tuple prints: f(), f(x,), f(x, y)
+        return f"{sym}({', '.join(map(source_name, args))}{',' if len(args) == 1 else ''})"
+
     tsort = {e: s for s, es in B.carriers.items() for e in es}
     for s in A.signature.sorts:
         for e in A.carriers.get(s, ()):
             t = h.mapping.get(e)
             if t is None:
-                return HomReport(False, f"element {e} unmapped")
+                return HomReport(False, f"element {source_name(e)} unmapped")
             if tsort.get(t) != s:
-                return HomReport(False, f"element {e}:{s} sent to {t} of wrong sort")
+                return HomReport(False, f"element {source_name(e)}:{s} sent to {target_name(t)} of wrong sort")
     image = h.mapping.__getitem__
     for f, table in A.funcs.items():
         target = B.funcs.get(f, {})
         for args, val in table.items():
             timg = target.get(tuple(map(image, args)))
             if timg is None:
-                return HomReport(False, f"{f}{args} defined in source, undefined at image")
+                return HomReport(False, f"{at(f, args)} defined in source, undefined at image")
             if timg != h.mapping[val]:
-                return HomReport(False, f"{f}{args}: image {timg} != mapped value {h.mapping[val]}")
+                return HomReport(False, f"{at(f, args)}: image {target_name(timg)} != mapped value "
+                                        f"{target_name(h.mapping[val])}")
     for r, tuples in A.rels.items():
         target_rel = B.rels.get(r, frozenset())
         for tup in tuples:
             if tuple(map(image, tup)) not in target_rel:
-                return HomReport(False, f"{r}{tup} holds in source, not at image")
+                return HomReport(False, f"{at(r, tup)} holds in source, not at image")
     return HomReport(True)
 
 

@@ -61,6 +61,19 @@ def test_check_rejects_non_model(corpus, tmp_path, capsys):
         assert out.splitlines()[1:] == [line]
 
 
+# A map that is not a hom names the entry and both elements by name, in
+# `check` and in the commands that take --hom.
+def test_check_hom_failure_names_elements(corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.phom"
+    bad.write_text("hom bad : ladder_T -> ladder_M {\n  t |-> ea;\n}\n")
+    models = ("--from", corpus / "models" / "ladder_T.pm", "--to", corpus / "models" / "ladder_M.pm")
+    code, out, _ = run(capsys, "check", "--theory", corpus / "theories" / "ladder.pht", "--hom", bad, *models)
+    assert code == 1
+    assert out.splitlines()[1:] == ["hom bad: FAIL (b(): image eb != mapped value ea)"]
+    code, _, err = run(capsys, "decnum", "--theory", corpus / "theories" / "ladder.pht", "--hom", bad, *models)
+    assert code == 2 and "not a homomorphism: b(): image eb != mapped value ea" in err
+
+
 LADDER_M_JSON = {
     "model": "ladder_M", "of": "ladder", "elems": {"s": ["ea", "eb"]},
     "funcs": {"a": [{"args": [], "value": "ea"}], "b": [{"args": [], "value": "eb"}]},

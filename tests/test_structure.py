@@ -147,6 +147,17 @@ def test_is_hom_failure_reasons(h, reason):
     assert is_hom(h) == HomReport(False, reason)
 
 
+# Name functions write the failing elements: the source's for elements and
+# entries, the target's for images.
+@pytest.mark.parametrize("h, reason", [
+    (Hom(A_EDGE, LOOP, {0: 0, 1: 1, 2: 1}), "element a1:V sent to b1 of wrong sort"),
+    (Hom(A_EDGE, A_EDGE, {0: 1, 1: 0, 2: 2}), "src(a2,): image b0 != mapped value b1"),
+    (Hom(LOOP, NO_LOOPS, {0: 0, 1: 1}), "loop(a1,) holds in source, not at image"),
+])
+def test_is_hom_failure_reasons_by_name(h, reason):
+    assert is_hom(h, "a{}".format, "b{}".format) == HomReport(False, reason)
+
+
 def test_hom_must_preserve_defined_entries():
     A = graph_structure(2, [(0, 1)])
     undef = PartialStructure(A.signature, A.carriers, {"src": {}, "tgt": {}}, A.rels)
