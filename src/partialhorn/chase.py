@@ -7,18 +7,21 @@ strictly-increasing ids, and equations merge elements through a
 least-id union-find kept congruence-closed.
 
 Congruence closure is incremental, as in egg's rebuilding: every table
-entry and relation tuple is listed in a use-list under each id it holds, a
-union queues the losing id, and ``normalize`` re-keys only the entries and
-tuples on the queued ids' use-lists, uniting the values of entries whose
-keys collide, until the queue is empty.  An entry whose key is still
-canonical, only its value having lost, keeps its key and is listed again
-under the new value alone.  Every key, value and tuple is then canonical
-(the least id of its class), the same fixpoint a full rebuild reaches.
+entry is one mutable cell, listed in a use-list under each id its key or
+value holds (like the use-lists of term nodes in Downey, Sethi and Tarjan,
+or egg's e-class parents), and so is every relation tuple.  A union queues
+the losing id, and ``normalize`` re-keys only the cells on the queued ids'
+use-lists, uniting the values of entries whose keys collide, until the
+queue is empty.  A cell is re-keyed in place, so its listings under ids it
+still holds stay valid, and it is listed again only under the ids new to
+it; a cell whose new key collides with another entry is marked dead.
+Every key, value and tuple is then canonical (the least id of its class),
+the same fixpoint a full rebuild reaches.
 Most unions in a chase unite an element with the one entry that holds it,
 as its value: a fresh element, created by an instance whose equation then
 merges it.  Such a union needs no rebuild, as in egg when a class has one
-e-node: ``unite`` re-keys that entry in place, and the test for "no other
-use" is exact because relation tuples have use-lists too.  When the
+e-node: ``unite`` re-keys that entry's cell in place, and the test for "no
+other use" is exact because relation tuples have use-lists too.  When the
 equation's other side is already computed, a conclusion kernel creates the
 element merged: ``create_merged`` stores the entry with its final value,
 and the fresh id is used up and logged but never live.
@@ -625,8 +628,9 @@ class _ChaseState:
         self.funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in sig.funcs}
         self.result_sort = {f.name: f.result_sort for f in sig.funcs}
         self.rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in sig.rels}
-        # id -> the (func, args) keys whose args or value held it when stored
-        self.uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
+        # id -> the cells [table, key, func] of the entries whose key or value
+        # holds it; a cell whose key collided on re-keying is dead (key None)
+        self.uses: defaultdict[int, list[list]] = defaultdict(list)
         # id -> the (rel, tuple) pairs whose tuple held it when stored
         self.rel_uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
         self.pending: list[int] = []  # ids that lost a union, not yet re-keyed
@@ -651,7 +655,9 @@ class _ChaseState:
 
     # -- elements
 
-    def load(self, base: PartialStructure) -> None:
+    def load(self, base: PartialStructure, listed: bool = True) -> None:
+        """Copy the base in.  Unless ``listed``, its entries and tuples go on
+        no use-list: a state that only matches premises never unites."""
         for s in self.sig.sorts:
             for e in base.carriers.get(s, ()):
                 if self.created >= self.budget.max_elements:
@@ -661,12 +667,12 @@ class _ChaseState:
                 self.created += 1
                 self.next_id = max(self.next_id, e + 1)
         for f, table in base.funcs.items():
-            self.funcs[f] = dict(table)
-            for args, val in table.items():
-                self._use(f, args, val)
+            copy = self.funcs[f] = dict(table)
+            for args, val in table.items() if listed else ():
+                self._use(copy, args, f, val)
         for r, tuples in base.rels.items():
             self.rels[r] = set(tuples)
-            for tup in tuples:
+            for tup in tuples if listed else ():
                 self._rel_use(r, tup)
 
     def carrier(self, sort: str) -> list[int]:
@@ -674,24 +680,26 @@ class _ChaseState:
 
     # -- congruence closure: keep tables keyed by canonical ids
 
-    def _use(self, f: str, args: tuple[int, ...], val: int) -> None:
-        entry, uses = (f, args), self.uses
+    def _use(self, table: dict, args: tuple[int, ...], f: str, val: int) -> None:
+        """List the cell of the entry ``table[args] = val`` of f."""
+        cell, uses = [table, args, f], self.uses
         for i in args:
-            uses[i].append(entry)
-        uses[val].append(entry)
+            uses[i].append(cell)
+        uses[val].append(cell)
 
     def _rel_use(self, r: str, tup: tuple[int, ...]) -> None:
         for i in tup:
             self.rel_uses[i].append((r, tup))
 
     def normalize(self) -> None:
-        """Re-key the entries that mention an id which lost a union, and
-        unite the values of entries whose keys then collide, until no id
-        is pending.  Entries are registered under every id they hold, so
-        afterwards every key and value is canonical.  An entry whose key is
-        still canonical keeps it and is listed again under its new value
-        alone.  A key that holds a dead id is never stored again, so it may
-        stay among the written keys."""
+        """Re-key the entries that hold an id which lost a union, and unite
+        the values of entries whose keys then collide, until no id is
+        pending.  Each entry's cell is listed under every id it holds, so
+        afterwards every key and value is canonical.  A cell is re-keyed in
+        place and listed again only under the ids new to it; a cell whose
+        new key collides is dead, and the entry it met keeps its stored
+        value until the pop of that value's id.  A key that holds a dead id
+        is never stored again, so it may stay among the written keys."""
         pending = self.pending
         if not pending:
             return
@@ -700,24 +708,30 @@ class _ChaseState:
         while pending:
             lost = pending.pop()
             stale += self.rel_uses.pop(lost, ())
-            for entry in uses.pop(lost, ()):
-                f, args = entry
-                table = self.funcs[f]
-                val = table.get(args)
-                if val is None:
-                    continue  # re-keyed already
-                key = tuple([a if parent[a] == a else find(a) for a in args])
+            for cell in uses.pop(lost, ()):
+                table, args, f = cell
+                if args is None:
+                    continue  # dead: its key collided
+                val = table[args]
+                revalue = parent[val] != val
+                if revalue:
+                    val = find(val)
+                if len(args) == 1:  # most keys: no list to build
+                    a = args[0]
+                    key = args if parent[a] == a else (find(a),)
+                else:
+                    key = tuple([a if parent[a] == a else find(a) for a in args])
                 if key == args:
-                    if parent[val] != val:  # else re-keyed already, the value in place
-                        val = table[args] = find(val)
+                    if revalue:
+                        table[args] = val
                         written[f].add(args)
-                        uses[val].append(entry)
+                        uses[val].append(cell)
                     continue
                 del table[args]
-                if parent[val] != val:
-                    val = find(val)
+                written[f].add(key)
                 old = table.get(key)
                 if old is not None:
+                    cell[1] = None
                     if parent[old] != old:
                         old = find(old)
                     if old != val:  # congruent keys: unite the values
@@ -727,10 +741,14 @@ class _ChaseState:
                         pending.append(hi)
                         self.merges += 1
                         self.version += 1
-                        val = lo
+                    continue
                 table[key] = val
-                written[f].add(key)
-                self._use(f, key, val)
+                cell[1] = key
+                for a, b in zip(args, key):
+                    if a != b:
+                        uses[b].append(cell)
+                if revalue:
+                    uses[val].append(cell)
         for r, tup in stale:
             if tup in self.rels[r]:  # not moved already
                 self.rels[r].remove(tup)
@@ -742,8 +760,8 @@ class _ChaseState:
     def unite(self, a: int, b: int) -> None:
         """Unite two canonical ids and normalize.  When the losing id is the
         value of one entry and held by no other entry or tuple (most often
-        an element its instance just created), re-keying that entry is all
-        that ``normalize`` would do, so it is done here."""
+        an element its instance just created), re-keying that entry's cell
+        is all that ``normalize`` would do, so it is done here."""
         lo, hi = (a, b) if a < b else (b, a)
         self.parent[hi] = lo
         del self.live[hi]
@@ -751,12 +769,13 @@ class _ChaseState:
         self.version += 1
         uses = self.uses.get(hi, ())
         if len(uses) == 1 and not self.pending and hi not in self.rel_uses:
-            f, key = entry = uses[0]
-            if self.funcs[f].get(key) == hi and hi not in key:
+            cell = uses[0]
+            table, key, f = cell
+            if key is not None and table[key] == hi and hi not in key:
                 del self.uses[hi]
-                self.funcs[f][key] = lo
+                table[key] = lo
                 self.written.funcs[f].add(key)  # hi may be an old element, its entry not yet written
-                self.uses[lo].append(entry)  # the ids of key list the entry already
+                self.uses[lo].append(cell)  # the ids of key list the cell already
                 return
         self.pending.append(hi)
         self.normalize()
@@ -808,7 +827,7 @@ class _ChaseState:
         self.version += 1
         self.funcs[f][args] = fresh
         self.written.funcs[f].add(args)
-        self._use(f, args, fresh)
+        self._use(self.funcs[f], args, f, fresh)
         self.fresh_log.append((fresh, f, args, term, names, ids))
         return fresh
 
@@ -827,7 +846,7 @@ class _ChaseState:
         self.version += 1
         self.funcs[f][args] = into
         self.written.funcs[f].add(args)
-        self._use(f, args, into)
+        self._use(self.funcs[f], args, f, into)
         self.fresh_log.append((fresh, f, args, term, names, ids))
         return into
 
@@ -956,7 +975,7 @@ def _satisfying(
     """For each formula in context, the assignments (id tuples in context
     order) at which it holds in S, sorted: its premise matches in S."""
     state = _ChaseState(S.signature, ChaseBudget(max_elements=S.size()))
-    state.load(S)
+    state.load(S, listed=False)
     return [state.matches(_Premise(Sequent(ctx, phi, HornFormula(())))) for ctx, phi in formulas]
 
 

@@ -1,5 +1,11 @@
-"""Shared fixtures: bundled corpus paths and deterministic hypothesis profile."""
+"""Shared fixtures: bundled corpus paths and the hypothesis profiles.
 
+The suite's profile is derandomized, so every run sees the same examples.
+``HYPOTHESIS_PROFILE=explore`` draws 200 fresh random examples per property
+instead, to look past the fixed ones.
+"""
+
+import os
 from pathlib import Path
 
 import pytest
@@ -13,7 +19,8 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("suite")
+settings.register_profile("explore", settings.get_profile("suite"), derandomize=False, max_examples=200)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 REPO = Path(__file__).resolve().parents[1]
 

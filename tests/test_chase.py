@@ -797,6 +797,90 @@ def test_delta_rounds_match_full_rematch(theory, data):
     _same_result(chase(theory, presentation, budget, _base_is_model=True), want)
 
 
+def _assert_use_lists(state):
+    """Each table entry has exactly one live cell, listed under every id of
+    its key and under its value, and each live cell listed under an id holds
+    that id (its other listings went with the ids that lost)."""
+    cells = defaultdict(list)
+    for i, listed in state.uses.items():
+        for cell in {id(c): c for c in listed}.values():
+            table, key, f = cell
+            if key is not None:
+                assert table is state.funcs[f] and (i in key or table[key] == i), (i, f, key)
+                cells[f, key].append(cell)
+    for f, table in state.funcs.items():
+        for key, val in table.items():
+            live = {id(c): c for c in cells.pop((f, key), ())}
+            assert len(live) == 1, (f, key, len(live))
+            (cell,) = live.values()
+            for i in (*key, val):
+                assert any(c is cell for c in state.uses.get(i, ())), (f, key, i)
+    assert not cells, sorted(cells)  # a live cell whose entry is gone
+
+
+class _CheckedState(_ChaseState):
+    """The chase state, checking its use-lists after every union and every
+    normalize (the forced atoms' one among them)."""
+
+    def unite(self, a, b):
+        super().unite(a, b)
+        _assert_use_lists(self)
+
+    def normalize(self):
+        super().normalize()
+        _assert_use_lists(self)
+
+
+# The use-lists stay exact through re-keying, collisions and in-place
+# unions: chases from random structures and from ncat2 substructures, whose
+# forced atoms merge elements with entries on both sides.
+@given(st.data())
+def test_use_lists_list_each_live_entry_under_its_ids(data):
+    theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")
+    sig = theory.signature
+    drawn = structures(sig, 3)
+    base = data.draw(st.one_of(drawn, substructures(NCAT2_MODELS, 6)) if theory is NCAT2 else drawn)
+    elem = st.sampled_from(base.elements())
+    forced = tuple(
+        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
+        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[theory]), min_size=1, max_size=3), label="forced")
+        for atom in parse_formula(sig, text).atoms
+    )
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _CheckedState):
+        chase(theory, Presentation(base, forced), ChaseBudget(max_elements=60, max_rounds=4))
+
+
+# A re-keyed entry collides with one whose stored value then loses: forcing
+# 0 = 1 moves f(1) = 2 onto f(0) = 3, so 3 merges into 2, and only the pop
+# of 3 gives the surviving entry its value 2.  The chase ends as the
+# full-rebuild reference does.
+COLLIDING = parse_theory("""
+theory colliding {
+  sort s;
+  func f : s -> s;
+  axiom [x: s] top |- f(f(x)) = x;
+}
+""")
+COLLIDING_BASE = PartialStructure(COLLIDING.signature, {"s": (0, 1, 2, 3)}, {"f": {(0,): 3, (1,): 2, (3,): 0}}, {})
+
+
+def test_collided_entry_takes_its_value_when_that_id_pops():
+    state = _ChaseState(COLLIDING.signature, ChaseBudget())
+    state.load(COLLIDING_BASE)
+    state.unite(0, 1)
+    assert state.funcs["f"] == {(0,): 2, (2,): 0} and state.merges == 2
+    assert any(cell[1] is None for cell in state.uses[2])  # f(1) = 2, dead on meeting f(0)
+    assert state.written.funcs["f"] == {(0,), (2,)}
+    _assert_use_lists(state)
+    (atom,) = parse_formula(COLLIDING.signature, "u = v").atoms
+    presentation = Presentation(COLLIDING_BASE, ((atom, (("u", 0), ("v", 1))),))
+    got = chase(COLLIDING, presentation)
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
+        want = chase(COLLIDING, presentation)
+    assert got == want
+    _same_result(got, want)
+
+
 # A premise with more loops than CPython nests in one function (20) is
 # compiled into chained functions; full and delta rounds agree with the
 # reference chase.
