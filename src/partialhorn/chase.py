@@ -23,8 +23,8 @@ merges it.  Such a union needs no rebuild, as in egg when a class has one
 e-node: ``unite`` re-keys that entry's cell in place, and the test for "no
 other use" is exact because relation tuples have use-lists too.  When the
 equation's other side is already computed, a conclusion kernel creates the
-element merged: ``create_merged`` stores the entry with its final value,
-and the fresh id is used up and logged but never live.
+element merged: it stores the entry with its final value, and the fresh id
+is used up and logged but never live.
 
 Premises are matched by a join over flattened atoms ``f(x1..xk) = y``,
 in the spirit of relational e-matching.  Each sequent's premise is
@@ -50,10 +50,13 @@ the post-order that recursive evaluation visits.  An application looks
 its arguments' slots up in the function's table and creates a fresh
 element (logged with its term and the instance's assignment) when the
 entry is missing; each equation ends in a union, each relation atom in
-an insert.  A sequent's program becomes a kernel as well, which after a
-union re-canonicalizes only the slots it still reads.  The one-shot
-programs of forced atoms are interpreted op by op instead: their terms
-differ on nearly every prover call.
+an insert.  A sequent's program becomes a kernel as well, and a round
+makes one call per sequent: the kernel reads the state once and pushes
+every match through one loop, instead of one call per match (Neumann's
+point again, on the conclusion side).  It creates missing elements
+inline and after a union re-canonicalizes only the slots it still reads.
+The one-shot programs of forced atoms are interpreted op by op instead:
+their terms differ on nearly every prover call.
 
 Kernels are keyed by shape: the plan or program with every symbol
 replaced by the index of its first occurrence.  Names and terms reach a
@@ -374,7 +377,7 @@ class _Conclusion:
             else:
                 ops.append((_APPLY, t.func, args, t))
         self.ops = tuple(ops)
-        self.kernel: Optional[Callable[[_ChaseState, tuple[int, ...]], None]] = None
+        self.kernel: Optional[Callable[[_ChaseState, list[tuple[int, ...]]], None]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +398,7 @@ _Run = tuple[tuple, Callable]  # (pool keys, kernel) of a join plan; see _ChaseS
 def _kernel(shape: tuple, symbols: dict, source: Callable[..., list[str]]) -> Callable:
     make = _KERNELS.get(shape)
     if make is None:
-        namespace: dict = {}
+        namespace: dict = {"Budget": _Budget}
         code = "\n".join(source(*shape[1:], len(symbols)))
         exec(compile(code, f"<partialhorn {shape[0]} kernel>", "exec"), namespace)
         make = _KERNELS[shape] = namespace.pop("make")  # no cycle between make and its globals
@@ -545,7 +548,7 @@ def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int
     return lines
 
 
-def _fire_kernel(conclusion: _Conclusion) -> Callable[[_ChaseState, tuple[int, ...]], None]:
+def _fire_kernel(conclusion: _Conclusion) -> Callable[[_ChaseState, list[tuple[int, ...]]], None]:
     symbols: dict = {conclusion.names: 0}
     ops = tuple((op, None if sym is None else _symbol(symbols, sym), args,
                  None if term is None else _symbol(symbols, term)) for op, sym, args, term in conclusion.ops)
@@ -553,40 +556,65 @@ def _fire_kernel(conclusion: _Conclusion) -> Callable[[_ChaseState, tuple[int, .
 
 
 def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
-    """Source of the factory of a conclusion kernel ``kernel(state, ids)``,
-    which runs the program's ops in order with slot i in the local ``v<i>``
-    (K0 holds the context's names).  After a union it re-canonicalizes only
-    the slots that later ops read.  A miss of an application whose next op
-    unites its slot with another is a ``create_merged`` into the other's
-    value, which leaves every slot canonical."""
+    """Source of the factory of a conclusion kernel ``kernel(state, batch)``,
+    which runs the program's ops at each assignment of the batch in turn,
+    slot i in the local ``v<i>`` (K0 holds the context's names).  The
+    state's tables, union-find, use-lists, fresh log, write sets and budget
+    are read once; the next fresh id and the counts of changes and merges
+    are locals, stored back when the batch ends or the budget stops it.
+    After a union only the slots that later ops read are re-canonicalized.
+    A miss creates the element inline, as ``create`` does.  When the next op
+    unites the slot with another, the entry is stored with the other's value
+    and the fresh id is used up and logged as already merged, never live:
+    the union then finds its sides equal, and the state is the one
+    ``create`` and ``unite`` leave, less a dead id among the written elements."""
     tables = sorted({sym for op, sym, _, _ in ops if op == _APPLY})
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):",
-             "    def kernel(state, ids):",
-             "        parent, find, funcs = state.parent, state.find, state.funcs",
-             *(f"        T{f} = funcs[K{f}]" for f in tables)]
+             "    def kernel(state, batch):",
+             "        parent, find, live, uses, log = state.parent, state.find, state.live, state.uses, state.fresh_log",
+             "        unite, insert, sorts, written = state.unite, state.insert, state.result_sort, state.written",
+             "        funcs, elems = state.funcs, written.elems",
+             *(f"        T{f}, W{f}, S{f} = funcs[K{f}], written.funcs[K{f}], sorts[K{f}]" for f in tables),
+             "        first = fresh = state.next_id",
+             "        stop = first + state.budget.max_elements - state.created",
+             "        changes = merges = 0",
+             "        try:",
+             "            for ids in batch:"]
+    body = []
     if nnames:
-        lines.append(f"        {_tuple([f'v{i}' for i in range(nnames)])} = ids")
+        body.append(f"{_tuple([f'v{i}' for i in range(nnames)])} = ids")
     refind = [f"if parent[v{i}] != v{i}: v{i} = find(v{i})" for i in range(nnames + len(ops))]
-    lines += [f"        {refind[i]}" for i in range(nnames)]
+    body += refind[:nnames]
     slot = nnames
     for k, (op, sym, args, term) in enumerate(ops):
         vals = [f"v{a}" for a in args]
         if op == _APPLY:
-            call = f"state.create(K{sym}, k{slot}, K{term}, K0, ids)"
+            v, key = f"v{slot}", f"k{slot}"
+            body += [f"{key} = {_tuple(vals)}", f"{v} = T{sym}.get({key})", f"if {v} is None:",
+                     "    if fresh >= stop: raise Budget"]
             if k + 1 < len(ops) and ops[k + 1][0] == _UNITE and slot in ops[k + 1][2]:
-                # into the union's other slot; the union then finds its sides equal
-                call = f"state.create_merged(K{sym}, k{slot}, K{term}, K0, ids, v{sum(ops[k + 1][2]) - slot})"
-            lines += [f"        k{slot} = {_tuple(vals)}",
-                      f"        v{slot} = T{sym}.get(k{slot})",
-                      f"        if v{slot} is None: v{slot} = {call}"]
+                # merged into the union's other slot at once
+                body += [f"    {v} = parent[fresh] = v{sum(ops[k + 1][2]) - slot}", "    changes += 2",
+                         "    merges += 1"]
+            else:
+                body += [f"    {v} = parent[fresh] = fresh", f"    live[fresh] = S{sym}", "    elems.add(fresh)",
+                         "    changes += 1"]
+            body += [f"    T{sym}[{key}] = {v}", f"    W{sym}.add({key})", f"    cell = [T{sym}, {key}, K{sym}]",
+                     *(f"    uses[{a}].append(cell)" for a in (*vals, v)),
+                     f"    log.append((fresh, K{sym}, {key}, K{term}, K0, ids))", "    fresh += 1"]
             slot += 1
         elif op == _UNITE:
-            lines += [f"        if {vals[0]} != {vals[1]}:", f"            state.unite({vals[0]}, {vals[1]})"]
+            body += [f"if {vals[0]} != {vals[1]}:", f"    unite({vals[0]}, {vals[1]})"]
             read = sorted({a for _, _, later, _ in ops[k + 1:] for a in later if a < slot})
-            lines += [f"            {refind[a]}" for a in read]
+            body += [f"    {refind[a]}" for a in read]
         else:
-            lines.append(f"        state.insert(K{sym}, {_tuple(vals)})")
-    lines.append("    return kernel")
+            body.append(f"insert(K{sym}, {_tuple(vals)})")
+    lines += [f"                {line}" for line in body or ["pass"]]
+    lines += ["        finally:",
+              "            state.next_id, state.created = fresh, state.created + fresh - first",
+              "            state.version += changes",
+              "            state.merges += merges",
+              "    return kernel"]
     return lines
 
 
@@ -785,10 +813,8 @@ class _ChaseState:
     def fire(self, conclusion: _Conclusion, ids: tuple[int, ...]) -> None:
         """Enforce the conclusion at the assignment ``ids`` (in the order of
         its names; ids may have lost a union since), which is logged with
-        every element the instance creates."""
-        if conclusion.kernel is not None:
-            conclusion.kernel(self, ids)
-            return
+        every element the instance creates.  The ops are interpreted one by
+        one: forced atoms fire here, sequents through their batch kernels."""
         find, funcs, parent = self.find, self.funcs, self.parent
         vals = [i if parent[i] == i else find(i) for i in ids]
         for op, sym, args, term in conclusion.ops:
@@ -830,25 +856,6 @@ class _ChaseState:
         self._use(self.funcs[f], args, f, fresh)
         self.fresh_log.append((fresh, f, args, term, names, ids))
         return fresh
-
-    def create_merged(self, f: str, args: tuple[int, ...], term: RawTerm, names: Sequence[str],
-                      ids: Sequence[int], into: int) -> int:
-        """``create`` then ``unite`` with the canonical id ``into``, whose
-        fast path re-keys the one entry that holds the fresh (largest) id:
-        the entry is stored with its final value, and the fresh id is used
-        up and logged but never live (``pool`` reads only live elements)."""
-        if self.created >= self.budget.max_elements:
-            raise _Budget
-        fresh = self.next_id
-        self.next_id, self.created = fresh + 1, self.created + 1
-        self.parent[fresh] = into
-        self.merges += 1
-        self.version += 1
-        self.funcs[f][args] = into
-        self.written.funcs[f].add(args)
-        self._use(self.funcs[f], args, f, into)
-        self.fresh_log.append((fresh, f, args, term, names, ids))
-        return into
 
     # -- premise matching (compiled join, lexicographic output)
 
@@ -898,8 +905,9 @@ class _ChaseState:
     # -- rounds
 
     def run_round(self, theory: Theory, delta: bool = False) -> bool:
-        """Match every sequent and fire its conclusion at each active match
-        (the join drops those where it holds, whose firing changes nothing).
+        """Match every sequent and fire its conclusion at each active match,
+        all in one kernel call (the join drops the matches where it holds,
+        whose firing changes nothing).
         With ``delta`` (every sequent was matched in the round before, or the
         base is a model), match only instances that use a fact written in
         this round or the one before: any other instance was matched in the
@@ -909,8 +917,9 @@ class _ChaseState:
         self.written_before, self.written = self.written, _Writes(self.sig)
         for seq in theory.sequents:
             premise, conclusion = _compiled(seq)
-            for ids in self.matches(premise, delta):
-                self.fire(conclusion, ids)
+            batch = self.matches(premise, delta)
+            if batch:  # most sequents of a round from a model match nothing
+                conclusion.kernel(self, batch)
         return self.version != v0
 
     def snapshot(self) -> PartialStructure:

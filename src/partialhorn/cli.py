@@ -41,7 +41,7 @@ from .gauge import (
     ncat_is_normal,
     ncat_normalize,
     ncat_sharp,
-    ncat_theory,
+    ncat_signature,
 )
 from .structure import (
     Hom,
@@ -441,8 +441,7 @@ def _cmd_gauge_check(args: argparse.Namespace) -> int:
 
 def _cmd_ncat_normalize(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    theory = ncat_theory(args.n)
-    term = parse_term(theory.signature, args.term)
+    term = parse_term(ncat_signature(args.n), args.term)
     ctx = Context(tuple((v, "*") for v in free_vars(term)))
     normal = ncat_normalize(args.n, ctx, term)
     if not ncat_is_normal(normal):
@@ -617,8 +616,7 @@ def _example_cases(corpus: Path, cfg: RunConfig) -> list[tuple[str, str, Callabl
         return run
 
     def normalize_exchange() -> str:
-        theory = ncat_theory(2)
-        term = parse_term(theory.signature, "comp1(comp2(x, y), z)")
+        term = parse_term(ncat_signature(2), "comp1(comp2(x, y), z)")
         ctx = Context(tuple((v, "*") for v in free_vars(term)))
         return term_to_text(ncat_normalize(2, ctx, term))
 

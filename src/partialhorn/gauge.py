@@ -260,7 +260,7 @@ def ladder_gauge_rules() -> TableGaugeRules:
 # Built-in: strict n-categories, one-sorted
 
 
-def ncat_theory(n: int) -> Theory:
+def ncat_signature(n: int) -> Signature:
     """One sort of cells; dk/ck boundaries and compk composition, k = 1..n."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -270,7 +270,12 @@ def ncat_theory(n: int) -> Theory:
         funcs.append(FuncDecl(f"c{k}", ("*",), "*"))
     for k in range(1, n + 1):
         funcs.append(FuncDecl(f"comp{k}", ("*", "*"), "*"))
-    sig = Signature(("*",), tuple(funcs))
+    return Signature(("*",), tuple(funcs))
+
+
+def ncat_theory(n: int) -> Theory:
+    """The strict n-category axioms over ``ncat_signature(n)``."""
+    sig = ncat_signature(n)
 
     x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
     cx = Context((("x", "*"),))
@@ -472,7 +477,7 @@ def ncat_normalize(n: int, ctx: Context, term: RawTerm) -> RawTerm:
     syntactic and is justified by the boundary, unit, associativity,
     and interchange axioms.
     """
-    check_term(ncat_theory(n).signature, ctx, term)
+    check_term(ncat_signature(n), ctx, term)
     return _normalize(term)
 
 

@@ -733,25 +733,27 @@ theory fused {
 FUSED_BASE = PartialStructure(FUSED.signature, {"s": (0, 1, 2)}, {"e": {(0,): 1, (1,): 1, (2,): 0}, "m": {}}, {})
 
 
-def _create_merged_calls(presentation, budget=None):
-    """The chase, run with create and unite forbidden, and the number of
-    create_merged calls it made."""
-    forbidden = AssertionError("the fused path called create or unite")
-    with mock.patch.object(_ChaseState, "create", side_effect=forbidden), \
-            mock.patch.object(_ChaseState, "unite", side_effect=forbidden), \
-            mock.patch.object(_ChaseState, "create_merged", autospec=True,
-                              side_effect=_ChaseState.create_merged) as fused:
-        got = chase(FUSED, presentation, budget)
-    return got, fused.call_count
+def _fused_chase(presentation, budget=None):
+    """The chase, run with unite forbidden."""
+    with mock.patch.object(_ChaseState, "unite", side_effect=AssertionError("the fused path called unite")):
+        return chase(FUSED, presentation, budget)
 
 
-# A conclusion kernel turns a missing application that its next op unites
-# with another slot into one create_merged call: no create, no unite, and
-# the same result as the reference, fresh log and merges included.
+def _merged_at_creation(result):
+    """Every logged fresh id went straight to its class: it has a parent
+    other than itself and is no element of the model."""
+    return all(result.union_find[e] != e for e, *_ in result.log) and not (
+        {e for e, *_ in result.log} & set(result.model.elements()))
+
+
+# A conclusion kernel creates a missing application that its next op unites
+# with another slot merged at once: no unite, every fresh id merged and never
+# live, one merge per creation, and the same result as the reference, fresh
+# log and merges included.
 def test_fused_create_and_merge_matches_full_rebuild():
     presentation = Presentation(FUSED_BASE)
-    got, calls = _create_merged_calls(presentation)
-    assert got.status == COMPLETE and calls == got.merges == len(got.log) > 3
+    got = _fused_chase(presentation)
+    assert got.status == COMPLETE and got.merges == len(got.log) > 3 and _merged_at_creation(got)
     assert got.model.carriers == {"s": (0, 1, 2)}
     with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
         want = chase(FUSED, presentation)
@@ -764,12 +766,100 @@ def test_fused_create_and_merge_matches_full_rebuild():
 def test_fused_creation_over_budget_matches_full_rebuild():
     presentation = Presentation(FUSED_BASE)
     budget = ChaseBudget(max_elements=5)  # the base and two fresh elements
-    got, calls = _create_merged_calls(presentation, budget)
-    assert got.status == BUDGET_EXCEEDED and calls == 3 and len(got.log) == 2
+    got = _fused_chase(presentation, budget)
+    assert got.status == BUDGET_EXCEEDED and len(got.log) == got.merges == 2 and _merged_at_creation(got)
     with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
         want = chase(FUSED, presentation, budget)
     assert got == want
     assert (got.status, got.rounds, got.merges, got.log) == (want.status, want.rounds, want.merges, want.log)
+
+
+def _classes(parent):
+    """Every id -> the root of its class, read without path compression."""
+    roots = {}
+    for i in sorted(parent):
+        roots[i] = i if parent[i] == i else roots[parent[i]]  # parents are lesser ids
+    return roots
+
+
+def _state_view(state):
+    """Everything a fire may change: tables, classes, use-lists (live cells,
+    in listing order), written facts, fresh log and counters.  The classes
+    stand for the parent pointers, which path compression leaves apart: the
+    kernel re-finds after a union only the slots that later ops read.  Of
+    the written elements only the live ones count: ``pool`` reads no other,
+    and an element the kernel creates merged never enters the set."""
+    listed = {i: [(c[2], c[1]) for c in cells if c[1] is not None] for i, cells in state.uses.items()}
+    return {
+        "funcs": state.funcs, "rels": state.rels, "classes": _classes(state.parent), "live": state.live,
+        "uses": {i: cells for i, cells in listed.items() if cells},
+        "rel_uses": {i: tuples for i, tuples in state.rel_uses.items() if tuples},
+        "pending": state.pending,
+        "written": [(w.funcs, w.rels, {e for e in w.elems if e in state.live})
+                    for w in (state.written, state.written_before)],
+        "log": state.fresh_log,
+        "counts": (state.next_id, state.created, state.version, state.merges),
+    }
+
+
+def _fired_both_ways(theory, base, unions, batches, budget):
+    """The states left by each sequent's batch kernel and by the interpreted
+    op loop firing the same assignments one by one, the sequents in turn as
+    in a round, after the unions; each with the label of the sequent whose
+    firing the budget stopped, if any."""
+    views = []
+    for batched in (True, False):
+        state = _ChaseState(theory.signature, budget)
+        state.load(base)
+        for u, v in unions:
+            a, b = state.find(u), state.find(v)
+            if a != b:
+                state.unite(a, b)
+        state.written_before, state.written = state.written, CHASE_MODULE._Writes(theory.signature)  # a new round
+        stopped = None
+        try:
+            for seq, batch in zip(theory.sequents, batches):
+                stopped = seq.label
+                conclusion = CHASE_MODULE._compiled(seq)[1]
+                if batched:
+                    conclusion.kernel(state, batch)
+                else:
+                    for ids in batch:
+                        state.fire(conclusion, ids)
+            stopped = None
+        except CHASE_MODULE._Budget:
+            pass
+        views.append((stopped, _state_view(state)))
+    return views
+
+
+# Each sequent's batch kernel leaves exactly the state that the interpreted
+# op loop leaves: also when ids lost a union before the batch or lose one to
+# an earlier instance, and when the budget runs out partway, where both
+# raise at the same creation.
+@given(st.data())
+def test_batch_kernel_matches_interpreted_fires(data):
+    theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")
+    sig = theory.signature
+    drawn = structures(sig, 3)
+    base = data.draw(st.one_of(drawn, substructures(NCAT2_MODELS, 6)) if theory is NCAT2 else drawn)
+    elem = {s: st.sampled_from(base.carriers[s]) for s in sig.sorts}
+    pair = st.sampled_from(sig.sorts).flatmap(lambda s: st.tuples(elem[s], elem[s]))
+    unions = data.draw(st.lists(pair, max_size=2), label="unions")
+    batches = [data.draw(st.lists(st.tuples(*[elem[s] for _, s in seq.context.vars]), min_size=1, max_size=4),
+                         label=seq.label) for seq in theory.sequents]
+    budget = ChaseBudget(max_elements=base.size() + data.draw(st.integers(0, 60), label="fresh elements"))
+    got, want = _fired_both_ways(theory, base, unions, batches, budget)
+    assert got == want
+
+
+# Within one instance of idem.d1, d1(d1(x)) = d1(x) at x = 0 unites 1 = d1(2)
+# with 2 = d1(0), and the later c1(d1(x)) must read the winner 1, not 2.
+def test_batch_kernel_reads_the_winner_of_a_union():
+    base = PartialStructure(NCAT1.signature, {"*": (0, 1, 2)}, {"d1": {(0,): 2, (2,): 1}, "c1": {}, "comp1": {}}, {})
+    batches = [[(0,)] if seq.label == "idem.d1" else [] for seq in NCAT1.sequents]
+    got, want = _fired_both_ways(NCAT1, base, [], batches, ChaseBudget())
+    assert got == want and want[1]["funcs"]["c1"] == {(1,): 1}
 
 
 # Delta rounds, from scratch and from a model, agree with the reference that
@@ -1053,6 +1143,7 @@ def _counted_decomposition(state_cls, f):
     enforced: dict = defaultdict(int)
     steps = []
     match, fire, step = state_cls.matches, state_cls.fire, DECOMPOSE_MODULE.scale_step
+    compiled = CHASE_MODULE._compiled
 
     def counting_match(self, premise, delta=False):
         got = match(self, premise, delta)
@@ -1063,6 +1154,17 @@ def _counted_decomposition(state_cls, f):
         enforced[self] += 1
         return fire(self, conclusion, ids)
 
+    def counting_compiled(seq):  # a round fires each sequent's matches in one kernel call
+        premise, conclusion = compiled(seq)
+        counted = CHASE_MODULE._Conclusion(conclusion.names, conclusion.atoms)
+
+        def kernel(state, batch):
+            enforced[state] += len(batch)
+            conclusion.kernel(state, batch)
+
+        counted.kernel = kernel
+        return premise, counted
+
     def recording_step(*args, **kwargs):
         steps.append(step(*args, **kwargs))
         return steps[-1]
@@ -1070,6 +1172,7 @@ def _counted_decomposition(state_cls, f):
     with mock.patch.object(CHASE_MODULE, "_ChaseState", state_cls), \
             mock.patch.object(state_cls, "matches", counting_match), \
             mock.patch.object(state_cls, "fire", counting_fire), \
+            mock.patch.object(CHASE_MODULE, "_compiled", counting_compiled), \
             mock.patch.object(DECOMPOSE_MODULE, "scale_step", recording_step):
         trace = DECOMPOSE_MODULE.canonical_decomposition(LADDER, equational_scale(LADDER.signature), f)
     chases = list(enforced)  # premise matching in the target fires nothing

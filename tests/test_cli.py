@@ -2,6 +2,7 @@
 
 import functools
 import json
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -446,6 +447,16 @@ def test_ncat_normalize(capsys, schema):
     code, payload, _ = run_json(capsys, schema, "ncat-normalize", "-n", "2",
                                 "comp1(comp2(x, y), z)")
     assert payload["result"]["normal"] == "comp2(comp1(x, z), comp1(y, d2(z)))"
+
+
+# The command parses and normalizes against the signature alone: with no
+# theory to build, a large n answers at once.
+def test_ncat_normalize_builds_no_theory(capsys):
+    with mock.patch("partialhorn.gauge.ncat_theory", side_effect=AssertionError("theory built")):
+        code, out, _ = run(capsys, "ncat-normalize", "-n", "400", "comp1(comp400(x, y), z)")
+        assert code == 0 and out.strip() == "comp400(comp1(x, z), comp1(y, d400(z)))"
+        code, _, err = run(capsys, "ncat-normalize", "-n", "400", "comp401(x, y)")
+        assert code == 2 and "undeclared function symbol 'comp401'" in err
 
 
 def test_ncat_normalize_rejects_garbage(capsys):

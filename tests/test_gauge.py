@@ -1,6 +1,8 @@
 """Gauge certificates and strict n-category term normalization."""
 
+import importlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -21,7 +23,8 @@ from partialhorn import (
     ncat_theory,
     representing_model,
 )
-from partialhorn.syntax import App, Context, HornFormula, Var, parse_term, term_to_text
+from partialhorn.gauge import ncat_signature
+from partialhorn.syntax import App, Context, HornFormula, SortError, Var, parse_term, term_to_text
 
 LADDER = ladder_theory()
 EMPTY = Context(())
@@ -152,6 +155,28 @@ def test_normalize_is_idempotent_and_recognized():
         nf = ncat_normalize(n, ctx, nterm(n, text))
         assert ncat_is_normal(nf)
         assert ncat_normalize(n, ctx, nf) == nf
+
+
+# Normalization checks the term against the signature alone, the one the
+# theory is built on: it builds no theory, so a large n answers at once,
+# and a wrong term gets the signature's error text.
+def test_normalize_builds_no_theory():
+    assert ncat_theory(3).signature == ncat_signature(3)
+    ctx = Context((("x", "*"), ("y", "*"), ("z", "*")))
+    gauge = importlib.import_module("partialhorn.gauge")
+    with mock.patch.object(gauge, "ncat_theory", side_effect=AssertionError("theory built")):
+        term = parse_term(ncat_signature(400), "comp1(comp400(x, y), z)")
+        assert term_to_text(ncat_normalize(400, ctx, term)) == "comp400(comp1(x, z), comp1(y, d400(z)))"
+        wrong = Context((*ctx.vars, ("w", "s")))
+        for bad, message in ((App("comp3", (Var("x"), Var("y"))), "undeclared function symbol 'comp3'"),
+                             (App("comp1", (Var("x"),)), "comp1 expects 2 arguments, got 1"),
+                             (App("d1", (Var("w"),)), "argument of d1: expected *, got s"),
+                             (App("d1", (Var("v"),)), "variable 'v' not in context")):
+            with pytest.raises(SortError) as err:
+                ncat_normalize(2, wrong, bad)
+            assert str(err.value) == message
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            ncat_normalize(0, ctx, Var("x"))
 
 
 def test_is_normal_rejects_raw_shapes():
