@@ -33,6 +33,7 @@ from .decompose import (
 from .gatrank import analyze, load_gat
 from .gauge import (
     GaugeRules,
+    _normalize,
     check_gauge,
     enumerate_terms,
     ladder_gauge_rules,
@@ -63,6 +64,7 @@ from .syntax import (
     _parse_context,
     _parse_formula,
     check_formula,
+    check_term,
     free_vars,
     load_theory,
     parse_sequent,
@@ -441,9 +443,11 @@ def _cmd_gauge_check(args: argparse.Namespace) -> int:
 
 def _cmd_ncat_normalize(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    term = parse_term(ncat_signature(args.n), args.term)
+    sig = ncat_signature(args.n)  # built once: at large n it dominates the command
+    term = parse_term(sig, args.term)
     ctx = Context(tuple((v, "*") for v in free_vars(term)))
-    normal = ncat_normalize(args.n, ctx, term)
+    check_term(sig, ctx, term)  # what ncat_normalize checks, against this signature
+    normal = _normalize(term)
     if not ncat_is_normal(normal):
         raise RuntimeError(f"normalizer returned a non-normal term: {term_to_text(normal)}")
     _emit(

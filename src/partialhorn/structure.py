@@ -6,7 +6,10 @@ map given by its table, and each relation symbol as a set of tuples.
 Term evaluation is strict: an application is defined only if all
 arguments are and the table has the entry.  ``is_model`` matches each
 premise with the chase's compiled join and tests the conclusion at each
-match with ``holds``, the one evaluator of formulas.
+match with ``holds``, the one evaluator of formulas.  The same join finds
+homs: ``enumerate_homs`` matches the positive diagram of the source (an
+equation per table entry, an atom per relation tuple) in the target, and
+``find_isomorphism`` keeps the first bijective match whose inverse is a hom.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
+    App,
     Atom,
+    Context,
     Def,
     Eq,
     HornFormula,
     RawTerm,
+    Rel,
     Sequent,
     Signature,
     Theory,
@@ -226,98 +232,31 @@ def enumerate_homs(
     bijective: bool = False,
     limit: Optional[int] = None,
 ) -> list[Hom]:
-    """All homs A -> B by backtracking search, in ascending-id order.
+    """All homs A -> B in ascending-id order: their images of A's elements,
+    taken in id order, sorted lexicographically.
 
-    Assigning an element propagates forced values through function
-    entries (h(f(a)) must be f(h(a))), so rigid structures prune fast.
+    A hom is a match in B of A's positive diagram (Chandra and Merlin,
+    1977), a conjunctive query with one variable per element of A, one
+    equation ``f(x..) = y`` per table entry and one relation atom per
+    tuple; the chase's compiled join answers it.  With ``bijective``, only
+    the homs that are bijective on every carrier; with ``limit``, only the
+    first ``limit`` homs.
     """
-    sortof = {e: s for s, es in A.carriers.items() for e in es}
-    tsort = {e: s for s, es in B.carriers.items() for e in es}
-    elems = sorted(sortof)
-    if bijective:
-        for s in A.signature.sorts:
-            if len(A.carriers.get(s, ())) != len(B.carriers.get(s, ())):
-                return []
+    from .chase import _satisfying  # chase imports this module
 
-    fentries = [(f, args, val) for f, tab in A.funcs.items() for args, val in tab.items()]
-    rentries = [(r, tup) for r, tups in A.rels.items() for tup in sorted(tups)]
-    by_elem: dict[int, list[int]] = {e: [] for e in elems}
-    for i, (_, args, val) in enumerate(fentries):
-        for e in set(args) | {val}:
-            by_elem[e].append(i)
-    rby_elem: dict[int, list[int]] = {e: [] for e in elems}
-    for i, (_, tup) in enumerate(rentries):
-        for e in set(tup):
-            rby_elem[e].append(i)
-
-    mapping: dict[int, int] = {}
-    used: dict[str, set[int]] = {s: set() for s in A.signature.sorts}
-    out: list[Hom] = []
-
-    def assign(e: int, t: int, trail: list[int]) -> bool:
-        if e in mapping:
-            return mapping[e] == t
-        if tsort.get(t) != sortof[e]:
-            return False
-        if bijective and t in used[sortof[e]]:
-            return False
-        mapping[e] = t
-        if bijective:
-            used[sortof[e]].add(t)
-        trail.append(e)
-        for i in by_elem[e]:
-            f, args, val = fentries[i]
-            if all(a in mapping for a in args):
-                timg = B.funcs.get(f, {}).get(tuple(mapping[a] for a in args))
-                if timg is None:
-                    return False
-                if val in mapping:
-                    if mapping[val] != timg:
-                        return False
-                elif not assign(val, timg, trail):
-                    return False
-        for i in rby_elem[e]:
-            r, tup = rentries[i]
-            if all(a in mapping for a in tup):
-                if tuple(mapping[a] for a in tup) not in B.rels.get(r, frozenset()):
-                    return False
-        return True
-
-    def undo(trail: list[int]) -> None:
-        while trail:
-            e = trail.pop()
-            t = mapping.pop(e)
-            if bijective:
-                used[sortof[e]].discard(t)
-
-    # constants force their values up front
-    seed: list[int] = []
-    for f, args, val in fentries:
-        if not args:
-            timg = B.funcs.get(f, {}).get(())
-            if timg is None or not assign(val, timg, seed):
-                undo(seed)
-                return []
-
-    def dfs(idx: int) -> bool:
-        while idx < len(elems) and elems[idx] in mapping:
-            idx += 1
-        if idx == len(elems):
-            out.append(Hom(A, B, dict(sorted(mapping.items()))))
-            return limit is not None and len(out) >= limit
-        e = elems[idx]
-        for t in B.carriers.get(sortof[e], ()):
-            trail: list[int] = []
-            ok = assign(e, t, trail)
-            if ok and dfs(idx + 1):
-                undo(trail)
-                return True
-            undo(trail)
-        return False
-
-    dfs(0)
-    undo(seed)
-    return out
+    if bijective and any(len(A.carriers.get(s, ())) != len(B.carriers.get(s, ())) for s in A.signature.sorts):
+        return []
+    sort_of = {e: s for s, es in A.carriers.items() for e in es}
+    elems = sorted(sort_of)
+    x = {e: Var(str(e)) for e in elems}
+    diagram = [Eq(App(f, tuple(x[a] for a in args)), x[val])
+               for f, table in A.funcs.items() for args, val in table.items()]
+    diagram += [Rel(r, tuple(x[a] for a in tup)) for r, tuples in A.rels.items() for tup in sorted(tuples)]
+    context = Context(tuple((str(e), sort_of[e]) for e in elems))
+    [matches] = _satisfying(B, [(context, HornFormula(tuple(diagram)))])
+    if bijective:  # ids are unique across sorts: distinct images are per-sort injectivity
+        matches = [m for m in matches if len(set(m)) == len(m)]
+    return [Hom(A, B, dict(zip(elems, m))) for m in matches[:limit]]
 
 
 def find_isomorphism(A: PartialStructure, B: PartialStructure) -> Optional[Hom]:

@@ -14,6 +14,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator, Mapping, Optional, TypeVar, Union
 
 T = TypeVar("T")
@@ -56,22 +57,31 @@ class Signature:
     rels: tuple[RelDecl, ...] = ()
 
     def func(self, name: str) -> FuncDecl:
-        for f in self.funcs:
-            if f.name == name:
-                return f
-        raise SortError(f"undeclared function symbol {name!r}")
+        decl = self._func_names.get(name)
+        if decl is None:
+            raise SortError(f"undeclared function symbol {name!r}")
+        return decl
 
     def rel(self, name: str) -> RelDecl:
-        for r in self.rels:
-            if r.name == name:
-                return r
-        raise SortError(f"undeclared relation symbol {name!r}")
+        decl = self._rel_names.get(name)
+        if decl is None:
+            raise SortError(f"undeclared relation symbol {name!r}")
+        return decl
 
     def has_func(self, name: str) -> bool:
-        return any(f.name == name for f in self.funcs)
+        return name in self._func_names
 
     def has_rel(self, name: str) -> bool:
-        return any(r.name == name for r in self.rels)
+        return name in self._rel_names
+
+    # name -> the first declaration of that name, built on first lookup
+    @cached_property
+    def _func_names(self) -> dict[str, FuncDecl]:
+        return {f.name: f for f in reversed(self.funcs)}
+
+    @cached_property
+    def _rel_names(self) -> dict[str, RelDecl]:
+        return {r.name: r for r in reversed(self.rels)}
 
 
 @dataclass(frozen=True)

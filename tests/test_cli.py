@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from partialhorn.cli import main
+from partialhorn.gauge import ncat_signature
 
 pytestmark = pytest.mark.usefixtures("corpus")
 
@@ -304,15 +305,19 @@ def test_decnum_infers_unique_hom(corpus, capsys):
     assert code == 0 and out.strip() == "3"
 
 
+# Without --hom the hom is inferred from all of them; twocat_src has 2,959
+# homs to twocat_step1.
 def test_decnum_refuses_ambiguous_hom(corpus, capsys):
-    code, _, err = run(
-        capsys, "decnum",
-        "--theory", corpus / "theories" / "ladder.pht",
-        "--from", corpus / "models" / "ladder_free1.pm",
-        "--to", corpus / "models" / "ladder_M.pm",
-    )
-    assert code == 2
-    assert "hom" in err
+    for theory, src, tgt, count in (("ladder", "ladder_free1", "ladder_M", 2),
+                                    ("ncat2", "twocat_src", "twocat_step1", 2959)):
+        code, _, err = run(
+            capsys, "decnum",
+            "--theory", corpus / "theories" / f"{theory}.pht",
+            "--from", corpus / "models" / f"{src}.pm",
+            "--to", corpus / "models" / f"{tgt}.pm",
+        )
+        assert code == 2
+        assert f"found {count}; pass --hom" in err
 
 
 def test_decompose_trace_and_dot(corpus, tmp_path, capsys, schema):
@@ -449,14 +454,18 @@ def test_ncat_normalize(capsys, schema):
     assert payload["result"]["normal"] == "comp2(comp1(x, z), comp1(y, d2(z)))"
 
 
-# The command parses and normalizes against the signature alone: with no
-# theory to build, a large n answers at once.
+# The command parses and normalizes against the signature alone, built once
+# for both: with no theory to build, a large n answers at once.
 def test_ncat_normalize_builds_no_theory(capsys):
-    with mock.patch("partialhorn.gauge.ncat_theory", side_effect=AssertionError("theory built")):
+    counter = mock.Mock(wraps=ncat_signature)
+    with mock.patch("partialhorn.gauge.ncat_theory", side_effect=AssertionError("theory built")), \
+            mock.patch("partialhorn.cli.ncat_signature", counter), mock.patch("partialhorn.gauge.ncat_signature", counter):
         code, out, _ = run(capsys, "ncat-normalize", "-n", "400", "comp1(comp400(x, y), z)")
         assert code == 0 and out.strip() == "comp400(comp1(x, z), comp1(y, d400(z)))"
+        assert counter.call_count == 1
         code, _, err = run(capsys, "ncat-normalize", "-n", "400", "comp401(x, y)")
         assert code == 2 and "undeclared function symbol 'comp401'" in err
+        assert counter.call_count == 2
 
 
 def test_ncat_normalize_rejects_garbage(capsys):

@@ -31,7 +31,8 @@ from partialhorn.structure import (
     parse_model,
     check_structure,
 )
-from partialhorn.syntax import App, Var, load_theory, parse_formula, parse_theory
+from partialhorn.syntax import App, Var, load_theory, parse_formula, parse_theory, theory_from_json
+from test_chase import MATCH_PREMISES, structures
 
 GRAPH = parse_theory("""
 theory graph {
@@ -200,26 +201,156 @@ def test_find_isomorphism(ladder_models):
     assert find_isomorphism(M, T) is None
 
 
+# A relation may be nullary (declarable in JSON only): its one possible
+# tuple involves no element, and a hom must still carry it over.
+FLAG = theory_from_json({
+    "theory": "flag",
+    "sorts": ["s"],
+    "funcs": [{"name": "f", "args": ["s"], "result": "s"}],
+    "rels": [{"name": "p", "args": []}, {"name": "q", "args": ["s"]}],
+    "axioms": [],
+})
+
+
+def flag_structure(n, p):
+    return PartialStructure(FLAG.signature, {"s": tuple(range(n))}, {"f": {}},
+                            {"p": frozenset({()} if p else ()), "q": frozenset()})
+
+
+def test_enumerate_homs_checks_nullary_tuples():
+    on, off = flag_structure(1, True), flag_structure(1, False)
+    assert enumerate_homs(on, off) == []
+    assert enumerate_homs(off, on) == [Hom(off, on, {0: 0})]
+    assert enumerate_homs(on, on) == [identity_hom(on)]
+    assert find_isomorphism(on, off) is None and find_isomorphism(off, on) is None
+
+
+def test_empty_source_has_exactly_one_hom():
+    empty = empty_structure(GRAPH.signature)
+    for B in (empty, A_EDGE, LOOP):
+        assert enumerate_homs(empty, B) == [Hom(empty, B, {})]
+    assert enumerate_homs(empty, empty, bijective=True) == [Hom(empty, empty, {})]
+    assert enumerate_homs(empty, A_EDGE, bijective=True) == []
+    assert find_isomorphism(empty, empty) == Hom(empty, empty, {})
+
+
+def product_homs(A, B, bijective=False):
+    """The brute-force oracle: every map of A's elements, in id order, into
+    the carriers of their sorts, lexicographic in the images (carriers are
+    sorted); kept where it is a hom and, with ``bijective``, where its
+    images are B's elements without repeats."""
+    elems = A.elements()
+    for images in itertools.product(*(B.carriers[A.sort_of(e)] for e in elems)):
+        h = Hom(A, B, dict(zip(elems, images)))
+        if is_hom(h) and not (bijective and sorted(images) != list(B.elements())):
+            yield h
+
+
+def hom_list(homs):
+    return [list(h.mapping.items()) for h in homs]
+
+
 @given(st.data())
 def test_enumerate_homs_matches_brute_force(data):
-    n_v = data.draw(st.integers(1, 2), label="vertices")
-    n_e = data.draw(st.integers(0, 2), label="edges")
-    edges_a = [
-        (data.draw(st.integers(0, n_v - 1)), data.draw(st.integers(0, n_v - 1)))
-        for _ in range(n_e)
-    ]
-    loops_a = data.draw(st.sets(st.integers(0, n_e - 1)) if n_e else st.just(set()))
-    A = graph_structure(n_v, edges_a, sorted(loops_a))
-    B = graph_structure(2, [(0, 1), (1, 1)], loops=[1])
-    found = {tuple(sorted(h.mapping.items())) for h in enumerate_homs(A, B)}
-    brute = set()
-    a_elems = A.elements()
-    pools = [B.carriers[A.sort_of(e)] for e in a_elems]
-    for combo in itertools.product(*pools):
-        h = Hom(A, B, dict(zip(a_elems, combo)))
-        if is_hom(h):
-            brute.add(tuple(sorted(h.mapping.items())))
-    assert found == brute
+    theory = data.draw(st.sampled_from([*MATCH_PREMISES, GRAPH, FLAG]), label="theory")
+    A = data.draw(structures(theory.signature, 3), label="A")
+    B = data.draw(st.just(A) | structures(theory.signature, 3), label="B")
+    bijective = data.draw(st.booleans(), label="bijective")
+    limit = data.draw(st.none() | st.integers(0, 3), label="limit")
+    want = hom_list(product_homs(A, B, bijective))[:limit]
+    assert hom_list(enumerate_homs(A, B, bijective=bijective, limit=limit)) == want
+
+
+def backtrack_homs(A, B, *, bijective=False):
+    """The oracle for corpus pairs, too large for the product: a
+    backtracking search, elements in ascending id order, each tried at the
+    images of its sort in ascending order.  Assigning an element propagates
+    forced values through function entries (h(f(a)) must be f(h(a)))."""
+    sortof = {e: s for s, es in A.carriers.items() for e in es}
+    tsort = {e: s for s, es in B.carriers.items() for e in es}
+    elems = sorted(sortof)
+    if bijective:
+        for s in A.signature.sorts:
+            if len(A.carriers.get(s, ())) != len(B.carriers.get(s, ())):
+                return []
+
+    fentries = [(f, args, val) for f, tab in A.funcs.items() for args, val in tab.items()]
+    rentries = [(r, tup) for r, tups in A.rels.items() for tup in sorted(tups)]
+    # a nullary tuple holds no element, so no assignment would check it
+    if any(not tup and tup not in B.rels.get(r, frozenset()) for r, tup in rentries):
+        return []
+    by_elem = {e: [] for e in elems}
+    for i, (_, args, val) in enumerate(fentries):
+        for e in set(args) | {val}:
+            by_elem[e].append(i)
+    rby_elem = {e: [] for e in elems}
+    for i, (_, tup) in enumerate(rentries):
+        for e in set(tup):
+            rby_elem[e].append(i)
+
+    mapping = {}
+    used = {s: set() for s in A.signature.sorts}
+    out = []
+
+    def assign(e, t, trail):
+        if e in mapping:
+            return mapping[e] == t
+        if tsort.get(t) != sortof[e]:
+            return False
+        if bijective and t in used[sortof[e]]:
+            return False
+        mapping[e] = t
+        if bijective:
+            used[sortof[e]].add(t)
+        trail.append(e)
+        for i in by_elem[e]:
+            f, args, val = fentries[i]
+            if all(a in mapping for a in args):
+                timg = B.funcs.get(f, {}).get(tuple(mapping[a] for a in args))
+                if timg is None:
+                    return False
+                if val in mapping:
+                    if mapping[val] != timg:
+                        return False
+                elif not assign(val, timg, trail):
+                    return False
+        for i in rby_elem[e]:
+            r, tup = rentries[i]
+            if all(a in mapping for a in tup):
+                if tuple(mapping[a] for a in tup) not in B.rels.get(r, frozenset()):
+                    return False
+        return True
+
+    def undo(trail):
+        while trail:
+            e = trail.pop()
+            t = mapping.pop(e)
+            if bijective:
+                used[sortof[e]].discard(t)
+
+    # constants force their values up front
+    seed = []
+    for f, args, val in fentries:
+        if not args:
+            timg = B.funcs.get(f, {}).get(())
+            if timg is None or not assign(val, timg, seed):
+                return []
+
+    def dfs(idx):
+        while idx < len(elems) and elems[idx] in mapping:
+            idx += 1
+        if idx == len(elems):
+            out.append(Hom(A, B, dict(sorted(mapping.items()))))
+            return
+        e = elems[idx]
+        for t in B.carriers.get(sortof[e], ()):
+            trail = []
+            if assign(e, t, trail):
+                dfs(idx + 1)
+            undo(trail)
+
+    dfs(0)
+    return out
 
 
 def test_parse_model_assigns_declaration_order_ids(ladder, ladder_models):
@@ -282,6 +413,22 @@ def test_hom_file_round_trip(corpus, corpus_models, tmp_path):
         mirror = tmp_path / f"{path.stem}.json"
         mirror.write_text(json.dumps(hom_to_json(name, h, M, T)))
         assert load_hom(str(mirror), M, T) == (name, h)
+
+
+# Every ordered pair of corpus models of one theory: 10,720 homs, 2,959 of
+# them from twocat_src to twocat_step1.
+def test_enumerate_homs_matches_backtracker_on_corpus_pairs(corpus_models):
+    pairs = 0
+    for theory, M in corpus_models.values():
+        for other, N in corpus_models.values():
+            if other.name != theory.name:
+                continue
+            for bijective in (False, True):
+                want = hom_list(backtrack_homs(M.structure, N.structure, bijective=bijective))
+                got = hom_list(enumerate_homs(M.structure, N.structure, bijective=bijective))
+                assert got == want, (M.name, N.name, bijective)
+            pairs += 1
+    assert pairs == 118
 
 
 def test_parse_hom_requires_total_mapping(ladder_models):
