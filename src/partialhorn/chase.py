@@ -21,10 +21,15 @@ Most unions in a chase unite an element with the one entry that holds it,
 as its value: a fresh element, created by an instance whose equation then
 merges it.  Such a union needs no rebuild, as in egg when a class has one
 e-node: ``unite`` re-keys that entry's cell in place, and the test for "no
-other use" is exact because relation tuples have use-lists too.  When the
-equation's other side is already computed, a conclusion kernel creates the
-element merged: it stores the entry with its final value, and the fresh id
-is used up and logged but never live.
+other use" is exact because relation tuples have use-lists too.  Most such
+unions never happen: when the equation's other side is already defined, a
+conclusion kernel creates the element merged, storing the entry with its
+final value, and the fresh id is used up and logged but never live.  The
+other side may need ops of its own, up to the union: if none reads the
+new element, they run first as read-only lookups, and only when one misses
+is the element created live and the other side evaluated after it (a
+lookup of the very key being created misses, as it must: in op order it
+would read the new element back).
 
 Premises are matched by a join over flattened atoms ``f(x1..xk) = y``,
 in the spirit of relational e-matching.  Each sequent's premise is
@@ -84,6 +89,11 @@ which it holds.  Outputs are those of firing every match: facts only grow
 and unions keep every fact true, so the conclusion still holds at fire
 time, and firing it would create, merge and log nothing.  Premises matched
 for their own sake (``_satisfying``) and empty conclusions get no test.
+Nor do premises without flat atoms (``[x: *] top``, ``[x, y] x = y``):
+they get no join at all, their instances are the tuples of their carriers,
+and in prover chases most of those are active, so the conclusion kernel,
+which changes nothing at an instance whose conclusion holds, is their only
+test.
 
 Everything fires in a fixed order (sequents by declaration, assignments
 lexicographically in canonical ids), so results are bit-for-bit
@@ -97,6 +107,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
 from .structure import Hom, PartialStructure, empty_structure, holds
@@ -262,10 +273,14 @@ class _Premise:
     ``full`` joins every atom against the whole tables.  ``deltas`` (built
     on first use) holds one plan per flat atom and one per carrier variable:
     each starts from the pool of that atom's (or sort's) facts written
-    lately and joins the rest against the whole tables.
+    lately and joins the rest against the whole tables.  A premise without
+    flat atoms holds at every tuple of its carriers and gets no kernel
+    (``full_run`` is None): ``spread`` gives, per context variable, the
+    position of its carrier, or is None when that is the variable's own.
     """
 
-    __slots__ = ("names", "atoms", "carriers", "emit", "guard", "full", "full_run", "_deltas", "_delta_runs")
+    __slots__ = ("names", "atoms", "carriers", "emit", "spread", "guard", "full", "full_run", "_deltas",
+                 "_delta_runs")
 
     def __init__(self, seq: Sequent, guard: tuple = ()) -> None:
         names = self.names = seq.context.names()
@@ -302,7 +317,13 @@ class _Premise:
                 self.carriers.append((sorts[name], slot))
                 bound.add(slot)
         self.full: _Plan = tuple(steps) + self._carrier_steps(-1)
-        self.full_run = _run(self.full, self.emit, guard)
+        self.full_run: Optional[_Run] = None
+        self.spread: Optional[tuple[int, ...]] = None
+        if self.atoms:
+            self.full_run = _run(self.full, self.emit, guard)
+        elif len(self.carriers) < len(self.emit):  # an equation of variables
+            slots = [slot for _, slot in self.carriers]
+            self.spread = tuple(map(slots.index, self.emit))
         self._deltas: Optional[tuple[_Plan, ...]] = None
         self._delta_runs: tuple[_Run, ...] = ()
 
@@ -325,7 +346,8 @@ class _Premise:
                 first = (_CARRIER, (_ELEM, sort), slot, None)
                 plans.append((first, *_order(self.atoms, bound), *self._carrier_steps(slot)))
             self._deltas = tuple(plans)
-            self._delta_runs = tuple(_run(plan, self.emit, self.guard) for plan in plans)
+            if self.atoms:
+                self._delta_runs = tuple(_run(plan, self.emit, self.guard) for plan in plans)
         return self._deltas
 
     def delta_runs(self) -> tuple[_Run, ...]:
@@ -400,7 +422,7 @@ def _kernel(shape: tuple, symbols: dict, source: Callable[..., list[str]]) -> Ca
     if make is None:
         namespace: dict = {"Budget": _Budget}
         code = "\n".join(source(*shape[1:], len(symbols)))
-        exec(compile(code, f"<partialhorn {shape[0]} kernel>", "exec"), namespace)
+        exec(compile(code, f"<partialhorn {shape[0]} kernel {len(_KERNELS)}>", "exec"), namespace)
         make = _KERNELS[shape] = namespace.pop("make")  # no cycle between make and its globals
     return make(*symbols)
 
@@ -548,6 +570,19 @@ def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int
     return lines
 
 
+def _union_after(ops: tuple, k: int, slot: int) -> Optional[tuple[int, int]]:
+    """(u, other) when op u unites ``slot``, which op k computes, with
+    ``other`` and every op in between is an application that does not read
+    ``slot``: those ops compute the union's other side without it."""
+    for u in range(k + 1, len(ops)):
+        op, _, args, _ = ops[u]
+        if op == _UNITE and slot in args:
+            return u, sum(args) - slot
+        if op != _APPLY or slot in args:
+            return None
+    return None
+
+
 def _fire_kernel(conclusion: _Conclusion) -> Callable[[_ChaseState, list[tuple[int, ...]]], None]:
     symbols: dict = {conclusion.names: 0}
     ops = tuple((op, None if sym is None else _symbol(symbols, sym), args,
@@ -563,11 +598,16 @@ def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
     are read once; the next fresh id and the counts of changes and merges
     are locals, stored back when the batch ends or the budget stops it.
     After a union only the slots that later ops read are re-canonicalized.
-    A miss creates the element inline, as ``create`` does.  When the next op
-    unites the slot with another, the entry is stored with the other's value
-    and the fresh id is used up and logged as already merged, never live:
-    the union then finds its sides equal, and the state is the one
-    ``create`` and ``unite`` leave, less a dead id among the written elements."""
+    A miss creates the element inline, as ``create`` does.  When a union
+    follows that unites the slot with another and the ops in between are
+    applications that do not read the slot (see _union_after), those ops
+    run first as one line of read-only lookups; if all hit (or there are
+    none), the entry is stored with the other side's value and the fresh id
+    is used up and logged as already merged, never live: the ops then find
+    what they looked up, the union finds its sides equal, and the state is
+    the one ``create`` and ``unite``'s in-place path leave, less a dead id
+    among the written elements.  If one misses, the element is created live
+    and the ops run after it as usual."""
     tables = sorted({sym for op, sym, _, _ in ops if op == _APPLY})
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):",
              "    def kernel(state, batch):",
@@ -592,13 +632,20 @@ def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
             v, key = f"v{slot}", f"k{slot}"
             body += [f"{key} = {_tuple(vals)}", f"{v} = T{sym}.get({key})", f"if {v} is None:",
                      "    if fresh >= stop: raise Budget"]
-            if k + 1 < len(ops) and ops[k + 1][0] == _UNITE and slot in ops[k + 1][2]:
-                # merged into the union's other slot at once
-                body += [f"    {v} = parent[fresh] = v{sum(ops[k + 1][2]) - slot}", "    changes += 2",
-                         "    merges += 1"]
-            else:
-                body += [f"    {v} = parent[fresh] = fresh", f"    live[fresh] = S{sym}", "    elems.add(fresh)",
-                         "    changes += 1"]
+            live = [f"{v} = parent[fresh] = fresh", f"live[fresh] = S{sym}", "elems.add(fresh)", "changes += 1"]
+            union = _union_after(ops, k, slot)
+            if union is None:
+                body += [f"    {line}" for line in live]
+            else:  # merged into the union's other side, if the ops up to the union find it
+                u, other = union
+                merged = [f"{v} = parent[fresh] = v{other}", "changes += 2", "merges += 1"]
+                lookups = [f"(v{slot + 1 + i} := T{f}.get({_tuple([f'v{a}' for a in key_slots])})) is not None"
+                           for i, (_, f, key_slots, _) in enumerate(ops[k + 1:u])]
+                if lookups:  # one line of short-circuit lookups, as in a join kernel's test
+                    body += [f"    if {' and '.join(lookups)}:", *(f"        {line}" for line in merged),
+                             "    else:", *(f"        {line}" for line in live)]
+                else:
+                    body += [f"    {line}" for line in merged]
             body += [f"    T{sym}[{key}] = {v}", f"    W{sym}.add({key})", f"    cell = [T{sym}, {key}, K{sym}]",
                      *(f"    uses[{a}].append(cell)" for a in (*vals, v)),
                      f"    log.append((fresh, K{sym}, {key}, K{term}, K0, ids))", "    fresh += 1"]
@@ -787,9 +834,10 @@ class _ChaseState:
 
     def unite(self, a: int, b: int) -> None:
         """Unite two canonical ids and normalize.  When the losing id is the
-        value of one entry and held by no other entry or tuple (most often
-        an element its instance just created), re-keying that entry's cell
-        is all that ``normalize`` would do, so it is done here."""
+        value of one entry and held by no other entry or tuple (an element
+        its instance just created: a forced atom's, or one a conclusion
+        kernel had to create live), re-keying that entry's cell is all that
+        ``normalize`` would do, so it is done here."""
         lo, hi = (a, b) if a < b else (b, a)
         self.parent[hi] = lo
         del self.live[hi]
@@ -887,9 +935,23 @@ class _ChaseState:
         return [x for x in new if x in held] + [x for x in old if x in held and x not in new]
 
     def matches(self, premise: _Premise, delta: bool = False) -> list[tuple[int, ...]]:
-        """The assignments at which the premise holds (and its guard does
-        not), as id tuples in context order, sorted.  With ``delta``, only
-        those that use a fact written in this round or the one before."""
+        """The assignments at which the premise holds (and, if it has flat
+        atoms, its guard does not), as id tuples in context order, sorted.
+        With ``delta``, only those that use a fact written in this round or
+        the one before.  A premise without flat atoms is matched by no join:
+        its instances are the tuples of its carriers, spread through
+        ``emit``, and none is tested: in prover chases most are active."""
+        if premise.full_run is None:
+            sorts = [sort for sort, _ in premise.carriers]
+            if delta:  # the whole carriers are read only when there are others to pair new elements with
+                new = [self.pool((_ELEM, sort)) for sort in sorts]
+                carriers = [self.carrier(sort) for sort in sorts] if len(sorts) > 1 and any(new) else []
+                tuples = sorted({t for i, pool in enumerate(new) if pool
+                                 for t in product(*carriers[:i], pool, *carriers[i + 1:])})
+            else:
+                tuples = list(product(*map(self.carrier, sorts)))  # sorted, as the carriers are
+            spread = premise.spread
+            return tuples if spread is None else [tuple([t[i] for i in spread]) for t in tuples]
         pools: dict = {}
         results: set[tuple[int, ...]] = set()
         for keys, kernel in premise.delta_runs() if delta else (premise.full_run,):
@@ -907,7 +969,9 @@ class _ChaseState:
     def run_round(self, theory: Theory, delta: bool = False) -> bool:
         """Match every sequent and fire its conclusion at each active match,
         all in one kernel call (the join drops the matches where it holds,
-        whose firing changes nothing).
+        whose firing changes nothing; a premise without flat atoms has no
+        join, and all its instances go to the kernel, which changes nothing
+        at those where the conclusion holds).
         With ``delta`` (every sequent was matched in the round before, or the
         base is a model), match only instances that use a fact written in
         this round or the one before: any other instance was matched in the

@@ -347,13 +347,43 @@ MATCH_PREMISES = {
     ),
 }
 
-# Ground atoms to force over two base elements u, v.
+# Premises without flat atoms, matched as tuples of their carriers: an
+# equation of variables (two names over one carrier) and two carriers of two
+# sorts.  The first conclusion creates f(x) live, since f(y) reads its key,
+# and the third creates src(f(x)) merged whenever src(x) is defined.
+ATOMLESS = parse_theory("""
+theory atomless {
+  sort v;
+  sort e;
+  func f : e -> e;
+  func src : e -> v;
+  rel L : v, e;
+  axiom [x: e, y: e] x = y |- f(x) = f(y) & f(f(y)) = f(x);
+  axiom [u: v, x: e] top |- L(u, f(x));
+  axiom [x: e] top |- src(f(x)) = src(x);
+  axiom [u: v, x: e] L(u, x) & src(x) = u |- f(x) = x;
+}
+""")
+
+# Ground atoms to force over two base elements u, v (of sort e in ATOMLESS).
 FORCED_ATOMS = {
     LADDER: ("u = v", "a = b", "a = c", "c !", "d !", "a = u"),
     NCAT1: ("u = v", "d1(u) = v", "comp1(u, v) !", "comp1(u, comp1(v, u)) !"),
     NCAT2: ("comp2(u, v) !", "d2(u) = c1(v)", "comp1(u, comp2(v, u)) !"),
     ORDER: ("u = v", "R(u, v)", "f(u) = v", "R(f(u), v)", "f(f(v)) !"),
+    ATOMLESS: ("u = v", "f(u) = v", "src(u) = src(v)", "L(src(u), v)"),
 }
+
+
+def _forced(data, theory, base, min_size=0, max_size=3):
+    """Atoms of FORCED_ATOMS[theory], each with its own drawn u and v."""
+    elem = st.sampled_from(base.carriers["e"] if theory is ATOMLESS else base.elements())
+    return tuple(
+        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
+        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[theory]), min_size=min_size, max_size=max_size),
+                              label="forced")
+        for atom in parse_formula(theory.signature, text).atoms
+    )
 
 
 @st.composite
@@ -458,10 +488,12 @@ def _subset(data, items, label):
     return set(data.draw(st.sets(st.sampled_from(items)), label=label)) if items else set()
 
 
-# A sequent's compiled premise tests its conclusion read-only at each match:
-# full and delta plans return the bare premise's matches less exactly those
-# at which the conclusion holds, also after unions.  The facts written in
-# this round and the one before are drawn among the current ones.
+# A sequent's compiled premise with flat atoms tests its conclusion
+# read-only at each match: full and delta plans return the bare premise's
+# matches less exactly those at which the conclusion holds, also after
+# unions.  A premise without flat atoms is not tested: it returns every
+# instance, the bare premise's.  The facts written in this round and the one
+# before are drawn among the current ones.
 @given(st.data())
 def test_guarded_matches_drop_only_satisfied_instances(data):
     theory = data.draw(st.sampled_from(list(MATCH_PREMISES)), label="theory")
@@ -485,9 +517,9 @@ def test_guarded_matches_drop_only_satisfied_instances(data):
     for seq in theory.sequents:
         guarded, bare, names = CHASE_MODULE._compiled(seq)[0], CHASE_MODULE._Premise(seq), seq.context.names()
         for delta in (False, True):
-            active = [ids for ids in state.matches(bare, delta)
-                      if not holds(model, dict(zip(names, ids)), seq.conclusion)]
-            assert state.matches(guarded, delta) == active, (seq.label, delta)
+            instances = state.matches(bare, delta)
+            active = [ids for ids in instances if not holds(model, dict(zip(names, ids)), seq.conclusion)]
+            assert state.matches(guarded, delta) == (active if guarded.atoms else instances), (seq.label, delta)
 
 
 # Some premises above compile to probes that intersect two or more fibers,
@@ -671,13 +703,7 @@ def test_chase_matches_full_rebuild_closure(data):
     theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")
     sig = theory.signature
     base = data.draw(structures(sig, 3))
-    elem = st.sampled_from(base.elements())
-    forced = tuple(
-        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
-        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[theory]), max_size=3), label="forced")
-        for atom in parse_formula(sig, text).atoms
-    )
-    presentation = Presentation(base, forced)
+    presentation = Presentation(base, _forced(data, theory, base))
     budget = ChaseBudget(max_elements=150, max_rounds=6)
     got = chase(theory, presentation, budget)
     with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
@@ -802,6 +828,18 @@ def _state_view(state):
     }
 
 
+def _united_state(theory, base, unions, budget):
+    """A state loaded with the base, after the unions, at a new round."""
+    state = _ChaseState(theory.signature, budget)
+    state.load(base)
+    for u, v in unions:
+        a, b = state.find(u), state.find(v)
+        if a != b:
+            state.unite(a, b)
+    state.written_before, state.written = state.written, CHASE_MODULE._Writes(theory.signature)
+    return state
+
+
 def _fired_both_ways(theory, base, unions, batches, budget):
     """The states left by each sequent's batch kernel and by the interpreted
     op loop firing the same assignments one by one, the sequents in turn as
@@ -809,13 +847,7 @@ def _fired_both_ways(theory, base, unions, batches, budget):
     firing the budget stopped, if any."""
     views = []
     for batched in (True, False):
-        state = _ChaseState(theory.signature, budget)
-        state.load(base)
-        for u, v in unions:
-            a, b = state.find(u), state.find(v)
-            if a != b:
-                state.unite(a, b)
-        state.written_before, state.written = state.written, CHASE_MODULE._Writes(theory.signature)  # a new round
+        state = _united_state(theory, base, unions, budget)
         stopped = None
         try:
             for seq, batch in zip(theory.sequents, batches):
@@ -862,6 +894,78 @@ def test_batch_kernel_reads_the_winner_of_a_union():
     assert got == want and want[1]["funcs"]["c1"] == {(1,): 1}
 
 
+# A miss whose equation's other side the ops up to the union compute
+# without it (d1(comp1(x, y)) = d1(y) in comp1.bounds) is created merged
+# into the other side when those ops find it, without unite.  Otherwise it
+# is created live and the other side evaluated after it: when the other
+# side's lookup reads the very key the miss creates (comp1(x, y) = y, so
+# d1(y) reads the new element back and the union is skipped), and when the
+# budget allows the miss but not the other side.  The batch kernel leaves
+# the interpreted op loop's state in each case.
+FALLBACK_CASES = {
+    "merged": ({"*": (0, 1, 2)}, {(0, 1): 2}, {(1,): 1}, 10, None, {(1,): 1, (2,): 1}),
+    "reads its own key": ({"*": (0, 1)}, {(0, 1): 1}, {}, 10, None, {(1,): 2}),
+    "budget": ({"*": (0, 1, 2)}, {(0, 1): 2}, {}, 4, "comp1.bounds", {(2,): 3}),
+}
+
+
+@pytest.mark.parametrize("case", list(FALLBACK_CASES))
+def test_fused_creation_falls_back_to_a_live_element(case):
+    carriers, comp1, d1, budget, stopped, want_d1 = FALLBACK_CASES[case]
+    c1 = {(e,): 0 for e in carriers["*"]}  # c1(comp1(x, y)) = c1(x) holds
+    base = PartialStructure(NCAT1.signature, carriers, {"comp1": comp1, "d1": d1, "c1": c1}, {})
+    batches = [[(0, 1)] if seq.label == "comp1.bounds" else [] for seq in NCAT1.sequents]
+    got, want = _fired_both_ways(NCAT1, base, [], batches, ChaseBudget(max_elements=budget))
+    assert got == want
+    assert want[0] == stopped and want[1]["funcs"]["d1"] == want_d1
+    assert (base.size() in want[1]["live"]) == (case != "merged")  # the fresh id
+    assert want[1]["counts"][3] == (case == "merged")  # merges
+    if case == "merged":  # the batch kernel alone, with unite forbidden
+        state = _united_state(NCAT1, base, [], ChaseBudget(max_elements=budget))
+        (bounds,) = [seq for seq in NCAT1.sequents if seq.label == "comp1.bounds"]
+        with mock.patch.object(_ChaseState, "unite", side_effect=AssertionError("the fused path called unite")):
+            CHASE_MODULE._compiled(bounds)[1].kernel(state, [(0, 1)])
+        assert _state_view(state) == got[1]
+
+
+# A premise without flat atoms returns all its instances, untested: its
+# conclusion kernel is its own test.  Firing each such sequent's whole
+# instance list leaves the state that firing only its active instances
+# leaves (tables, classes, use-lists, writes, fresh log and counters), in
+# full and delta rounds, after unions, and when the budget stops a batch.
+@given(st.data())
+def test_atomless_instances_fire_as_their_active_ones(data):
+    theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")
+    sig = theory.signature
+    drawn = structures(sig, 3)
+    base = data.draw(st.one_of(drawn, substructures(NCAT2_MODELS, 6)) if theory is NCAT2 else drawn)
+    elem = {s: st.sampled_from(base.carriers[s]) for s in sig.sorts}
+    pair = st.sampled_from(sig.sorts).flatmap(lambda s: st.tuples(elem[s], elem[s]))
+    unions = data.draw(st.lists(pair, max_size=2), label="unions")
+    written = _subset(data, base.elements(), "elements written before")
+    delta = data.draw(st.booleans(), label="delta")
+    budget = ChaseBudget(max_elements=base.size() + data.draw(st.integers(0, 30), label="fresh elements"))
+    views = []
+    for active_only in (False, True):
+        state = _united_state(theory, base, unions, budget)
+        state.written_before.elems |= written
+        stopped = False
+        try:
+            for seq in theory.sequents:
+                premise, conclusion = CHASE_MODULE._compiled(seq)
+                if premise.atoms:
+                    continue
+                batch = state.matches(premise, delta)
+                if active_only:
+                    model, names = state.snapshot(), seq.context.names()
+                    batch = [ids for ids in batch if not holds(model, dict(zip(names, ids)), seq.conclusion)]
+                conclusion.kernel(state, batch)
+        except CHASE_MODULE._Budget:
+            stopped = True
+        views.append((stopped, _state_view(state)))
+    assert views[0] == views[1]
+
+
 # Delta rounds, from scratch and from a model, agree with the reference that
 # rematches every premise in full each round.  The forced atoms create
 # elements, merge them and add relation tuples; merges re-key entries,
@@ -874,13 +978,7 @@ def test_delta_rounds_match_full_rematch(theory, data):
     start = chase(theory, Presentation(data.draw(structures(sig, 4))), budget)
     assume(start.status == COMPLETE)
     base = start.model
-    elem = st.sampled_from(base.elements())
-    forced = tuple(
-        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
-        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[theory]), min_size=1, max_size=4), label="forced")
-        for atom in parse_formula(sig, text).atoms
-    )
-    presentation = Presentation(base, forced)
+    presentation = Presentation(base, _forced(data, theory, base, min_size=1, max_size=4))
     with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
         want = chase(theory, presentation, budget)
     _same_result(chase(theory, presentation, budget), want)
@@ -930,12 +1028,7 @@ def test_use_lists_list_each_live_entry_under_its_ids(data):
     sig = theory.signature
     drawn = structures(sig, 3)
     base = data.draw(st.one_of(drawn, substructures(NCAT2_MODELS, 6)) if theory is NCAT2 else drawn)
-    elem = st.sampled_from(base.elements())
-    forced = tuple(
-        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
-        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[theory]), min_size=1, max_size=3), label="forced")
-        for atom in parse_formula(sig, text).atoms
-    )
+    forced = _forced(data, theory, base, min_size=1)
     with mock.patch.object(CHASE_MODULE, "_ChaseState", _CheckedState):
         chase(theory, Presentation(base, forced), ChaseBudget(max_elements=60, max_rounds=4))
 
@@ -1021,12 +1114,7 @@ def _renamed_structure(S):
 def test_kernels_take_names_that_are_not_identifiers(data):
     sig = ORDER.signature
     base = data.draw(structures(sig, 3))
-    elem = st.sampled_from(base.elements())
-    forced = tuple(
-        (atom, (("u", data.draw(elem)), ("v", data.draw(elem))))
-        for text in data.draw(st.lists(st.sampled_from(FORCED_ATOMS[ORDER]), max_size=3), label="forced")
-        for atom in parse_formula(sig, text).atoms
-    )
+    forced = _forced(data, ORDER, base)
     budget = ChaseBudget(max_elements=150, max_rounds=6)
     want = chase(ORDER, Presentation(base, forced), budget)
     renamed = tuple((atom_from_json(_renamed(atom_to_json(atom))), items) for atom, items in forced)
@@ -1046,6 +1134,18 @@ def test_kernels_take_names_that_are_not_identifiers(data):
                    formula_from_json(_renamed(formula_to_json(seq.premise))),
                    formula_from_json(_renamed(formula_to_json(seq.conclusion))))
     assert prove_sequent(ORDER_RENAMED, copy, budget) == prove_sequent(ORDER, seq, budget)
+
+
+# Each kernel shape compiles under a file name of its own, its index in the
+# memo, so that a profile keeps one row per shape; sequents of one shape
+# share the code.
+def test_kernel_shapes_compile_under_distinct_names():
+    compiled = {seq.label: CHASE_MODULE._compiled(seq) for seq in NCAT1.sequents}
+    join = {label: premise.full_run[1].__code__ for label, (premise, _) in compiled.items() if premise.atoms}
+    fire = {label: conclusion.kernel.__code__ for label, (_, conclusion) in compiled.items()}
+    assert join["comp1.total"].co_filename != join["comp1.bounds"].co_filename
+    assert fire["comp1.total"].co_filename != fire["comp1.bounds"].co_filename
+    assert fire["idem.d1"] is fire["idem.c1"]
 
 
 # Kernels are keyed by shape, not by the terms a prover call forces: once a
