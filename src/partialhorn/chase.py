@@ -17,19 +17,17 @@ still holds stay valid, and it is listed again only under the ids new to
 it; a cell whose new key collides with another entry is marked dead.
 Every key, value and tuple is then canonical (the least id of its class),
 the same fixpoint a full rebuild reaches.
-Most unions in a chase unite an element with the one entry that holds it,
-as its value: a fresh element, created by an instance whose equation then
-merges it.  Such a union needs no rebuild, as in egg when a class has one
-e-node: ``unite`` re-keys that entry's cell in place, and the test for "no
-other use" is exact because relation tuples have use-lists too.  Most such
-unions never happen: when the equation's other side is already defined, a
-conclusion kernel creates the element merged, storing the entry with its
-final value, and the fresh id is used up and logged but never live.  The
-other side may need ops of its own, up to the union: if none reads the
-new element, they run first as read-only lookups, and only when one misses
-is the element created live and the other side evaluated after it (a
-lookup of the very key being created misses, as it must: in op order it
-would read the new element back).
+Every union takes that one path, even the commonest: a fresh element,
+created by an instance whose equation then merges it, united with the one
+entry that holds it (``normalize`` then pops one listing).  Most such
+unions never happen: when the equation's other side is already defined,
+a conclusion kernel creates the element merged, storing the entry with
+its final value, and the fresh id is used up and logged but never live.
+The other side may need ops of its own, up to the union: if none reads
+the new element, they run first as read-only lookups, and only when one
+misses is the element created live and the other side evaluated after it
+(a lookup of the very key being created misses, as it must: in op order
+it would read the new element back).
 
 Premises are matched by a join over flattened atoms ``f(x1..xk) = y``,
 in the spirit of relational e-matching.  Each sequent's premise is
@@ -67,6 +65,8 @@ Kernels are keyed by shape: the plan or program with every symbol
 replaced by the index of its first occurrence.  Names and terms reach a
 kernel as arguments, never as source, and every theory, and every
 premise built on the fly, that shares a shape shares its compiled code.
+The memo keeps the most recently used shapes only: hom search builds a
+premise, and so a shape, from each source's diagram.
 
 Rounds are semi-naive, as in egglog.  The state records every fact it
 writes (a table entry inserted or re-keyed, a relation tuple added or
@@ -107,7 +107,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from typing import Callable, Mapping, Optional, Sequence
 
 from .structure import Hom, PartialStructure, empty_structure, holds
@@ -410,7 +410,9 @@ class _Conclusion:
 # function table from the state once, on entry: after ``load`` a state only
 # ever changes its tables in place.
 
-_KERNELS: dict[tuple, Callable[..., Callable]] = {}  # shape -> compiled factory, one per shape in the process
+_KERNELS: dict[tuple, Callable[..., Callable]] = {}  # shape -> compiled factory, least recently used first
+_MAX_KERNELS = 256  # hom search compiles a shape per source diagram, so the memo evicts past this many
+_KERNEL_NUMBERS = count()  # file names of compiled shapes, never reused after an eviction
 
 _MAX_LOOPS = 16  # nested loops per generated function, under CPython's limit of 20 nested blocks
 
@@ -418,12 +420,15 @@ _Run = tuple[tuple, Callable]  # (pool keys, kernel) of a join plan; see _ChaseS
 
 
 def _kernel(shape: tuple, symbols: dict, source: Callable[..., list[str]]) -> Callable:
-    make = _KERNELS.get(shape)
+    make = _KERNELS.pop(shape, None)
     if make is None:
         namespace: dict = {"Budget": _Budget}
         code = "\n".join(source(*shape[1:], len(symbols)))
-        exec(compile(code, f"<partialhorn {shape[0]} kernel {len(_KERNELS)}>", "exec"), namespace)
-        make = _KERNELS[shape] = namespace.pop("make")  # no cycle between make and its globals
+        exec(compile(code, f"<partialhorn {shape[0]} kernel {next(_KERNEL_NUMBERS)}>", "exec"), namespace)
+        make = namespace.pop("make")  # no cycle between make and its globals
+        if len(_KERNELS) >= _MAX_KERNELS:
+            del _KERNELS[next(iter(_KERNELS))]
+    _KERNELS[shape] = make
     return make(*symbols)
 
 
@@ -605,8 +610,8 @@ def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
     none), the entry is stored with the other side's value and the fresh id
     is used up and logged as already merged, never live: the ops then find
     what they looked up, the union finds its sides equal, and the state is
-    the one ``create`` and ``unite``'s in-place path leave, less a dead id
-    among the written elements.  If one misses, the element is created live
+    the one ``create`` and then ``unite`` leave, less a dead id among the
+    written elements.  If one misses, the element is created live
     and the ops run after it as usual."""
     tables = sorted({sym for op, sym, _, _ in ops if op == _APPLY})
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):",
@@ -833,26 +838,12 @@ class _ChaseState:
                 self.written.rels[r].add(moved)
 
     def unite(self, a: int, b: int) -> None:
-        """Unite two canonical ids and normalize.  When the losing id is the
-        value of one entry and held by no other entry or tuple (an element
-        its instance just created: a forced atom's, or one a conclusion
-        kernel had to create live), re-keying that entry's cell is all that
-        ``normalize`` would do, so it is done here."""
+        """Unite two canonical ids, queue the losing one and normalize."""
         lo, hi = (a, b) if a < b else (b, a)
         self.parent[hi] = lo
         del self.live[hi]
         self.merges += 1
         self.version += 1
-        uses = self.uses.get(hi, ())
-        if len(uses) == 1 and not self.pending and hi not in self.rel_uses:
-            cell = uses[0]
-            table, key, f = cell
-            if key is not None and table[key] == hi and hi not in key:
-                del self.uses[hi]
-                table[key] = lo
-                self.written.funcs[f].add(key)  # hi may be an old element, its entry not yet written
-                self.uses[lo].append(cell)  # the ids of key list the cell already
-                return
         self.pending.append(hi)
         self.normalize()
 

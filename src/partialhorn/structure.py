@@ -293,11 +293,11 @@ class _ModelBuilder:
     """Builds a named model from the element declarations, function entries
     and relation tuples a reader meets, in reading order; each record
     carries its location for the error messages.  Ids are the order in
-    which elements are declared."""
+    which elements are declared.  ``where`` locates the theory it names."""
 
-    def __init__(self, theory: Theory, name: str, of: object) -> None:
+    def __init__(self, theory: Theory, name: str, of: object, where: str) -> None:
         if of != theory.name:
-            raise ValueError(f"model {name}: declares theory {of!r}, expected {theory.name!r}")
+            raise ValueError(f"{where}: declares theory {of!r}, expected {theory.name!r}")
         self.theory, self.name = theory, name
         self.ids: dict[str, int] = {}
         self.carriers: dict[str, list[int]] = {s: [] for s in theory.signature.sorts}
@@ -350,7 +350,8 @@ def parse_model(text: str, theory: Theory) -> NamedModel:
     ts.expect("model")
     name = ts.expect_ident().text
     ts.expect("of")
-    builder = _ModelBuilder(theory, name, ts.expect_ident().text)
+    of = ts.expect_ident()
+    builder = _ModelBuilder(theory, name, of.text, f"{of.line}:{of.col}: model {name}")
     ts.expect("{")
     while not ts.at("}"):
         tok = ts.peek()
@@ -433,10 +434,13 @@ def _build_hom(
     source: NamedModel,
     target: NamedModel,
     pairs: Iterable[tuple[str, object, object]],
+    where: tuple[str, str],
 ) -> tuple[str, Hom]:
-    """Build a hom from the (location, element, image) pairs a reader meets."""
+    """Build a hom from the (location, element, image) pairs a reader meets;
+    ``where`` locates the declared source and target."""
     if src != source.name or tgt != target.name:
-        raise ValueError(f"hom {name}: declared {src} -> {tgt}, given {source.name} -> {target.name}")
+        at = where[0] if src != source.name else where[1]
+        raise ValueError(f"{at}: declared {src} -> {tgt}, given {source.name} -> {target.name}")
     src_ids = {e: i for i, e in enumerate(source.element_names)}
     tgt_ids = {e: i for i, e in enumerate(target.element_names)}
     mapping: dict[int, int] = {}
@@ -456,9 +460,9 @@ def parse_hom(text: str, source: NamedModel, target: NamedModel) -> tuple[str, H
     ts.expect("hom")
     name = ts.expect_ident().text
     ts.expect(":")
-    src = ts.expect_ident().text
+    src = ts.expect_ident()
     ts.expect("->")
-    tgt = ts.expect_ident().text
+    tgt = ts.expect_ident()
     ts.expect("{")
 
     def pairs() -> Iterator[tuple[str, str, str]]:
@@ -471,7 +475,8 @@ def parse_hom(text: str, source: NamedModel, target: NamedModel) -> tuple[str, H
         ts.expect("}")
         ts.expect_eof()
 
-    return _build_hom(name, src, tgt, source, target, pairs())
+    where = (f"{src.line}:{src.col}: hom {name}", f"{tgt.line}:{tgt.col}: hom {name}")
+    return _build_hom(name, src.text, tgt.text, source, target, pairs(), where)
 
 
 def hom_to_text(name: str, h: Hom, source: NamedModel, target: NamedModel) -> str:
@@ -501,8 +506,8 @@ def model_from_json(data: dict, theory: Theory) -> NamedModel:
     order.  Malformed input raises ValueError naming the model and the
     place in the document."""
     name = _json_field(data, "model", "model JSON")
-    builder = _ModelBuilder(theory, name, data.get("of"))
     where = f"model {name}"
+    builder = _ModelBuilder(theory, name, data.get("of"), f"{where}: of")
     elems = _json_field(data, "elems", where, dict, {})
     rank = {s: i for i, s in enumerate(theory.signature.sorts)}
     for s in sorted(elems, key=lambda s: rank.get(s, -1)):
@@ -533,7 +538,7 @@ def hom_from_json(data: dict, source: NamedModel, target: NamedModel) -> tuple[s
     pairs = _json_field(data, "map", f"hom {name}", dict).items()
     return _build_hom(
         name, data.get("source"), data.get("target"), source, target,
-        ((f"hom {name}: map", e, x) for e, x in pairs),
+        ((f"hom {name}: map", e, x) for e, x in pairs), (f"hom {name}: source", f"hom {name}: target"),
     )
 
 

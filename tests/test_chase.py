@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import itertools
 import json
+import random
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -721,24 +722,15 @@ def _same_result(got, want):
     assert (got.status, got.rounds, got.merges) == (want.status, want.rounds, want.merges)
 
 
-# Uniting an element with the entry that created it, its one use, re-keys
-# that entry in place: normalize never sees a pending id, and the chase ends
-# as the full-rebuild reference does.
-def test_uniting_a_fresh_element_needs_no_normalize():
+# A forced atom unites the element it just created with an older one; the
+# entry that created it is its one use, re-keyed by normalize, and the chase
+# ends as the full-rebuild reference does.
+def test_forced_atom_unites_its_fresh_element_as_full_rebuild_does():
     base = PartialStructure(NCAT1.signature, {"*": (0,)}, {"d1": {(0,): 0}, "c1": {(0,): 0}, "comp1": {}}, {})
     (seq,) = parse_sequent(NCAT1.signature, "[x: *] top |- comp1(x, d1(x)) = x")
     presentation = Presentation(base, tuple((atom, (("x", 0),)) for atom in seq.conclusion.atoms))
-    pending = []
-    normalize = _ChaseState.normalize
-
-    def watched(self):
-        pending.append(len(self.pending))
-        return normalize(self)
-
-    with mock.patch.object(_ChaseState, "normalize", watched):
-        got = chase(NCAT1, presentation)
+    got = chase(NCAT1, presentation)
     assert got.merges == 1 and [e.elem for e in got.fresh_log] == [1] and got.quotient == {0: 0, 1: 0}
-    assert pending and not any(pending)
     with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
         want = chase(NCAT1, presentation)
     _same_result(got, want)
@@ -1019,9 +1011,10 @@ class _CheckedState(_ChaseState):
         _assert_use_lists(self)
 
 
-# The use-lists stay exact through re-keying, collisions and in-place
-# unions: chases from random structures and from ncat2 substructures, whose
-# forced atoms merge elements with entries on both sides.
+# The use-lists stay exact through re-keying, collisions and the unions of
+# fresh elements: chases from random structures and from ncat2
+# substructures, whose forced atoms merge elements with entries on both
+# sides.
 @given(st.data())
 def test_use_lists_list_each_live_entry_under_its_ids(data):
     theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")
@@ -1136,9 +1129,9 @@ def test_kernels_take_names_that_are_not_identifiers(data):
     assert prove_sequent(ORDER_RENAMED, copy, budget) == prove_sequent(ORDER, seq, budget)
 
 
-# Each kernel shape compiles under a file name of its own, its index in the
-# memo, so that a profile keeps one row per shape; sequents of one shape
-# share the code.
+# Each kernel shape compiles under a file name of its own, numbered in
+# compile order, so that a profile keeps one row per shape; sequents of one
+# shape share the code.
 def test_kernel_shapes_compile_under_distinct_names():
     compiled = {seq.label: CHASE_MODULE._compiled(seq) for seq in NCAT1.sequents}
     join = {label: premise.full_run[1].__code__ for label, (premise, _) in compiled.items() if premise.atoms}
@@ -1163,6 +1156,31 @@ def test_kernel_memo_does_not_grow_with_prover_terms():
     for k in range(8, 58):
         assert prove_sequent(NCAT1, seq(k)).verdict in (VALID, INVALID)
     assert len(CHASE_MODULE._KERNELS) == size
+
+
+# Hom search compiles a shape per source diagram; the memo keeps only the
+# most recently used shapes, and a shape compiled again after its eviction
+# gets a file name no other shape has had.
+def test_kernel_memo_stays_bounded_under_hom_search():
+    rng = random.Random(7)
+    point = PartialStructure(NCAT1.signature, {"*": (0,)}, {"d1": {(0,): 0}, "c1": {(0,): 0}, "comp1": {(0, 0): 0}}, {})
+
+    def source():
+        elems = range(rng.randint(1, 7))
+        tables = {f: {args: rng.choice(elems) for args in itertools.product(elems, repeat=arity)
+                      if rng.random() < 0.4} for f, arity in (("d1", 1), ("c1", 1), ("comp1", 2))}
+        return PartialStructure(NCAT1.signature, {"*": tuple(elems)}, tables, {})
+
+    sources = [source() for _ in range(CHASE_MODULE._MAX_KERNELS + 100)]
+    shapes, names = set(), set()
+    with mock.patch.dict(CHASE_MODULE._KERNELS, clear=True):
+        for A in sources + sources[:1]:
+            assert len(enumerate_homs(A, point)) == 1  # everything goes to the one point
+            assert len(CHASE_MODULE._KERNELS) <= CHASE_MODULE._MAX_KERNELS
+            shapes |= CHASE_MODULE._KERNELS.keys()
+            names |= {make.__code__.co_filename for make in CHASE_MODULE._KERNELS.values()}
+    assert len(shapes) > CHASE_MODULE._MAX_KERNELS
+    assert len(names) == len(shapes) + 1  # the first source's shape, compiled again
 
 
 def _reference_eval(state, term, asg):

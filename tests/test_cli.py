@@ -119,6 +119,23 @@ def test_check_json_model_conflicting_entries_exits_two(corpus, tmp_path, capsys
     assert "model ladder_M: funcs.a[1]: conflicting entries for a()" in err
 
 
+# A model that names another theory than the one loaded is located: at the
+# name after `of` in text, at the key `of` in JSON.
+@pytest.mark.parametrize("suffix, text, message", [
+    (".pm", "model M of chain {\n  elem s : e;\n}\n", "1:12: model M: declares theory 'chain', expected 'ladder'"),
+    (".pm", "model M\n  of ncat1 {\n}\n", "2:6: model M: declares theory 'ncat1', expected 'ladder'"),
+    (".json", json.dumps(dict(LADDER_M_JSON, of="chain")),
+     "model ladder_M: of: declares theory 'chain', expected 'ladder'"),
+    (".json", json.dumps({k: v for k, v in LADDER_M_JSON.items() if k != "of"}),
+     "model ladder_M: of: declares theory None, expected 'ladder'"),
+])
+def test_check_model_of_another_theory_exits_two(corpus, tmp_path, capsys, suffix, text, message):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    code, _, err = run(capsys, "check", "--theory", corpus / "theories" / "ladder.pht", path)
+    assert code == 2 and message in err
+
+
 @pytest.mark.parametrize("suffix, text, message", [
     (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_T",
                           "map": {"ea": "zz", "eb": "t"}}), "hom bang: map: unknown element 'zz'"),
@@ -128,6 +145,14 @@ def test_check_json_model_conflicting_entries_exits_two(corpus, tmp_path, capsys
      "hom bang: 'map' must be an object, got list"),
     (".phom", "hom bang : ladder_M -> ladder_T {\n  ea |-> zz;\n  eb |-> t;\n}\n",
      "hom bang: unknown element 'zz'"),
+    (".json", json.dumps({"hom": "bang", "source": "ladder_T", "target": "ladder_T", "map": {}}),
+     "hom bang: source: declared ladder_T -> ladder_T, given ladder_M -> ladder_T"),
+    (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_M", "map": {}}),
+     "hom bang: target: declared ladder_M -> ladder_M, given ladder_M -> ladder_T"),
+    (".phom", "hom bang : ladder_T -> ladder_T {\n}\n",
+     "1:12: hom bang: declared ladder_T -> ladder_T, given ladder_M -> ladder_T"),
+    (".phom", "hom bang : ladder_M ->\n  ladder_M {\n}\n",
+     "2:3: hom bang: declared ladder_M -> ladder_M, given ladder_M -> ladder_T"),
 ])
 def test_check_malformed_hom_exits_two(corpus, tmp_path, capsys, suffix, text, message):
     path = tmp_path / f"bad{suffix}"
