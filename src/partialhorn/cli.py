@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -22,6 +22,7 @@ from .chase import (
     representing_model,
 )
 from .decompose import (
+    MAX_STEPS,
     STABILIZED,
     DecompositionTrace,
     Scale,
@@ -63,6 +64,7 @@ from .syntax import (
     TokenStream,
     _parse_context,
     _parse_formula,
+    check_context,
     check_formula,
     check_term,
     free_vars,
@@ -80,31 +82,8 @@ EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    max_elements: int = 10000
-    max_rounds: int = 1000
-    max_steps: int = 64
-    fmt: str = "text"
-
-    def budget(self) -> ChaseBudget:
-        return ChaseBudget(self.max_elements, self.max_rounds)
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    for flag in ("max_elements", "max_rounds", "max_steps"):
-        if getattr(args, flag) < 0:
-            raise ValueError(f"--{flag.replace('_', '-')} must not be negative, got {getattr(args, flag)}")
-    return RunConfig(
-        max_elements=args.max_elements,
-        max_rounds=args.max_rounds,
-        max_steps=args.max_steps,
-        fmt=args.format,
-    )
-
-
-def _emit(cfg: RunConfig, command: str, result: object, lines: Sequence[str]) -> None:
-    if cfg.fmt == "json":
+def _emit(fmt: str, command: str, result: object, lines: Sequence[str]) -> None:
+    if fmt == "json":
         print(json.dumps({"command": command, "result": result}, sort_keys=True, indent=2))
     else:
         for line in lines:
@@ -116,7 +95,10 @@ def _emit(cfg: RunConfig, command: str, result: object, lines: Sequence[str]) ->
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    if args.hom and not (args.src and args.tgt):
+        raise ValueError("--hom requires --from and --to model files")
+    if (args.src or args.tgt) and not args.hom:
+        raise ValueError("--from and --to require a --hom file")
     theory = load_theory(args.theory)
     lines = [f"theory {theory.name}: ok ({len(theory.sequents)} sequents)"]
     records = [{"file": args.theory, "kind": "theory", "ok": True}]
@@ -135,8 +117,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             lines.append(f"model {m.name}: FAIL at {where}" + (f" under {under}" if under else ""))
         records.append({"file": path, "kind": "model", "ok": ok})
     if args.hom:
-        if not (args.src and args.tgt):
-            raise ValueError("--hom requires --from and --to model files")
         src = load_model(args.src, theory)
         tgt = load_model(args.tgt, theory)
         name, h = load_hom(args.hom, src, tgt)
@@ -145,7 +125,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         failed = failed or not ok
         lines.append(f"hom {name}: {'ok' if ok else 'FAIL (' + rep.reason + ')'}")
         records.append({"file": args.hom, "kind": "hom", "ok": ok})
-    _emit(cfg, "check", {"checks": records, "ok": not failed}, lines)
+    _emit(args.format, "check", {"checks": records, "ok": not failed}, lines)
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
@@ -161,10 +141,10 @@ def _parse_cli_context(text: str) -> Context:
 
 
 def _cmd_free(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     theory = load_theory(args.theory)
     sig = theory.signature
     ctx = _parse_cli_context(args.context) if args.context else Context(())
+    check_context(sig, ctx)
     if args.formula:
         ts = TokenStream(args.formula)
         phi = _parse_formula(ts, sig)
@@ -172,7 +152,7 @@ def _cmd_free(args: argparse.Namespace) -> int:
     else:
         phi = TOP
     check_formula(sig, ctx, phi)
-    result, generic = representing_model(theory, ctx, phi, cfg.budget())
+    result, generic = representing_model(theory, ctx, phi, ChaseBudget(args.max_elements, args.max_rounds))
     lines = [f"status {result.status} (rounds {result.rounds}, merges {result.merges})"]
     for s in sig.sorts:
         es = result.model.carriers.get(s, ())
@@ -181,7 +161,7 @@ def _cmd_free(args: argparse.Namespace) -> int:
     if generic:
         lines.append("generic: " + ", ".join(f"{n} = {v}" for n, v in generic.items()))
     _emit(
-        cfg,
+        args.format,
         "free",
         {
             "status": result.status,
@@ -201,14 +181,13 @@ def _cmd_free(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     theory = load_theory(args.theory)
     seqs = parse_sequent(theory.signature, args.sequent)
     lines = []
     records = []
     verdicts = []
     for seq in seqs:
-        res = prove_sequent(theory, seq, cfg.budget())
+        res = prove_sequent(theory, seq, ChaseBudget(args.max_elements, args.max_rounds))
         verdicts.append(res.verdict)
         lines.append(
             f"{seq.label}: {res.verdict} (rounds {res.rounds}, elements {res.elements}, merges {res.merges})"
@@ -222,7 +201,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
                 "merges": res.merges,
             }
         )
-    _emit(cfg, "prove", {"goals": records}, lines)
+    _emit(args.format, "prove", {"goals": records}, lines)
     if any(v == "Invalid" for v in verdicts):
         return EXIT_MISMATCH
     if any(v == "Unknown" for v in verdicts):
@@ -300,38 +279,36 @@ def _trace_dot(trace: DecompositionTrace, src_size: int) -> str:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     theory = load_theory(args.theory)
     src, _, h = _resolve_hom(args, theory)
     scale = _load_scale(args, theory)
-    trace = canonical_decomposition(theory, scale, h, cfg.budget(), cfg.max_steps)
+    trace = canonical_decomposition(theory, scale, h, ChaseBudget(args.max_elements, args.max_rounds), args.max_steps)
     if args.dot:
         Path(args.dot).write_text(_trace_dot(trace, src.structure.size()), encoding="utf-8")
-    _emit(cfg, "decompose", _trace_json(trace), _trace_lines(trace))
+    _emit(args.format, "decompose", _trace_json(trace), _trace_lines(trace))
     return EXIT_OK if trace.status == STABILIZED else EXIT_INCOMPLETE
 
 
 def _cmd_decnum(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     theory = load_theory(args.theory)
     _, _, h = _resolve_hom(args, theory)
     scale = _load_scale(args, theory)
-    trace = canonical_decomposition(theory, scale, h, cfg.budget(), cfg.max_steps)
+    trace = canonical_decomposition(theory, scale, h, ChaseBudget(args.max_elements, args.max_rounds), args.max_steps)
     if trace.status == STABILIZED:
-        _emit(cfg, "decnum", {"decnum": trace.claimed_decnum, "status": trace.status}, [str(trace.claimed_decnum)])
+        result = {"decnum": trace.claimed_decnum, "status": trace.status}
+        _emit(args.format, "decnum", result, [str(trace.claimed_decnum)])
         return EXIT_OK
-    _emit(cfg, "decnum", {"decnum": None, "status": trace.status}, [f"status {trace.status}"])
+    _emit(args.format, "decnum", {"decnum": None, "status": trace.status}, [f"status {trace.status}"])
     return EXIT_INCOMPLETE
 
 
 def _cmd_image(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     theory = load_theory(args.theory)
     src, tgt, h = _resolve_hom(args, theory)
     try:
-        fact = image_factorization(theory, h, cfg.budget(), cfg.max_steps)
+        fact = image_factorization(theory, h, ChaseBudget(args.max_elements, args.max_rounds), args.max_steps)
     except RuntimeError as exc:
-        _emit(cfg, "image", {"status": str(exc)}, [f"status {exc}"])
+        _emit(args.format, "image", {"status": str(exc)}, [f"status {exc}"])
         return EXIT_INCOMPLETE
     lines = [
         f"strong epi: {src.structure.size()} -> {fact.mono.source.size()} elements "
@@ -339,7 +316,7 @@ def _cmd_image(args: argparse.Namespace) -> int:
         f"mono: {fact.mono.source.size()} -> {tgt.structure.size()} elements (injective)",
     ]
     _emit(
-        cfg,
+        args.format,
         "image",
         {
             "epiSteps": len(fact.trace.steps),
@@ -368,7 +345,6 @@ def _resolve_rules(args: argparse.Namespace) -> GaugeRules:
 
 
 def _cmd_gauge_check(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     rules = _resolve_rules(args)
     sig = rules.theory.signature
     if len(sig.sorts) != 1:
@@ -386,7 +362,7 @@ def _cmd_gauge_check(args: argparse.Namespace) -> int:
     all_ok = True
     max_sharp = 0
     for term in terms:
-        cert = check_gauge(rules, ctx, term, cfg.budget())
+        cert = check_gauge(rules, ctx, term, ChaseBudget(args.max_elements, args.max_rounds))
         max_sharp = max(max_sharp, cert.rows[0].sharp)
         ok = cert.certified
         all_ok = all_ok and ok
@@ -421,7 +397,7 @@ def _cmd_gauge_check(args: argparse.Namespace) -> int:
         f"decnum bound {gamma}, global bound {gamma + 1}"
     )
     _emit(
-        cfg,
+        args.format,
         "gauge-check",
         {
             "terms": rows,
@@ -442,7 +418,6 @@ def _cmd_gauge_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_ncat_normalize(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     sig = ncat_signature(args.n)  # built once: at large n it dominates the command
     term = parse_term(sig, args.term)
     ctx = Context(tuple((v, "*") for v in free_vars(term)))
@@ -451,7 +426,7 @@ def _cmd_ncat_normalize(args: argparse.Namespace) -> int:
     if not ncat_is_normal(normal):
         raise RuntimeError(f"normalizer returned a non-normal term: {term_to_text(normal)}")
     _emit(
-        cfg,
+        args.format,
         "ncat-normalize",
         {
             "input": term_to_text(term),
@@ -469,9 +444,8 @@ def _cmd_ncat_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_topdec(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     f = koizumi_map(args.lam)
-    trace = monotone_light_decomposition(f, cfg.max_steps)
+    trace = monotone_light_decomposition(f, args.max_steps)
     lines = []
     for i, step in enumerate(trace.steps, start=1):
         classes = ", ".join(
@@ -483,7 +457,7 @@ def _cmd_topdec(args: argparse.Namespace) -> int:
     else:
         lines.append(f"status {trace.status}")
     _emit(
-        cfg,
+        args.format,
         "topdec",
         {
             "lambda": args.lam,
@@ -508,7 +482,6 @@ def _cmd_topdec(args: argparse.Namespace) -> int:
 
 
 def _cmd_gat_rank(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     spec = load_gat(args.file)
     report = analyze(spec)
     lines = [f"gat {spec.name}"]
@@ -521,7 +494,7 @@ def _cmd_gat_rank(args: argparse.Namespace) -> int:
     else:
         lines.append("descending; no bound")
     _emit(
-        cfg,
+        args.format,
         "gat-rank",
         {
             "name": spec.name,
@@ -567,45 +540,31 @@ def _load_corpus_hom(corpus: Path, theory, model_a: str, model_b: str, hom: str)
     return h
 
 
-def _case_decnum(corpus: Path, cfg: RunConfig, theory_file: str, ma: str, mb: str, hom: str) -> str:
-    theory = load_theory(str(corpus / "theories" / theory_file))
-    h = _load_corpus_hom(corpus, theory, ma, mb, hom)
-    trace = canonical_decomposition(theory, equational_scale(theory.signature), h, cfg.budget(), cfg.max_steps)
-    if trace.status != STABILIZED:
-        return trace.status
-    return str(trace.claimed_decnum)
+def _example_cases(corpus: Path, budget: ChaseBudget, max_steps: int) -> list[tuple[str, str, Callable[[], str]]]:
+    def decnum_case(theory_file: str, ma: str, mb: str, hom: str, steps: int = max_steps) -> Callable[[], str]:
+        def run() -> str:
+            theory = load_theory(str(corpus / "theories" / theory_file))
+            h = _load_corpus_hom(corpus, theory, ma, mb, hom)
+            trace = canonical_decomposition(theory, equational_scale(theory.signature), h, budget, steps)
+            if trace.status != STABILIZED:
+                return trace.status
+            return str(trace.claimed_decnum)
 
-
-def _example_cases(corpus: Path, cfg: RunConfig) -> list[tuple[str, str, Callable[[], str]]]:
-    def toy_decnum() -> str:
-        return _case_decnum(corpus, cfg, "ladder.pht", "ladder_M.pm", "ladder_T.pm", "ladder_bang.phom")
+        return run
 
     def toy_gauge() -> str:
         rules = ladder_gauge_rules()
         sig = rules.theory.signature
         ctx = Context(())
         terms = [parse_term(sig, "c"), parse_term(sig, "d")]
-        certs = [check_gauge(rules, ctx, t, cfg.budget()) for t in terms]
+        certs = [check_gauge(rules, ctx, t, budget) for t in terms]
         if all(c.certified for c in certs):
             return f"certified bound {max(c.bound for c in certs)}"
         return "not certified"
 
-    def chain_decnum(n: int) -> Callable[[], str]:
-        return lambda: _case_decnum(
-            corpus, cfg, "chain_bidir.pht", f"chain_bidir_M{n}.pm", "chain_bidir_T.pm",
-            f"chain_bidir_bang{n}.phom",
-        )
-
-    def chainfwd_decnum() -> str:
-        return _case_decnum(corpus, cfg, "chain_fwd.pht", "chain_fwd_A0.pm", "chain_fwd_T.pm", "chain_fwd_bang.phom")
-
-    def chainfwd_truncated() -> str:
-        steps7 = replace(cfg, max_steps=7)
-        return _case_decnum(corpus, steps7, "chain_fwd.pht", "chain_fwd_A0.pm", "chain_fwd_T.pm", "chain_fwd_bang.phom")
-
     def koizumi(lam: int) -> Callable[[], str]:
         def run() -> str:
-            trace = monotone_light_decomposition(koizumi_map(lam), cfg.max_steps)
+            trace = monotone_light_decomposition(koizumi_map(lam), max_steps)
             if trace.status != STABILIZED:
                 return trace.status
             return str(trace.stabilization_index)
@@ -625,17 +584,17 @@ def _example_cases(corpus: Path, cfg: RunConfig) -> list[tuple[str, str, Callabl
         return term_to_text(ncat_normalize(2, ctx, term))
 
     cases: list[tuple[str, str, Callable[[], str]]] = [
-        ("toy.decnum", "3", toy_decnum),
+        ("toy.decnum", "3", decnum_case("ladder.pht", "ladder_M.pm", "ladder_T.pm", "ladder_bang.phom")),
         ("toy.gauge", "certified bound 3", toy_gauge),
-        ("cat.decnum", "2", lambda: _case_decnum(
-            corpus, cfg, "ncat1.pht", "cat_merge_src.pm", "cat_merge_tgt.pm", "cat_merge_phi.phom")),
-        ("twocat.decnum", "3", lambda: _case_decnum(
-            corpus, cfg, "ncat2.pht", "twocat_src.pm", "twocat_tgt.pm", "twocat_F.phom")),
+        ("cat.decnum", "2", decnum_case("ncat1.pht", "cat_merge_src.pm", "cat_merge_tgt.pm", "cat_merge_phi.phom")),
+        ("twocat.decnum", "3", decnum_case("ncat2.pht", "twocat_src.pm", "twocat_tgt.pm", "twocat_F.phom")),
     ]
     for n in range(7):
-        cases.append((f"chain.decnum.{n}", str(n + 1), chain_decnum(n)))
-    cases.append(("chainfwd.decnum", "9", chainfwd_decnum))
-    cases.append(("chainfwd.maxsteps7", "NotStabilized", chainfwd_truncated))
+        cases.append((f"chain.decnum.{n}", str(n + 1), decnum_case(
+            "chain_bidir.pht", f"chain_bidir_M{n}.pm", "chain_bidir_T.pm", f"chain_bidir_bang{n}.phom")))
+    chainfwd = ("chain_fwd.pht", "chain_fwd_A0.pm", "chain_fwd_T.pm", "chain_fwd_bang.phom")
+    cases.append(("chainfwd.decnum", "9", decnum_case(*chainfwd)))
+    cases.append(("chainfwd.maxsteps7", "NotStabilized", decnum_case(*chainfwd, steps=7)))
     for lam in (1, 2, 3):
         cases.append((f"koizumi.lambda{lam}", str(2 * lam), koizumi(lam)))
     for name, bound in (
@@ -650,9 +609,9 @@ def _example_cases(corpus: Path, cfg: RunConfig) -> list[tuple[str, str, Callabl
     return cases
 
 
-def run_examples(corpus: Path, cfg: RunConfig, filter_str: str = "") -> list[ExampleRecord]:
+def run_examples(corpus: Path, budget: ChaseBudget, max_steps: int, filter_str: str = "") -> list[ExampleRecord]:
     records = []
-    for case, expected, run in _example_cases(corpus, cfg):
+    for case, expected, run in _example_cases(corpus, budget, max_steps):
         if filter_str and filter_str not in case:
             continue
         measured = run()
@@ -662,16 +621,15 @@ def run_examples(corpus: Path, cfg: RunConfig, filter_str: str = "") -> list[Exa
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     corpus = _corpus_dir(args)
-    records = run_examples(corpus, cfg, args.filter)
+    records = run_examples(corpus, ChaseBudget(args.max_elements, args.max_rounds), args.max_steps, args.filter)
     lines = [
         f"{r.case}: expected={r.expected} measured={r.measured} {r.status}" for r in records
     ]
     ok = all(r.status == "PASS" for r in records)
     lines.append(f"{sum(r.status == 'PASS' for r in records)}/{len(records)} passed")
     _emit(
-        cfg,
+        args.format,
         "examples",
         {
             "records": [
@@ -690,16 +648,18 @@ def _cmd_examples(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-elements", type=int, default=10000)
-    common.add_argument("--max-rounds", type=int, default=1000)
-    common.add_argument("--max-steps", type=int, default=64)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-elements", type=int, default=ChaseBudget.max_elements)
+    budget.add_argument("--max-rounds", type=int, default=ChaseBudget.max_rounds)
+    tower = argparse.ArgumentParser(add_help=False)
+    tower.add_argument("--max-steps", type=int, default=MAX_STEPS)
 
     parser = argparse.ArgumentParser(prog="partialhorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="validate theory, model, and hom files")
+    p = sub.add_parser("check", parents=[fmt], help="validate theory, model, and hom files")
     p.add_argument("--theory", required=True)
     p.add_argument("models", nargs="*")
     p.add_argument("--hom")
@@ -707,13 +667,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="tgt")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("free", parents=[common], help="chase the free model of a formula in context")
+    p = sub.add_parser("free", parents=[fmt, budget], help="chase the free model of a formula in context")
     p.add_argument("--theory", required=True)
     p.add_argument("--context", default="")
     p.add_argument("--formula", default="")
     p.set_defaults(func=_cmd_free)
 
-    p = sub.add_parser("prove", parents=[common], help="bounded derivability of a sequent")
+    p = sub.add_parser("prove", parents=[fmt, budget], help="bounded derivability of a sequent")
     p.add_argument("--theory", required=True)
     p.add_argument("--sequent", required=True)
     p.set_defaults(func=_cmd_prove)
@@ -723,7 +683,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("decnum", _cmd_decnum, "decomposition number of a hom"),
         ("image", _cmd_image, "strong epi / mono factorization of a hom"),
     ):
-        p = sub.add_parser(name, parents=[common], help=hlp)
+        p = sub.add_parser(name, parents=[fmt, budget, tower], help=hlp)
         p.add_argument("--theory", required=True)
         p.add_argument("--from", dest="src", required=True)
         p.add_argument("--to", dest="tgt", required=True)
@@ -734,7 +694,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dot")
         p.set_defaults(func=handler)
 
-    p = sub.add_parser("gauge-check", parents=[common], help="certify a gauge on enumerated terms")
+    p = sub.add_parser("gauge-check", parents=[fmt, budget], help="certify a gauge on enumerated terms")
     p.add_argument("--rules", required=True, help="builtin:ncat, builtin:toy, or a JSON rules file")
     p.add_argument("-n", type=int, default=2, help="category level for builtin:ncat")
     p.add_argument("--theory", help="theory file (required for file rules)")
@@ -743,20 +703,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--term", help="check a single term instead of enumerating")
     p.set_defaults(func=_cmd_gauge_check)
 
-    p = sub.add_parser("ncat-normalize", parents=[common], help="normalize an n-category term")
+    p = sub.add_parser("ncat-normalize", parents=[fmt], help="normalize an n-category term")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("term")
     p.set_defaults(func=_cmd_ncat_normalize)
 
-    p = sub.add_parser("topdec", parents=[common], help="monotone-light tower of the staircase projection")
+    p = sub.add_parser("topdec", parents=[fmt, tower], help="monotone-light tower of the staircase projection")
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.set_defaults(func=_cmd_topdec)
 
-    p = sub.add_parser("gat-rank", parents=[common], help="dependency ranks of a GAT signature")
+    p = sub.add_parser("gat-rank", parents=[fmt], help="dependency ranks of a GAT signature")
     p.add_argument("file")
     p.set_defaults(func=_cmd_gat_rank)
 
-    p = sub.add_parser("examples", parents=[common], help="run the bundled example corpus")
+    p = sub.add_parser("examples", parents=[fmt, budget, tower], help="run the bundled example corpus")
     p.add_argument("--filter", default="")
     p.add_argument("--corpus")
     p.set_defaults(func=_cmd_examples)
@@ -764,10 +724,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that bound a run: each subcommand has some of them, and none may be negative.
+_LIMITS = ("max_elements", "max_rounds", "max_steps", "depth", "vars")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        for limit in _LIMITS:
+            if getattr(args, limit, 0) < 0:
+                raise ValueError(f"--{limit.replace('_', '-')} must not be negative, got {getattr(args, limit)}")
         return args.func(args)
     except (ParseError, SortError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,6 +53,7 @@ from .syntax import (
 
 STABILIZED = "Stabilized"
 NOT_STABILIZED = "NotStabilized"
+MAX_STEPS = 64  # default cap on the steps of a tower, here and in topdec
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def canonical_decomposition(
     scale: Scale,
     f: Hom,
     budget: Optional[ChaseBudget] = None,
-    max_steps: int = 64,
+    max_steps: int = MAX_STEPS,
 ) -> DecompositionTrace:
     """Iterate canonical steps until one changes nothing (not appended)."""
     steps: list[StepResult] = []
@@ -194,7 +195,7 @@ def decnum(
     scale: Scale,
     f: Hom,
     budget: Optional[ChaseBudget] = None,
-    max_steps: int = 64,
+    max_steps: int = MAX_STEPS,
 ) -> Optional[int]:
     return canonical_decomposition(theory, scale, f, budget, max_steps).claimed_decnum
 
@@ -207,7 +208,7 @@ class ImageFactorization:
 
 
 def image_factorization(
-    theory: Theory, f: Hom, budget: Optional[ChaseBudget] = None, max_steps: int = 64
+    theory: Theory, f: Hom, budget: Optional[ChaseBudget] = None, max_steps: int = MAX_STEPS
 ) -> ImageFactorization:
     """Strong epi / mono factorization along the equational scale."""
     trace = canonical_decomposition(theory, equational_scale(f.source.signature), f, budget, max_steps)

@@ -83,15 +83,8 @@ class TableGaugeRules(GaugeRules):
     def defining_set(self, ctx: Context, term: RawTerm) -> tuple[GaugeEntry, ...]:
         if isinstance(term, Var):
             return ()
-        out: list[GaugeEntry] = []
-        for a in term.args:
-            for entry in self.defining_set(ctx, a):
-                if entry not in out:
-                    out.append(entry)
-        for entry in self.defining.get(term.func, ()):
-            if entry not in out:
-                out.append(entry)
-        return tuple(out)
+        below = [entry for a in term.args for entry in self.defining_set(ctx, a)]
+        return tuple(dict.fromkeys(below + list(self.defining.get(term.func, ()))))
 
 
 def load_gauge_rules(path: str, theory: Theory) -> TableGaugeRules:
@@ -153,14 +146,9 @@ def _defining_formula(rules: GaugeRules, entries: Sequence[GaugeEntry]) -> HornF
     for entry in entries:
         scale_entry = by_label[entry.scale_label]
         mapping = dict(zip(scale_entry.context.names(), entry.args))
-        for atom in substitute_formula(scale_entry.formula, mapping).atoms:
-            if atom not in atoms:
-                atoms.append(atom)
-        for arg in entry.args:
-            d = Def(arg)
-            if d not in atoms:
-                atoms.append(d)
-    return HornFormula(tuple(atoms))
+        atoms.extend(substitute_formula(scale_entry.formula, mapping).atoms)
+        atoms.extend(Def(arg) for arg in entry.args)
+    return HornFormula(tuple(dict.fromkeys(atoms)))
 
 
 def check_gauge(
@@ -528,18 +516,9 @@ class NcatGaugeRules(GaugeRules):
         k = _comp_level(term)
         if k is None:
             raise ValueError(f"not an n-category symbol: {term.func}")
-        out: list[GaugeEntry] = []
-        for part in (term.args[0], term.args[1]):
-            for e in self.defining_set(ctx, part):
-                if e not in out:
-                    out.append(e)
-        own = GaugeEntry(
-            "eq:*",
-            (_norm_boundary("d", k, _normalize(term.args[0])), _norm_boundary("c", k, _normalize(term.args[1]))),
-        )
-        if own not in out:
-            out.append(own)
-        return tuple(out)
+        left, right = term.args[0], term.args[1]
+        own = GaugeEntry("eq:*", (_norm_boundary("d", k, _normalize(left)), _norm_boundary("c", k, _normalize(right))))
+        return tuple(dict.fromkeys([*self.defining_set(ctx, left), *self.defining_set(ctx, right), own]))
 
 
 def ncat_gauge_rules(n: int) -> NcatGaugeRules:

@@ -18,10 +18,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
-Point = Hashable
+from .decompose import MAX_STEPS, NOT_STABILIZED, STABILIZED
 
-STABILIZED = "Stabilized"
-NOT_STABILIZED = "NotStabilized"
+Point = Hashable
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def monotone_light_step(f: ContMap) -> TopStep:
     return TopStep(e, f_prime, tuple(c for c in classes if len(c) > 1))
 
 
-def monotone_light_decomposition(f: ContMap, max_steps: int = 64) -> TopTrace:
+def monotone_light_decomposition(f: ContMap, max_steps: int = MAX_STEPS) -> TopTrace:
     """Iterate fiber-component collapses until a step changes nothing."""
     steps: list[TopStep] = []
     kernels: list[tuple[frozenset, ...]] = []

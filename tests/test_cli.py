@@ -243,6 +243,19 @@ def test_free_prints_the_two_element_model(corpus, capsys):
     assert "a = 0" in out and "b = 0" in out and "c = 0" in out and "d = 3" in out
 
 
+# The context is sort-checked before it is chased: an undeclared sort, a
+# repeated variable and a variable named like a constant are input errors.
+@pytest.mark.parametrize("context, message", [
+    ("x: q", "undeclared sort 'q'"),
+    ("x: s, x: s", "duplicate context variable 'x'"),
+    ("a: s", "context variable 'a' shadows a function symbol"),
+])
+def test_free_rejects_an_ill_sorted_context(corpus, capsys, context, message):
+    code, out, err = run(capsys, "free", "--theory", corpus / "theories" / "ladder.pht", "--context", context)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_prove_exit_codes(corpus, capsys):
     theory = corpus / "theories" / "ladder.pht"
     code, out, _ = run(capsys, "prove", "--theory", theory, "--sequent", "[] a = c |- d !")
@@ -290,6 +303,8 @@ def test_budget_below_the_base_exits_three(corpus, capsys, schema):
     ("decnum", "--max-steps"),
     ("decnum", "--max-elements"),
     ("topdec", "--max-steps"),
+    ("gauge-check", "--depth"),
+    ("gauge-check", "--vars"),
 ])
 def test_negative_budget_flags_exit_two(corpus, capsys, command, flag):
     theory = corpus / "theories" / "ladder.pht"
@@ -298,10 +313,51 @@ def test_negative_budget_flags_exit_two(corpus, capsys, command, flag):
         "decnum": ("--theory", theory, "--from", corpus / "models" / "ladder_M.pm",
                    "--to", corpus / "models" / "ladder_T.pm"),
         "topdec": ("--lambda", "1"),
+        "gauge-check": ("--rules", "builtin:toy"),
     }[command]
     code, out, err = run(capsys, command, *argv, flag, "-1")
     assert code == 2 and not out
     assert err == f"error: {flag} must not be negative, got -1\n"
+
+
+# A subcommand accepts only the limits it reads: the chase budget where it
+# chases, the step cap where it builds a tower.
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("check", "ncat-normalize", "gat-rank")
+      for flag in ("--max-elements", "--max-rounds", "--max-steps")),
+    ("topdec", "--max-elements"),
+    ("topdec", "--max-rounds"),
+    ("free", "--max-steps"),
+    ("prove", "--max-steps"),
+    ("gauge-check", "--max-steps"),
+])
+def test_limit_flags_a_subcommand_does_not_read_are_usage_errors(corpus, capsys, command, flag):
+    theory = corpus / "theories" / "ladder.pht"
+    argv = {
+        "check": ("--theory", theory),
+        "ncat-normalize": ("-n", "2", "comp1(x, y)"),
+        "gat-rank": (corpus / "gats" / "set.gat",),
+        "topdec": ("--lambda", "1"),
+        "free": ("--theory", theory),
+        "prove": ("--theory", theory, "--sequent", "[] top |- a !"),
+        "gauge-check": ("--rules", "builtin:toy"),
+    }[command]
+    assert run(capsys, command, *argv)[0] in (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, *argv, flag, "5")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out and f"unrecognized arguments: {flag}" in captured.err
+
+
+def test_check_from_and_to_need_a_hom(corpus, capsys):
+    theory = corpus / "theories" / "ladder.pht"
+    for models in (("--from", corpus / "models" / "ladder_M.pm"),
+                   ("--to", corpus / "models" / "ladder_T.pm"),
+                   ("--from", corpus / "models" / "ladder_M.pm", "--to", corpus / "models" / "ladder_T.pm")):
+        code, out, err = run(capsys, "check", "--theory", theory, *models)
+        assert code == 2 and not out
+        assert err == "error: --from and --to require a --hom file\n"
 
 
 def test_decnum_text_and_json(corpus, capsys, schema):
