@@ -334,12 +334,21 @@ def _cmd_image(args: argparse.Namespace) -> int:
 
 
 def _resolve_rules(args: argparse.Namespace) -> GaugeRules:
+    """The rules --rules names, after refusing every flag those rules do not read."""
     spec = args.rules
+    if spec.startswith("builtin:") and spec not in ("builtin:ncat", "builtin:toy"):
+        raise ValueError(f"unknown rules {spec!r}: the built-in rules are builtin:ncat and builtin:toy")
+    if args.n is not None and spec != "builtin:ncat":
+        raise ValueError("-n applies only to --rules builtin:ncat")
+    if args.theory is not None and spec.startswith("builtin:"):
+        raise ValueError("--theory applies only to rules from a file")
+    if args.term is not None and (args.depth is not None or args.vars is not None):
+        raise ValueError("--depth and --vars apply only without --term")
     if spec == "builtin:ncat":
-        return ncat_gauge_rules(args.n)
-    if spec in ("builtin:toy", "builtin:ladder"):
+        return ncat_gauge_rules(2 if args.n is None else args.n)
+    if spec == "builtin:toy":
         return ladder_gauge_rules()
-    if not args.theory:
+    if args.theory is None:
         raise ValueError("rules from a file require --theory")
     return load_gauge_rules(spec, load_theory(args.theory))
 
@@ -350,20 +359,20 @@ def _cmd_gauge_check(args: argparse.Namespace) -> int:
     if len(sig.sorts) != 1:
         raise ValueError("term enumeration requires a single-sorted theory")
     sort = sig.sorts[0]
-    if args.term:
+    if args.term is not None:
         terms = [parse_term(sig, args.term)]
         ctx = Context(tuple((v, sort) for v in free_vars(terms[0])))
     else:
-        ctx = Context(tuple((f"v{i + 1}", sort) for i in range(args.vars)))
-        terms = enumerate_terms(sig, ctx, args.depth)
+        ctx = Context(tuple((f"v{i + 1}", sort) for i in range(1 if args.vars is None else args.vars)))
+        terms = enumerate_terms(sig, ctx, 1 if args.depth is None else args.depth)
     rows = []
     lines = []
     any_unknown = False
     all_ok = True
-    max_sharp = 0
+    gamma = 1  # the bound of a gauge with no term to certify
     for term in terms:
         cert = check_gauge(rules, ctx, term, ChaseBudget(args.max_elements, args.max_rounds))
-        max_sharp = max(max_sharp, cert.rows[0].sharp)
+        gamma = max(gamma, cert.bound)
         ok = cert.certified
         all_ok = all_ok and ok
         unknown = any("Unknown" in (r.forward, r.backward) for r in cert.rows)
@@ -391,7 +400,6 @@ def _cmd_gauge_check(args: argparse.Namespace) -> int:
                 ],
             }
         )
-    gamma = max_sharp + 1
     lines.append(
         f"{'certified' if all_ok else 'not certified'}: gamma {gamma}, "
         f"decnum bound {gamma}, global bound {gamma + 1}"
@@ -695,11 +703,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=handler)
 
     p = sub.add_parser("gauge-check", parents=[fmt, budget], help="certify a gauge on enumerated terms")
-    p.add_argument("--rules", required=True, help="builtin:ncat, builtin:toy, or a JSON rules file")
-    p.add_argument("-n", type=int, default=2, help="category level for builtin:ncat")
-    p.add_argument("--theory", help="theory file (required for file rules)")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--vars", type=int, default=1)
+    p.add_argument("--rules", required=True,
+                   help="builtin:toy, builtin:ncat (takes -n), or a JSON rules file (needs --theory)")
+    p.add_argument("-n", type=int, help="category level for builtin:ncat (default 2)")
+    p.add_argument("--theory", help="theory file of a JSON rules file")
+    p.add_argument("--depth", type=int, help="application depth of the enumerated terms (default 1)")
+    p.add_argument("--vars", type=int, help="variables of the enumerated terms (default 1)")
     p.add_argument("--term", help="check a single term instead of enumerating")
     p.set_defaults(func=_cmd_gauge_check)
 
@@ -732,7 +741,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         for limit in _LIMITS:
-            if getattr(args, limit, 0) < 0:
+            if (getattr(args, limit, None) or 0) < 0:
                 raise ValueError(f"--{limit.replace('_', '-')} must not be negative, got {getattr(args, limit)}")
         return args.func(args)
     except (ParseError, SortError, ValueError, OSError, RuntimeError) as exc:

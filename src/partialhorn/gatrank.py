@@ -132,15 +132,7 @@ def parse_gat(text: str) -> GatSpec:
         if not ts.at("ctx"):
             return ()
         ts.expect("ctx")
-        ts.expect("(")
-        out: list[str] = []
-        if not ts.at(")"):
-            out.append(ts.expect_ident().text)
-            while ts.at(","):
-                ts.next()
-                out.append(ts.expect_ident().text)
-        ts.expect(")")
-        return tuple(out)
+        return tuple(ts.parenthesized(lambda: ts.expect_ident().text))
 
     while not ts.at("}"):
         tok = ts.peek()

@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .chase import ChaseBudget, prove_sequent
-from .decompose import Scale, equational_scale
+from .decompose import ScaleEntry, equational_scale
 from .syntax import (
     App,
     Atom,
@@ -28,14 +28,17 @@ from .syntax import (
     Eq,
     FuncDecl,
     HornFormula,
+    ParseError,
     RawTerm,
     Sequent,
     Signature,
+    SortError,
     Theory,
     Var,
     _json_field,
     _json_names,
     check_term,
+    free_vars,
     parse_term,
     substitute_formula,
 )
@@ -48,15 +51,15 @@ class GaugeEntry:
 
 
 class GaugeRules:
-    """Sharp measure plus defining sets against a scale for a theory."""
+    """Sharp measure plus defining sets for a theory.  The defining sets are
+    instances of the theory's equational scale, ``equational_scale(theory.signature)``."""
 
     theory: Theory
-    scale: Scale
 
     def sharp(self, term: RawTerm) -> int:
         raise NotImplementedError
 
-    def defining_set(self, ctx: Context, term: RawTerm) -> tuple[GaugeEntry, ...]:
+    def defining_set(self, term: RawTerm) -> tuple[GaugeEntry, ...]:
         raise NotImplementedError
 
 
@@ -68,10 +71,8 @@ class TableGaugeRules(GaugeRules):
         theory: Theory,
         sharps: dict[str, int],
         defining: dict[str, tuple[GaugeEntry, ...]],
-        scale: Optional[Scale] = None,
     ) -> None:
         self.theory = theory
-        self.scale = scale if scale is not None else equational_scale(theory.signature)
         self.sharps = dict(sharps)
         self.defining = dict(defining)
 
@@ -80,37 +81,62 @@ class TableGaugeRules(GaugeRules):
             return 0
         return max([self.sharps.get(term.func, 0)] + [self.sharp(a) for a in term.args])
 
-    def defining_set(self, ctx: Context, term: RawTerm) -> tuple[GaugeEntry, ...]:
+    def defining_set(self, term: RawTerm) -> tuple[GaugeEntry, ...]:
         if isinstance(term, Var):
             return ()
-        below = [entry for a in term.args for entry in self.defining_set(ctx, a)]
+        below = [entry for a in term.args for entry in self.defining_set(a)]
         return tuple(dict.fromkeys(below + list(self.defining.get(term.func, ()))))
 
 
 def load_gauge_rules(path: str, theory: Theory) -> TableGaugeRules:
-    """JSON rules: {"sharp": {sym: n}, "defining": {sym: [{"scale": label, "args": [term]}]}}."""
+    """JSON rules: {"sharp": {sym: n}, "defining": {sym: [{"scale": label, "args": [term]}]}}.
+
+    Each sym is a function symbol of the theory, each n a natural number,
+    and each term ground, of the sort the scale entry's context gives it."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     where = f"gauge rules {path}"
-    scale = equational_scale(theory.signature)
-    arity = {e.label: len(e.context.vars) for e in scale.entries}
-    sharp = _json_field(data, "sharp", where, dict, {})
-    sharps = {sym: _json_field(sharp, sym, f"{where}: sharp", int) for sym in sharp}
-    table = _json_field(data, "defining", where, dict, {})
-    defining: dict[str, tuple[GaugeEntry, ...]] = {}
-    for sym in table:
-        entries = []
-        for i, e in enumerate(_json_field(table, sym, f"{where}: defining", list)):
-            at = f"{where}: defining.{sym}[{i}]"
-            label = _json_field(e, "scale", at)
-            if label not in arity:
-                raise ValueError(f"{at}: unknown scale entry {label!r}")
-            args = tuple(parse_term(theory.signature, t) for t in _json_names(e, "args", at))
-            if len(args) != arity[label]:
-                raise ValueError(f"{at}: scale entry {label!r} takes {arity[label]} arguments, got {len(args)}")
-            entries.append(GaugeEntry(label, args))
-        defining[sym] = tuple(entries)
-    return TableGaugeRules(theory, sharps, defining, scale)
+    sig = theory.signature
+    contexts = {e.label: e.context for e in equational_scale(sig).entries}
+
+    def per_symbol(key: str, kind: type) -> dict:
+        table = _json_field(data, key, where, dict, {})
+        for sym in table:
+            if not sig.has_func(sym):
+                raise ValueError(f"{where}: {key}: {sym!r} is not a function symbol of {theory.name}")
+        return {sym: _json_field(table, sym, f"{where}: {key}", kind) for sym in table}
+
+    sharps = per_symbol("sharp", int)
+    for sym, n in sharps.items():
+        if isinstance(n, bool) or n < 0:
+            raise ValueError(f"{where}: sharp: {sym!r} must be a natural number, got {json.dumps(n)}")
+    defining = {sym: tuple(_gauge_entry(sig, contexts, e, f"{where}: defining.{sym}[{i}]")
+                           for i, e in enumerate(entries))
+                for sym, entries in per_symbol("defining", list).items()}
+    return TableGaugeRules(theory, sharps, defining)
+
+
+def _gauge_entry(sig: Signature, contexts: dict[str, Context], data: object, at: str) -> GaugeEntry:
+    label = _json_field(data, "scale", at)
+    if label not in contexts:
+        raise ValueError(f"{at}: unknown scale entry {label!r}")
+    texts = _json_names(data, "args", at)
+    params = contexts[label].vars
+    if len(texts) != len(params):
+        raise ValueError(f"{at}: scale entry {label!r} takes {len(params)} arguments, got {len(texts)}")
+    args = []
+    for j, (text, (_, want)) in enumerate(zip(texts, params)):
+        try:
+            arg = parse_term(sig, text)
+            if free_vars(arg):
+                raise SortError(f"{text!r} is not a ground term")
+            got = check_term(sig, Context(()), arg)
+        except (ParseError, SortError) as exc:
+            raise ValueError(f"{at}: args[{j}]: {exc}") from None
+        if got != want:
+            raise ValueError(f"{at}: args[{j}]: {text!r} has sort {got}, scale entry {label!r} expects {want}")
+        args.append(arg)
+    return GaugeEntry(label, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +166,8 @@ class GaugeCertificate:
     global_bound: int
 
 
-def _defining_formula(rules: GaugeRules, entries: Sequence[GaugeEntry]) -> HornFormula:
+def _defining_formula(by_label: dict[str, ScaleEntry], entries: Sequence[GaugeEntry]) -> HornFormula:
     atoms: list[Atom] = []
-    by_label = {e.label: e for e in rules.scale.entries}
     for entry in entries:
         scale_entry = by_label[entry.scale_label]
         mapping = dict(zip(scale_entry.context.names(), entry.args))
@@ -162,18 +187,14 @@ def check_gauge(
     Each row re-proves the bisequent: the term is defined iff all its
     defining instances hold and their arguments are defined.
     """
+    by_label = {e.label: e for e in equational_scale(rules.theory.signature).entries}
     rows: list[GaugeRow] = []
-    seen: list[RawTerm] = []
-    queue: list[RawTerm] = [term]
-    while queue:
-        tau = queue.pop(0)
-        if tau in seen:
-            continue
-        seen.append(tau)
-        entries = rules.defining_set(ctx, tau)
+    terms = [term]  # the terms to certify, in order, each once; grows as rows are made
+    for tau in terms:
+        entries = rules.defining_set(tau)
         s = rules.sharp(tau)
         sharp_ok = all(rules.sharp(a) < s for e in entries for a in e.args)
-        phi = _defining_formula(rules, entries)
+        phi = _defining_formula(by_label, entries)
         fwd = prove_sequent(
             rules.theory, Sequent(ctx, HornFormula((Def(tau),)), phi, label="gauge.fwd"), budget
         )
@@ -181,10 +202,9 @@ def check_gauge(
             rules.theory, Sequent(ctx, phi, HornFormula((Def(tau),)), label="gauge.bwd"), budget
         )
         rows.append(GaugeRow(tau, s, entries, sharp_ok, fwd.verdict, bwd.verdict))
-        for e in entries:
-            for a in e.args:
-                if a not in seen and a not in queue:
-                    queue.append(a)
+        for a in [a for e in entries for a in e.args]:
+            if a not in terms:
+                terms.append(a)
     certified = all(r.ok for r in rows)
     bound = rules.sharp(term) + 1
     return GaugeCertificate(term, tuple(rows), certified, bound, bound + 1)
@@ -376,8 +396,7 @@ def ncat_theory(n: int) -> Theory:
     return Theory(f"ncat{n}", sig, tuple(seqs))
 
 
-_D_RE = re.compile(r"^d([0-9]+)$")
-_C_RE = re.compile(r"^c([0-9]+)$")
+_BOUNDARY_RE = re.compile(r"^[dc]([0-9]+)$")
 _COMP_RE = re.compile(r"^comp([0-9]+)$")
 
 
@@ -397,7 +416,7 @@ def ncat_sharp(term: RawTerm) -> int:
     m = _COMP_RE.match(term.func)
     if m:
         own = int(m.group(1))
-    elif not (_D_RE.match(term.func) or _C_RE.match(term.func)):
+    elif not _BOUNDARY_RE.match(term.func):
         raise ValueError(f"not an n-category symbol: {term.func}")
     return max([own] + [ncat_sharp(a) for a in term.args])
 
@@ -415,7 +434,7 @@ def _flatten(k: int, term: RawTerm) -> list[RawTerm]:
 
 def _boundary_index(term: RawTerm) -> Optional[int]:
     if isinstance(term, App):
-        m = _D_RE.match(term.func) or _C_RE.match(term.func)
+        m = _BOUNDARY_RE.match(term.func)
         if m:
             return int(m.group(1))
     return None
@@ -501,24 +520,22 @@ class NcatGaugeRules(GaugeRules):
     normalized boundary of its left part and co-boundary of its right part."""
 
     def __init__(self, n: int) -> None:
-        self.n = n
         self.theory = ncat_theory(n)
-        self.scale = equational_scale(self.theory.signature)
 
     def sharp(self, term: RawTerm) -> int:
         return ncat_sharp(term)
 
-    def defining_set(self, ctx: Context, term: RawTerm) -> tuple[GaugeEntry, ...]:
+    def defining_set(self, term: RawTerm) -> tuple[GaugeEntry, ...]:
         if isinstance(term, Var):
             return ()
         if _boundary_index(term) is not None:
-            return self.defining_set(ctx, term.args[0])
+            return self.defining_set(term.args[0])
         k = _comp_level(term)
         if k is None:
             raise ValueError(f"not an n-category symbol: {term.func}")
         left, right = term.args[0], term.args[1]
         own = GaugeEntry("eq:*", (_norm_boundary("d", k, _normalize(left)), _norm_boundary("c", k, _normalize(right))))
-        return tuple(dict.fromkeys([*self.defining_set(ctx, left), *self.defining_set(ctx, right), own]))
+        return tuple(dict.fromkeys([*self.defining_set(left), *self.defining_set(right), own]))
 
 
 def ncat_gauge_rules(n: int) -> NcatGaugeRules:

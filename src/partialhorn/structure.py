@@ -366,15 +366,7 @@ def parse_model(text: str, theory: Theory) -> NamedModel:
             builder.elements(where, sort, elems)
         else:
             sym = ts.expect_ident().text
-            args: list[str] = []
-            if ts.at("("):
-                ts.next()
-                if not ts.at(")"):
-                    args.append(ts.expect_ident().text)
-                    while ts.at(","):
-                        ts.next()
-                        args.append(ts.expect_ident().text)
-                ts.expect(")")
+            args = ts.parenthesized(lambda: ts.expect_ident().text) if ts.at("(") else []
             if ts.at("="):
                 ts.next()
                 builder.entry(where, sym, args, ts.expect_ident().text)

@@ -402,6 +402,17 @@ class TokenStream:
         if tok.kind != "eof":
             raise self.error(f"trailing input {tok.text!r}")
 
+    def parenthesized(self, item: Callable[[], T], brackets: str = "()") -> list[T]:
+        """``( item, ... )``, possibly empty: the items read by ``item()``.
+        ``brackets`` gives the opening and the closing bracket."""
+        self.expect(brackets[0])
+        items = [] if self.at(brackets[1]) else [item()]
+        while self.at(","):
+            self.next()
+            items.append(item())
+        self.expect(brackets[1])
+        return items
+
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -418,15 +429,7 @@ def _parse_term(ts: TokenStream, sig: Signature, depth: int = 0) -> RawTerm:
     if ts.at("("):
         if depth == MAX_TERM_DEPTH:
             raise ts.error(f"term nested deeper than {MAX_TERM_DEPTH} applications")
-        ts.next()
-        args: list[RawTerm] = []
-        if not ts.at(")"):
-            args.append(_parse_term(ts, sig, depth + 1))
-            while ts.at(","):
-                ts.next()
-                args.append(_parse_term(ts, sig, depth + 1))
-        ts.expect(")")
-        return App(name, tuple(args))
+        return App(name, tuple(ts.parenthesized(lambda: _parse_term(ts, sig, depth + 1))))
     if sig.has_func(name):
         return App(name, ())
     return Var(name)
@@ -450,15 +453,7 @@ def _parse_atom_or_rel(ts: TokenStream, sig: Signature) -> Atom:
     tok = ts.peek()
     if tok.kind == "ident" and sig.has_rel(tok.text):
         ts.next()
-        ts.expect("(")
-        args: list[RawTerm] = []
-        if not ts.at(")"):
-            args.append(_parse_term(ts, sig))
-            while ts.at(","):
-                ts.next()
-                args.append(_parse_term(ts, sig))
-        ts.expect(")")
-        return Rel(tok.text, tuple(args))
+        return Rel(tok.text, tuple(ts.parenthesized(lambda: _parse_term(ts, sig))))
     return _parse_atom(ts, sig)
 
 
@@ -474,20 +469,12 @@ def _parse_formula(ts: TokenStream, sig: Signature) -> HornFormula:
 
 
 def _parse_context(ts: TokenStream) -> Context:
-    ts.expect("[")
-    pairs: list[tuple[str, str]] = []
-    if not ts.at("]"):
-        while True:
-            name = ts.expect_ident().text
-            ts.expect(":")
-            sort = ts.expect_ident().text
-            pairs.append((name, sort))
-            if ts.at(","):
-                ts.next()
-                continue
-            break
-    ts.expect("]")
-    return Context(tuple(pairs))
+    def pair() -> tuple[str, str]:
+        name = ts.expect_ident().text
+        ts.expect(":")
+        return name, ts.expect_ident().text
+
+    return Context(tuple(ts.parenthesized(pair, "[]")))
 
 
 def _parse_axiom(ts: TokenStream, sig: Signature, index: int) -> tuple[Sequent, ...]:

@@ -1,11 +1,16 @@
 """Command line interface: subcommands, exit codes, output formats."""
 
+import contextlib
+import copy
 import functools
+import io
 import json
 from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partialhorn.cli import main
 from partialhorn.gauge import ncat_signature
@@ -174,6 +179,18 @@ def test_check_malformed_hom_exits_two(corpus, tmp_path, capsys, suffix, text, m
      "defining.c[0]: unknown scale entry 'nope'"),
     ("gauge-check", {"defining": {"c": [{"scale": "eq:s", "args": ["a"]}]}},
      "defining.c[0]: scale entry 'eq:s' takes 2 arguments, got 1"),
+    ("gauge-check", {"defining": {"c": [{"scale": "eq:s", "args": ["a", "zz"]}]}},
+     "defining.c[0]: args[1]: 'zz' is not a ground term"),
+    ("gauge-check", {"defining": {"c": [{"scale": "eq:s", "args": ["a(b)", "b"]}]}},
+     "defining.c[0]: args[0]: a expects 0 arguments, got 1"),
+    ("gauge-check", {"defining": {"c": [{"scale": "eq:s", "args": ["a", "b("]}]}},
+     "defining.c[0]: args[1]: 1:3: expected identifier, got ''"),
+    ("gauge-check", {"sharp": {"c": 1, "cc": 1}}, "sharp: 'cc' is not a function symbol of ladder"),
+    ("gauge-check", {"defining": {"cc": []}}, "defining: 'cc' is not a function symbol of ladder"),
+    ("gauge-check", {"sharp": {"d": -3}}, "sharp: 'd' must be a natural number, got -3"),
+    ("gauge-check", {"sharp": {"d": True}}, "sharp: 'd' must be a natural number, got true"),
+    ("gauge-check", {"defining": {"c": [{"scale": "eq:s", "args": ["a", "e"]}]}},
+     "defining.c[0]: args[1]: 'e' has sort t, scale entry 'eq:s' expects s"),
     ("check", {"theory": "t", "sorts": ["s"], "funcs": [], "rels": [], "axioms": [
         {"context": [["x", "s"]], "premise": [{"eq": [{"var": "x"}, {"app": "f"}]}], "conclusion": []}]},
      "theory t: axioms[0]: term: missing key 'args'"),
@@ -188,13 +205,18 @@ def test_check_malformed_hom_exits_two(corpus, tmp_path, capsys, suffix, text, m
 def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
+    # gauge rules are read against the ladder plus a second sort t with a constant e
+    theory = tmp_path / "ladder.pht"
+    theory.write_text((corpus / "theories" / "ladder.pht").read_text().replace("  sort s;", "  sort s;\n  sort t;\n  func e : t;"))
     argv = {
         "check": ["--theory", path],
         "gat-rank": [path],
-        "gauge-check": ["--rules", path, "--theory", corpus / "theories" / "ladder.pht", "--term", "c"],
+        "gauge-check": ["--rules", path, "--theory", theory, "--term", "c"],
     }[command]
-    code, _, err = run(capsys, command, *argv)
-    assert code == 2 and message in err
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and not out and message in err
+    if command == "gauge-check":
+        assert err.startswith(f"error: gauge rules {path}: ")
 
 
 @pytest.mark.parametrize("command, text, message", [
@@ -507,7 +529,7 @@ def test_gauge_check_builtin_toy(capsys, schema):
 
 def test_gauge_check_single_term_ncat(capsys, schema):
     code, payload, _ = run_json(capsys, schema, "gauge-check", "--rules", "builtin:ncat",
-                                "-n", "2", "--term", "comp2(v1, v2)", "--vars", "2")
+                                "-n", "2", "--term", "comp2(v1, v2)")
     assert code == 0
     assert payload["result"]["certified"] is True
 
@@ -524,6 +546,90 @@ def test_gauge_check_pinned_term_infers_context(capsys, schema):
 def test_gauge_check_requires_theory_for_file_rules(capsys):
     code, _, err = run(capsys, "gauge-check", "--rules", "nosuch.json")
     assert code == 2 and "error" in err
+
+
+LADDER_RULES = {
+    "sharp": {"a": 0, "b": 0, "c": 1, "d": 2},
+    "defining": {"c": [{"scale": "eq:s", "args": ["a", "b"]}], "d": [{"scale": "eq:s", "args": ["a", "c"]}]},
+}
+
+
+# gauge-check reads -n only with builtin:ncat, --theory only with a rules
+# file, and --depth/--vars only without --term; builtin:toy and
+# builtin:ncat are the only built-in rules.  Anything else is refused.
+@pytest.mark.parametrize("argv, message", [
+    (("--rules", "builtin:toy", "-n", "2"), "-n applies only to --rules builtin:ncat"),
+    (("--rules", "RULES", "--theory", "THEORY", "--term", "d", "-n", "2"), "-n applies only to --rules builtin:ncat"),
+    (("--rules", "builtin:toy", "--theory", "THEORY"), "--theory applies only to rules from a file"),
+    (("--rules", "builtin:ncat", "--theory", "THEORY"), "--theory applies only to rules from a file"),
+    (("--rules", "builtin:toy", "--term", "d", "--depth", "1"), "--depth and --vars apply only without --term"),
+    (("--rules", "builtin:ncat", "--term", "comp2(v1, v2)", "--vars", "2"),
+     "--depth and --vars apply only without --term"),
+    (("--rules", "RULES", "--theory", "THEORY", "--term", "d", "--depth", "2", "--vars", "0"),
+     "--depth and --vars apply only without --term"),
+    (("--rules", "builtin:toy", "-n", "7", "--theory", "missing.pht", "--term", "d", "--depth", "9", "--vars", "9"),
+     "-n applies only to --rules builtin:ncat"),
+    (("--rules", "builtin:ladder"), "unknown rules 'builtin:ladder': the built-in rules are builtin:ncat and builtin:toy"),
+    (("--rules", "builtin:ladder", "--term", "d"),
+     "unknown rules 'builtin:ladder': the built-in rules are builtin:ncat and builtin:toy"),
+])
+def test_gauge_check_flags_its_rules_do_not_read_are_usage_errors(corpus, tmp_path, capsys, argv, message):
+    rules = tmp_path / "ladder.rules.json"
+    rules.write_text(json.dumps(LADDER_RULES))
+    files = {"RULES": rules, "THEORY": corpus / "theories" / "ladder.pht"}
+    code, out, err = run(capsys, "gauge-check", *(files.get(a, a) for a in argv))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d", "zz", "a(b)", "f(a)", "c(", "", "eq:s", "eq:t",
+                          "sharp", "defining", "scale", "args"])
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(-1, 3), _WORDS,
+                    st.lists(_WORDS, max_size=3), st.dictionaries(_WORDS, st.integers(-1, 3), max_size=2))
+
+
+def _slots(node):
+    """(container, key) for every value inside a JSON document."""
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+@st.composite
+def mutated_ladder_rules(draw):
+    """The ladder's rules with keys dropped or renamed, values of another
+    type, and symbols or arguments replaced or added."""
+    doc = copy.deepcopy(LADDER_RULES)
+    for _ in range(draw(st.integers(1, 4))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        how = draw(st.sampled_from(("drop", "rename", "retype", "symbol", "extend")))
+        if how == "drop":
+            del node[key]
+        elif how == "rename" and isinstance(node, dict):
+            node[draw(_WORDS)] = node.pop(key)
+        elif how == "extend" and isinstance(node[key], list):
+            node[key].append(draw(_WORDS))
+        else:
+            node[key] = draw(_WORDS if how == "symbol" else _VALUES)
+    return doc
+
+
+# Whatever a rules file holds, gauge-check answers with an exit code: a
+# malformed file is a located input error, never an exception.
+@given(doc=mutated_ladder_rules())
+def test_mutated_gauge_rules_exit_cleanly(corpus, tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "mutated.rules.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gauge-check", "--rules", str(path), "--theory", str(corpus / "theories" / "ladder.pht"),
+                     "--term", "d"])
+    assert code in (0, 1, 2, 3)
+    assert code != 2 or err.getvalue().startswith("error: gauge rules"), err.getvalue()
 
 
 def test_ncat_normalize(capsys, schema):

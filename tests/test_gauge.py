@@ -52,7 +52,7 @@ def test_gauge_rejects_non_decreasing_sharp():
     rules = TableGaugeRules(
         LADDER,
         sharps={"a": 0, "b": 0, "c": 1, "d": 1},  # d's arg c has equal sharp
-        defining={sym: base.defining_set(EMPTY, App(sym, ())) for sym in ("c", "d")},
+        defining={sym: base.defining_set(App(sym, ())) for sym in ("c", "d")},
     )
     cert = check_gauge(rules, EMPTY, ladder_term("d"))
     assert not cert.certified
@@ -212,7 +212,7 @@ def test_ncat_defining_sets_pair_normalized_boundaries():
     rules = ncat_gauge_rules(2)
     ctx = Context((("x", "*"), ("y", "*"), ("z", "*")))
     term = nterm(2, "comp1(comp2(x, y), z)")
-    entries = rules.defining_set(ctx, term)
+    entries = rules.defining_set(term)
     labels = {e.scale_label for e in entries}
     assert labels == {"eq:*"}
     rendered = {tuple(term_to_text(a) for a in e.args) for e in entries}
@@ -232,4 +232,4 @@ def test_ncat_gauge_certificate_for_a_composite():
 def test_ncat_rules_reject_foreign_symbols():
     rules = ncat_gauge_rules(2)
     with pytest.raises(ValueError):
-        rules.defining_set(EMPTY, App("mystery", ()))
+        rules.defining_set(App("mystery", ()))
