@@ -89,11 +89,10 @@ which it holds.  Outputs are those of firing every match: facts only grow
 and unions keep every fact true, so the conclusion still holds at fire
 time, and firing it would create, merge and log nothing.  Premises matched
 for their own sake (``_satisfying``) and empty conclusions get no test.
-Nor do premises without flat atoms (``[x: *] top``, ``[x, y] x = y``):
-they get no join at all, their instances are the tuples of their carriers,
-and in prover chases most of those are active, so the conclusion kernel,
-which changes nothing at an instance whose conclusion holds, is their only
-test.
+Nor do premises without flat atoms (``[x: *] top``, ``[x, y] x = y``),
+whose joins are loops over their carriers alone: in prover chases most of
+their instances are active, so the conclusion kernel, which changes
+nothing at an instance whose conclusion holds, is their only test.
 
 Everything fires in a fixed order (sequents by declaration, assignments
 lexicographically in canonical ids), so results are bit-for-bit
@@ -107,7 +106,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import count, product
+from itertools import count
 from typing import Callable, Mapping, Optional, Sequence
 
 from .structure import Hom, PartialStructure, empty_structure, holds
@@ -274,17 +273,14 @@ class _Premise:
     on first use) holds one plan per flat atom and one per carrier variable:
     each starts from the pool of that atom's (or sort's) facts written
     lately and joins the rest against the whole tables.  A premise without
-    flat atoms holds at every tuple of its carriers and gets no kernel
-    (``full_run`` is None): ``spread`` gives, per context variable, the
-    position of its carrier, or is None when that is the variable's own.
+    flat atoms holds at every tuple of its carriers, and its plans are
+    carrier steps alone, with no guard.
     """
 
-    __slots__ = ("names", "atoms", "carriers", "emit", "spread", "guard", "full", "full_run", "_deltas",
-                 "_delta_runs")
+    __slots__ = ("names", "atoms", "carriers", "emit", "guard", "full", "full_run", "_deltas", "_delta_runs")
 
     def __init__(self, seq: Sequent, guard: tuple = ()) -> None:
         names = self.names = seq.context.names()
-        self.guard = guard  # the ops of a conclusion whose holding drops a match (see _join_source)
         slots: dict[RawTerm, int] = {Var(n): i for i, n in enumerate(names)}
         flat: list[tuple[object, tuple[int, ...]]] = []
         parent: list[int] = []
@@ -317,13 +313,9 @@ class _Premise:
                 self.carriers.append((sorts[name], slot))
                 bound.add(slot)
         self.full: _Plan = tuple(steps) + self._carrier_steps(-1)
-        self.full_run: Optional[_Run] = None
-        self.spread: Optional[tuple[int, ...]] = None
-        if self.atoms:
-            self.full_run = _run(self.full, self.emit, guard)
-        elif len(self.carriers) < len(self.emit):  # an equation of variables
-            slots = [slot for _, slot in self.carriers]
-            self.spread = tuple(map(slots.index, self.emit))
+        # the ops of a conclusion whose holding drops a match (see _join_source)
+        self.guard = guard if self.atoms else ()
+        self.full_run = _run(self.full, self.emit, self.guard)
         self._deltas: Optional[tuple[_Plan, ...]] = None
         self._delta_runs: tuple[_Run, ...] = ()
 
@@ -346,8 +338,7 @@ class _Premise:
                 first = (_CARRIER, (_ELEM, sort), slot, None)
                 plans.append((first, *_order(self.atoms, bound), *self._carrier_steps(slot)))
             self._deltas = tuple(plans)
-            if self.atoms:
-                self._delta_runs = tuple(_run(plan, self.emit, self.guard) for plan in plans)
+            self._delta_runs = tuple(_run(plan, self.emit, self.guard) for plan in plans)
         return self._deltas
 
     def delta_runs(self) -> tuple[_Run, ...]:
@@ -459,9 +450,9 @@ def _run(plan: _Plan, emit: tuple[int, ...], guard: tuple) -> _Run:
 
 def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int) -> list[str]:
     """Source of the factory of a join kernel ``kernel(state, pools,
-    results)``, which adds the emitted slots of every binding of the plan
-    to ``results``.  Slot i is the local ``s<i>``.  Each step becomes a
-    loop or a lookup, and a binding that fails a check goes on to the
+    results)``, which appends the emitted slots of every binding of the
+    plan to the list ``results``.  Slot i is the local ``s<i>``.  Each step
+    becomes a loop or a lookup, and a binding that fails a check goes on to the
     next iteration (or, before the first loop, ends the kernel).  Every
     _MAX_LOOPS loops the rest of the plan moves into a function of its
     own, called with the slots bound so far.  The last loop drops a binding
@@ -567,7 +558,7 @@ def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int
                 else:
                     clauses.append(f"{_tuple(vals)} in R{sym}")
             put(f"if {' and '.join(clauses)}: {'continue' if loops else 'return'}")
-        put(f"results.add({_tuple([f's{s}' for s in emit])})")
+        put(f"results.append({_tuple([f's{s}' for s in emit])})")
         lines.extend(body)
 
     part("kernel", 0, [])
@@ -926,25 +917,12 @@ class _ChaseState:
         return [x for x in new if x in held] + [x for x in old if x in held and x not in new]
 
     def matches(self, premise: _Premise, delta: bool = False) -> list[tuple[int, ...]]:
-        """The assignments at which the premise holds (and, if it has flat
-        atoms, its guard does not), as id tuples in context order, sorted.
-        With ``delta``, only those that use a fact written in this round or
-        the one before.  A premise without flat atoms is matched by no join:
-        its instances are the tuples of its carriers, spread through
-        ``emit``, and none is tested: in prover chases most are active."""
-        if premise.full_run is None:
-            sorts = [sort for sort, _ in premise.carriers]
-            if delta:  # the whole carriers are read only when there are others to pair new elements with
-                new = [self.pool((_ELEM, sort)) for sort in sorts]
-                carriers = [self.carrier(sort) for sort in sorts] if len(sorts) > 1 and any(new) else []
-                tuples = sorted({t for i, pool in enumerate(new) if pool
-                                 for t in product(*carriers[:i], pool, *carriers[i + 1:])})
-            else:
-                tuples = list(product(*map(self.carrier, sorts)))  # sorted, as the carriers are
-            spread = premise.spread
-            return tuples if spread is None else [tuple([t[i] for i in spread]) for t in tuples]
+        """The assignments at which the premise holds and its guard does not,
+        as id tuples in context order, sorted.  With ``delta``, only those
+        that use a fact written in this round or the one before."""
         pools: dict = {}
-        results: set[tuple[int, ...]] = set()
+        results: list[tuple[int, ...]] = []
+        runs = 0
         for keys, kernel in premise.delta_runs() if delta else (premise.full_run,):
             for key in keys:
                 if key not in pools:
@@ -953,7 +931,11 @@ class _ChaseState:
                     break  # the plan needs an element of every pool
             else:
                 kernel(self, pools, results)
-        return sorted(results)
+                runs += 1
+        # Every slot is a context variable or a table's value at other slots,
+        # so one plan meets each match once: only several plans repeat one.
+        # A plan over a sorted carrier emits in order, which sorted() finds.
+        return sorted(set(results) if runs > 1 else results)
 
     # -- rounds
 
@@ -961,7 +943,7 @@ class _ChaseState:
         """Match every sequent and fire its conclusion at each active match,
         all in one kernel call (the join drops the matches where it holds,
         whose firing changes nothing; a premise without flat atoms has no
-        join, and all its instances go to the kernel, which changes nothing
+        guard, and all its instances go to the kernel, which changes nothing
         at those where the conclusion holds).
         With ``delta`` (every sequent was matched in the round before, or the
         base is a model), match only instances that use a fact written in

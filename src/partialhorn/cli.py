@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -41,7 +40,6 @@ from .gauge import (
     load_gauge_rules,
     ncat_gauge_rules,
     ncat_is_normal,
-    ncat_normalize,
     ncat_sharp,
     ncat_signature,
 )
@@ -81,20 +79,16 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 
-
-def _emit(fmt: str, command: str, result: object, lines: Sequence[str]) -> None:
-    if fmt == "json":
-        print(json.dumps({"command": command, "result": result}, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+# What a subcommand's handler returns: its JSON result, its text lines and its
+# exit code.  Only ``main`` prints them.
+Outcome = tuple[object, list[str], int]
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> Outcome:
     if args.hom and not (args.src and args.tgt):
         raise ValueError("--hom requires --from and --to model files")
     if (args.src or args.tgt) and not args.hom:
@@ -125,8 +119,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         failed = failed or not ok
         lines.append(f"hom {name}: {'ok' if ok else 'FAIL (' + rep.reason + ')'}")
         records.append({"file": args.hom, "kind": "hom", "ok": ok})
-    _emit(args.format, "check", {"checks": records, "ok": not failed}, lines)
-    return EXIT_MISMATCH if failed else EXIT_OK
+    return {"checks": records, "ok": not failed}, lines, EXIT_MISMATCH if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +133,7 @@ def _parse_cli_context(text: str) -> Context:
     return ctx
 
 
-def _cmd_free(args: argparse.Namespace) -> int:
+def _cmd_free(args: argparse.Namespace) -> Outcome:
     theory = load_theory(args.theory)
     sig = theory.signature
     ctx = _parse_cli_context(args.context) if args.context else Context(())
@@ -160,9 +153,7 @@ def _cmd_free(args: argparse.Namespace) -> int:
     lines.extend(tables_to_text(result.model, str))
     if generic:
         lines.append("generic: " + ", ".join(f"{n} = {v}" for n, v in generic.items()))
-    _emit(
-        args.format,
-        "free",
+    return (
         {
             "status": result.status,
             "rounds": result.rounds,
@@ -172,15 +163,15 @@ def _cmd_free(args: argparse.Namespace) -> int:
             "generic": generic,
         },
         lines,
+        EXIT_OK if result.status == COMPLETE else EXIT_INCOMPLETE,
     )
-    return EXIT_OK if result.status == COMPLETE else EXIT_INCOMPLETE
 
 
 # ---------------------------------------------------------------------------
 # prove
 
 
-def _cmd_prove(args: argparse.Namespace) -> int:
+def _cmd_prove(args: argparse.Namespace) -> Outcome:
     theory = load_theory(args.theory)
     seqs = parse_sequent(theory.signature, args.sequent)
     lines = []
@@ -201,12 +192,11 @@ def _cmd_prove(args: argparse.Namespace) -> int:
                 "merges": res.merges,
             }
         )
-    _emit(args.format, "prove", {"goals": records}, lines)
-    if any(v == "Invalid" for v in verdicts):
-        return EXIT_MISMATCH
-    if any(v == "Unknown" for v in verdicts):
-        return EXIT_INCOMPLETE
-    return EXIT_OK
+    if "Invalid" in verdicts:
+        code = EXIT_MISMATCH
+    else:
+        code = EXIT_INCOMPLETE if "Unknown" in verdicts else EXIT_OK
+    return {"goals": records}, lines, code
 
 
 # ---------------------------------------------------------------------------
@@ -278,46 +268,39 @@ def _trace_dot(trace: DecompositionTrace, src_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> Outcome:
     theory = load_theory(args.theory)
     src, _, h = _resolve_hom(args, theory)
     scale = _load_scale(args, theory)
     trace = canonical_decomposition(theory, scale, h, ChaseBudget(args.max_elements, args.max_rounds), args.max_steps)
     if args.dot:
         Path(args.dot).write_text(_trace_dot(trace, src.structure.size()), encoding="utf-8")
-    _emit(args.format, "decompose", _trace_json(trace), _trace_lines(trace))
-    return EXIT_OK if trace.status == STABILIZED else EXIT_INCOMPLETE
+    return _trace_json(trace), _trace_lines(trace), EXIT_OK if trace.status == STABILIZED else EXIT_INCOMPLETE
 
 
-def _cmd_decnum(args: argparse.Namespace) -> int:
+def _cmd_decnum(args: argparse.Namespace) -> Outcome:
     theory = load_theory(args.theory)
     _, _, h = _resolve_hom(args, theory)
     scale = _load_scale(args, theory)
     trace = canonical_decomposition(theory, scale, h, ChaseBudget(args.max_elements, args.max_rounds), args.max_steps)
     if trace.status == STABILIZED:
-        result = {"decnum": trace.claimed_decnum, "status": trace.status}
-        _emit(args.format, "decnum", result, [str(trace.claimed_decnum)])
-        return EXIT_OK
-    _emit(args.format, "decnum", {"decnum": None, "status": trace.status}, [f"status {trace.status}"])
-    return EXIT_INCOMPLETE
+        return {"decnum": trace.claimed_decnum, "status": trace.status}, [str(trace.claimed_decnum)], EXIT_OK
+    return {"decnum": None, "status": trace.status}, [f"status {trace.status}"], EXIT_INCOMPLETE
 
 
-def _cmd_image(args: argparse.Namespace) -> int:
+def _cmd_image(args: argparse.Namespace) -> Outcome:
     theory = load_theory(args.theory)
     src, tgt, h = _resolve_hom(args, theory)
     try:
         fact = image_factorization(theory, h, ChaseBudget(args.max_elements, args.max_rounds), args.max_steps)
     except RuntimeError as exc:
-        _emit(args.format, "image", {"status": str(exc)}, [f"status {exc}"])
-        return EXIT_INCOMPLETE
+        return {"status": str(exc)}, [f"status {exc}"], EXIT_INCOMPLETE
     lines = [
         f"strong epi: {src.structure.size()} -> {fact.mono.source.size()} elements "
         f"({len(fact.trace.steps)} steps)",
         f"mono: {fact.mono.source.size()} -> {tgt.structure.size()} elements (injective)",
     ]
-    _emit(
-        args.format,
-        "image",
+    return (
         {
             "epiSteps": len(fact.trace.steps),
             "imageElements": fact.mono.source.size(),
@@ -325,8 +308,8 @@ def _cmd_image(args: argparse.Namespace) -> int:
             "decnum": fact.trace.claimed_decnum,
         },
         lines,
+        EXIT_OK,
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +336,7 @@ def _resolve_rules(args: argparse.Namespace) -> GaugeRules:
     return load_gauge_rules(spec, load_theory(args.theory))
 
 
-def _cmd_gauge_check(args: argparse.Namespace) -> int:
+def _cmd_gauge_check(args: argparse.Namespace) -> Outcome:
     rules = _resolve_rules(args)
     sig = rules.theory.signature
     if len(sig.sorts) != 1:
@@ -404,28 +387,19 @@ def _cmd_gauge_check(args: argparse.Namespace) -> int:
         f"{'certified' if all_ok else 'not certified'}: gamma {gamma}, "
         f"decnum bound {gamma}, global bound {gamma + 1}"
     )
-    _emit(
-        args.format,
-        "gauge-check",
-        {
-            "terms": rows,
-            "certified": all_ok,
-            "gamma": gamma,
-            "decnumBound": gamma,
-            "globalBound": gamma + 1,
-        },
-        lines,
-    )
     if all_ok:
-        return EXIT_OK
-    return EXIT_INCOMPLETE if any_unknown else EXIT_MISMATCH
+        code = EXIT_OK
+    else:
+        code = EXIT_INCOMPLETE if any_unknown else EXIT_MISMATCH
+    result = {"terms": rows, "certified": all_ok, "gamma": gamma, "decnumBound": gamma, "globalBound": gamma + 1}
+    return result, lines, code
 
 
 # ---------------------------------------------------------------------------
 # ncat-normalize
 
 
-def _cmd_ncat_normalize(args: argparse.Namespace) -> int:
+def _cmd_ncat_normalize(args: argparse.Namespace) -> Outcome:
     sig = ncat_signature(args.n)  # built once: at large n it dominates the command
     term = parse_term(sig, args.term)
     ctx = Context(tuple((v, "*") for v in free_vars(term)))
@@ -433,25 +407,15 @@ def _cmd_ncat_normalize(args: argparse.Namespace) -> int:
     normal = _normalize(term)
     if not ncat_is_normal(normal):
         raise RuntimeError(f"normalizer returned a non-normal term: {term_to_text(normal)}")
-    _emit(
-        args.format,
-        "ncat-normalize",
-        {
-            "input": term_to_text(term),
-            "normal": term_to_text(normal),
-            "sharp": ncat_sharp(term),
-            "isNormal": True,
-        },
-        [term_to_text(normal)],
-    )
-    return EXIT_OK
+    result = {"input": term_to_text(term), "normal": term_to_text(normal), "sharp": ncat_sharp(term), "isNormal": True}
+    return result, [term_to_text(normal)], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # topdec
 
 
-def _cmd_topdec(args: argparse.Namespace) -> int:
+def _cmd_topdec(args: argparse.Namespace) -> Outcome:
     f = koizumi_map(args.lam)
     trace = monotone_light_decomposition(f, args.max_steps)
     lines = []
@@ -464,9 +428,7 @@ def _cmd_topdec(args: argparse.Namespace) -> int:
         lines.append(f"stabilized after {trace.stabilization_index} steps")
     else:
         lines.append(f"status {trace.status}")
-    _emit(
-        args.format,
-        "topdec",
+    return (
         {
             "lambda": args.lam,
             "status": trace.status,
@@ -481,15 +443,15 @@ def _cmd_topdec(args: argparse.Namespace) -> int:
             ],
         },
         lines,
+        EXIT_OK if trace.status == STABILIZED else EXIT_INCOMPLETE,
     )
-    return EXIT_OK if trace.status == STABILIZED else EXIT_INCOMPLETE
 
 
 # ---------------------------------------------------------------------------
 # gat-rank
 
 
-def _cmd_gat_rank(args: argparse.Namespace) -> int:
+def _cmd_gat_rank(args: argparse.Namespace) -> Outcome:
     spec = load_gat(args.file)
     report = analyze(spec)
     lines = [f"gat {spec.name}"]
@@ -501,9 +463,7 @@ def _cmd_gat_rank(args: argparse.Namespace) -> int:
         lines.append(f"non-descending; decnum bound {report.bound}")
     else:
         lines.append("descending; no bound")
-    _emit(
-        args.format,
-        "gat-rank",
+    return (
         {
             "name": spec.name,
             "ranks": dict(sorted(report.ranks.items())),
@@ -515,20 +475,12 @@ def _cmd_gat_rank(args: argparse.Namespace) -> int:
             ],
         },
         lines,
+        EXIT_OK if report.non_descending else EXIT_MISMATCH,
     )
-    return EXIT_OK if report.non_descending else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
 # examples
-
-
-@dataclass(frozen=True)
-class ExampleRecord:
-    case: str
-    expected: str
-    measured: str
-    status: str
 
 
 def _corpus_dir(args: argparse.Namespace) -> Path:
@@ -541,114 +493,72 @@ def _corpus_dir(args: argparse.Namespace) -> Path:
     raise ValueError("corpus directory not found; pass --corpus")
 
 
-def _load_corpus_hom(corpus: Path, theory, model_a: str, model_b: str, hom: str):
-    a = load_model(str(corpus / "models" / model_a), theory)
-    b = load_model(str(corpus / "models" / model_b), theory)
-    _, h = load_hom(str(corpus / "homs" / hom), a, b)
-    return h
+# The one field of a subcommand's result that an example case measures.
+_MEASURED: dict[str, Callable[[dict], object]] = {
+    "decnum": lambda r: r["decnum"] if r["status"] == STABILIZED else r["status"],
+    "gauge-check": lambda r: f"certified bound {r['gamma']}" if r["certified"] else "not certified",
+    "topdec": lambda r: r["stabilizationIndex"] if r["status"] == STABILIZED else r["status"],
+    "gat-rank": lambda r: r["bound"] if r["nonDescending"] else "violation",
+    "ncat-normalize": lambda r: r["normal"],
+}
 
 
-def _example_cases(corpus: Path, budget: ChaseBudget, max_steps: int) -> list[tuple[str, str, Callable[[], str]]]:
-    def decnum_case(theory_file: str, ma: str, mb: str, hom: str, steps: int = max_steps) -> Callable[[], str]:
-        def run() -> str:
-            theory = load_theory(str(corpus / "theories" / theory_file))
-            h = _load_corpus_hom(corpus, theory, ma, mb, hom)
-            trace = canonical_decomposition(theory, equational_scale(theory.signature), h, budget, steps)
-            if trace.status != STABILIZED:
-                return trace.status
-            return str(trace.claimed_decnum)
+def _example_cases(corpus: Path, args: argparse.Namespace) -> list[tuple[str, str, list[str]]]:
+    """(case, expected, argv of the subcommand that measures it).  The chase
+    budget goes to the cases that chase, the step cap to the towers."""
+    budget = ["--max-elements", str(args.max_elements), "--max-rounds", str(args.max_rounds)]
+    steps = ["--max-steps", str(args.max_steps)]
 
-        return run
+    def file(kind: str, name: str) -> str:
+        path = str(corpus / kind / name)
+        return f"./{path}" if path.startswith("-") else path  # a path, not a flag, to the parser
 
-    def toy_gauge() -> str:
-        rules = ladder_gauge_rules()
-        sig = rules.theory.signature
-        ctx = Context(())
-        terms = [parse_term(sig, "c"), parse_term(sig, "d")]
-        certs = [check_gauge(rules, ctx, t, budget) for t in terms]
-        if all(c.certified for c in certs):
-            return f"certified bound {max(c.bound for c in certs)}"
-        return "not certified"
+    def decnum(theory: str, src: str, tgt: str, hom: str, cap: list[str] = steps) -> list[str]:
+        return ["decnum", "--theory", file("theories", theory), "--from", file("models", src),
+                "--to", file("models", tgt), "--hom", file("homs", hom), *budget, *cap]
 
-    def koizumi(lam: int) -> Callable[[], str]:
-        def run() -> str:
-            trace = monotone_light_decomposition(koizumi_map(lam), max_steps)
-            if trace.status != STABILIZED:
-                return trace.status
-            return str(trace.stabilization_index)
-
-        return run
-
-    def gat_bound(name: str) -> Callable[[], str]:
-        def run() -> str:
-            report = analyze(load_gat(str(corpus / "gats" / name)))
-            return str(report.bound) if report.non_descending else "violation"
-
-        return run
-
-    def normalize_exchange() -> str:
-        term = parse_term(ncat_signature(2), "comp1(comp2(x, y), z)")
-        ctx = Context(tuple((v, "*") for v in free_vars(term)))
-        return term_to_text(ncat_normalize(2, ctx, term))
-
-    cases: list[tuple[str, str, Callable[[], str]]] = [
-        ("toy.decnum", "3", decnum_case("ladder.pht", "ladder_M.pm", "ladder_T.pm", "ladder_bang.phom")),
-        ("toy.gauge", "certified bound 3", toy_gauge),
-        ("cat.decnum", "2", decnum_case("ncat1.pht", "cat_merge_src.pm", "cat_merge_tgt.pm", "cat_merge_phi.phom")),
-        ("twocat.decnum", "3", decnum_case("ncat2.pht", "twocat_src.pm", "twocat_tgt.pm", "twocat_F.phom")),
+    cases = [
+        ("toy.decnum", "3", decnum("ladder.pht", "ladder_M.pm", "ladder_T.pm", "ladder_bang.phom")),
+        ("toy.gauge", "certified bound 3", ["gauge-check", "--rules", "builtin:toy", "--term", "d", *budget]),
+        ("cat.decnum", "2", decnum("ncat1.pht", "cat_merge_src.pm", "cat_merge_tgt.pm", "cat_merge_phi.phom")),
+        ("twocat.decnum", "3", decnum("ncat2.pht", "twocat_src.pm", "twocat_tgt.pm", "twocat_F.phom")),
     ]
     for n in range(7):
-        cases.append((f"chain.decnum.{n}", str(n + 1), decnum_case(
+        cases.append((f"chain.decnum.{n}", str(n + 1), decnum(
             "chain_bidir.pht", f"chain_bidir_M{n}.pm", "chain_bidir_T.pm", f"chain_bidir_bang{n}.phom")))
     chainfwd = ("chain_fwd.pht", "chain_fwd_A0.pm", "chain_fwd_T.pm", "chain_fwd_bang.phom")
-    cases.append(("chainfwd.decnum", "9", decnum_case(*chainfwd)))
-    cases.append(("chainfwd.maxsteps7", "NotStabilized", decnum_case(*chainfwd, steps=7)))
+    cases.append(("chainfwd.decnum", "9", decnum(*chainfwd)))
+    cases.append(("chainfwd.maxsteps7", "NotStabilized", decnum(*chainfwd, cap=["--max-steps", "7"])))
     for lam in (1, 2, 3):
-        cases.append((f"koizumi.lambda{lam}", str(2 * lam), koizumi(lam)))
+        cases.append((f"koizumi.lambda{lam}", str(2 * lam), ["topdec", "--lambda", str(lam), *steps]))
     for name, bound in (
         ("cat", "3"), ("ncat1", "3"), ("ncat2", "4"), ("ncat3", "5"),
         ("moncat", "3"), ("multicat", "3"), ("dblcat", "4"), ("set", "2"),
     ):
-        cases.append((f"gat.{name}", bound, gat_bound(f"{name}.gat")))
-    cases.append(("gat.violation", "violation", gat_bound("nondescending_violation.gat")))
-    cases.append(
-        ("ncat.normalize.exchange", "comp2(comp1(x, z), comp1(y, d2(z)))", normalize_exchange)
-    )
+        cases.append((f"gat.{name}", bound, ["gat-rank", file("gats", f"{name}.gat")]))
+    cases.append(("gat.violation", "violation", ["gat-rank", file("gats", "nondescending_violation.gat")]))
+    cases.append(("ncat.normalize.exchange", "comp2(comp1(x, z), comp1(y, d2(z)))",
+                  ["ncat-normalize", "-n", "2", "comp1(comp2(x, y), z)"]))
     return cases
 
 
-def run_examples(corpus: Path, budget: ChaseBudget, max_steps: int, filter_str: str = "") -> list[ExampleRecord]:
-    records = []
-    for case, expected, run in _example_cases(corpus, budget, max_steps):
-        if filter_str and filter_str not in case:
-            continue
-        measured = run()
-        status = "PASS" if measured == expected else "FAIL"
-        records.append(ExampleRecord(case, expected, measured, status))
-    return records
-
-
-def _cmd_examples(args: argparse.Namespace) -> int:
+def _cmd_examples(args: argparse.Namespace) -> Outcome:
     corpus = _corpus_dir(args)
-    records = run_examples(corpus, ChaseBudget(args.max_elements, args.max_rounds), args.max_steps, args.filter)
-    lines = [
-        f"{r.case}: expected={r.expected} measured={r.measured} {r.status}" for r in records
-    ]
-    ok = all(r.status == "PASS" for r in records)
-    lines.append(f"{sum(r.status == 'PASS' for r in records)}/{len(records)} passed")
-    _emit(
-        args.format,
-        "examples",
-        {
-            "records": [
-                {"case": r.case, "expected": r.expected, "measured": r.measured, "status": r.status}
-                for r in records
-            ],
-            "ok": ok,
-        },
-        lines,
-    )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    parser = _build_parser()
+    records = []
+    for case, expected, argv in _example_cases(corpus, args):
+        if args.filter not in case:
+            continue
+        sub = parser.parse_args(argv)
+        result, _, _ = sub.func(sub)
+        measured = str(_MEASURED[sub.command](result))
+        records.append({"case": case, "expected": expected, "measured": measured,
+                        "status": "PASS" if measured == expected else "FAIL"})
+    lines = [f"{r['case']}: expected={r['expected']} measured={r['measured']} {r['status']}" for r in records]
+    passed = sum(r["status"] == "PASS" for r in records)
+    lines.append(f"{passed}/{len(records)} passed")
+    ok = passed == len(records)
+    return {"records": records, "ok": ok}, lines, EXIT_OK if ok else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +653,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for limit in _LIMITS:
             if (getattr(args, limit, None) or 0) < 0:
                 raise ValueError(f"--{limit.replace('_', '-')} must not be negative, got {getattr(args, limit)}")
-        return args.func(args)
+        result, lines, code = args.func(args)
+        if args.format == "json":
+            print(json.dumps({"command": args.command, "result": result}, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (ParseError, SortError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

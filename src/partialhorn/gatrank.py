@@ -10,8 +10,8 @@ decomposition numbers of all homs are bounded by maxRank + 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from .syntax import TokenStream, _json_field, _json_names, load_json_or_text
 
@@ -35,37 +35,58 @@ class AxiomDecl:
     sort: str
 
 
+# A declaration of a spec: ("sort" | "op" | "axiom", its index among those).
+Decl = tuple[str, int]
+
+
 @dataclass(frozen=True)
 class GatSpec:
     name: str
     sort_decls: tuple[SortDecl, ...]
     op_decls: tuple[OpDecl, ...]
     axiom_decls: tuple[AxiomDecl, ...]
+    # declaration -> its place in the file the spec was read from, for errors
+    where: Mapping[Decl, str] = field(default_factory=dict, compare=False, repr=False)
+
+
+def _error(spec: GatSpec, decl: Decl, message: str) -> ValueError:
+    """``message`` about a declaration, after the declaration and, when the
+    spec was read from a file, its place there."""
+    kind, i = decl
+    if kind == "axiom":
+        label = f"axiom{i + 1}"  # as a violation names it
+    else:
+        label = f"{kind} {(spec.sort_decls if kind == 'sort' else spec.op_decls)[i].name}"
+    at = spec.where.get(decl)
+    return ValueError(f"{at + ': ' if at else ''}{label}: {message}")
 
 
 def dependency_rank(spec: GatSpec) -> dict[str, int]:
-    decls = {d.name: d for d in spec.sort_decls}
-    if len(decls) != len(spec.sort_decls):
-        raise ValueError("duplicate sort declaration")
+    index: dict[str, int] = {}
+    for i, d in enumerate(spec.sort_decls):
+        if index.setdefault(d.name, i) != i:
+            raise _error(spec, ("sort", i), "duplicate sort declaration")
     ranks: dict[str, int] = {}
     in_progress: set[str] = set()
 
-    def rank(s: str) -> int:
+    def rank(s: str, user: Decl) -> int:
+        """The rank of ``s``, which the declaration ``user`` names."""
         if s in ranks:
             return ranks[s]
-        if s not in decls:
-            raise ValueError(f"undeclared sort {s!r}")
+        if s not in index:
+            raise _error(spec, user, f"undeclared sort {s!r}")
         if s in in_progress:
-            raise ValueError(f"cyclic sort dependencies at {s!r}")
+            raise _error(spec, user, f"cyclic sort dependencies at {s!r}")
         in_progress.add(s)
-        d = decls[s]
-        r = 0 if not d.ctx else 1 + max(rank(t) for t in d.ctx)
+        decl = ("sort", index[s])
+        ctx = spec.sort_decls[index[s]].ctx
+        r = 0 if not ctx else 1 + max(rank(t, decl) for t in ctx)
         in_progress.discard(s)
         ranks[s] = r
         return r
 
-    for d in spec.sort_decls:
-        rank(d.name)
+    for i, d in enumerate(spec.sort_decls):
+        rank(d.name, ("sort", i))
     return ranks
 
 
@@ -88,21 +109,21 @@ class RankReport:
 def analyze(spec: GatSpec) -> RankReport:
     ranks = dependency_rank(spec)
 
-    def rank_of(s: str) -> int:
+    def rank_of(s: str, decl: Decl) -> int:
         if s not in ranks:
-            raise ValueError(f"undeclared sort {s!r}")
+            raise _error(spec, decl, f"undeclared sort {s!r}")
         return ranks[s]
 
-    def ctx_rank(ctx: tuple[str, ...]) -> int:
-        return max((rank_of(s) for s in ctx), default=0)
+    def ctx_rank(ctx: tuple[str, ...], decl: Decl) -> int:
+        return max((rank_of(s, decl) for s in ctx), default=0)
 
     violations: list[Violation] = []
-    for op in spec.op_decls:
-        cr, sr = ctx_rank(op.ctx), rank_of(op.result)
+    for i, op in enumerate(spec.op_decls):
+        cr, sr = ctx_rank(op.ctx, ("op", i)), rank_of(op.result, ("op", i))
         if cr > sr:
             violations.append(Violation("op", op.name, cr, sr))
     for i, ax in enumerate(spec.axiom_decls):
-        cr, sr = ctx_rank(ax.ctx), rank_of(ax.sort)
+        cr, sr = ctx_rank(ax.ctx, ("axiom", i)), rank_of(ax.sort, ("axiom", i))
         if cr > sr:
             violations.append(Violation("axiom", f"axiom{i + 1}", cr, sr))
     non_descending = not violations
@@ -119,7 +140,8 @@ def decnum_bound(spec: GatSpec) -> Optional[int]:
 
 
 def parse_gat(text: str) -> GatSpec:
-    """``gat NAME { sort S ctx(...); op f ctx(...) : S; axiom ctx(...) : S; }``"""
+    """``gat NAME { sort S ctx(...); op f ctx(...) : S; axiom ctx(...) : S; }``,
+    each declaration located at its line:col."""
     ts = TokenStream(text)
     ts.expect("gat")
     name = ts.expect_ident().text
@@ -127,6 +149,7 @@ def parse_gat(text: str) -> GatSpec:
     sorts: list[SortDecl] = []
     ops: list[OpDecl] = []
     axioms: list[AxiomDecl] = []
+    where: dict[Decl, str] = {}
 
     def parse_ctx() -> tuple[str, ...]:
         if not ts.at("ctx"):
@@ -136,13 +159,16 @@ def parse_gat(text: str) -> GatSpec:
 
     while not ts.at("}"):
         tok = ts.peek()
+        at = f"{tok.line}:{tok.col}"
         if tok.text == "sort":
             ts.next()
+            where["sort", len(sorts)] = at
             sname = ts.expect_ident().text
             sorts.append(SortDecl(sname, parse_ctx()))
             ts.expect(";")
         elif tok.text == "op":
             ts.next()
+            where["op", len(ops)] = at
             oname = ts.expect_ident().text
             ctx = parse_ctx()
             ts.expect(":")
@@ -151,6 +177,7 @@ def parse_gat(text: str) -> GatSpec:
             ts.expect(";")
         elif tok.text == "axiom":
             ts.next()
+            where["axiom", len(axioms)] = at
             ctx = parse_ctx()
             ts.expect(":")
             asort = ts.expect_ident().text
@@ -160,7 +187,7 @@ def parse_gat(text: str) -> GatSpec:
             raise ts.error(f"expected declaration, got {tok.text!r}")
     ts.expect("}")
     ts.expect_eof()
-    return GatSpec(name, tuple(sorts), tuple(ops), tuple(axioms))
+    return GatSpec(name, tuple(sorts), tuple(ops), tuple(axioms), where)
 
 
 def gat_to_text(spec: GatSpec) -> str:
@@ -188,11 +215,16 @@ def gat_to_json(spec: GatSpec) -> dict:
 
 
 def gat_from_json(data: dict) -> GatSpec:
+    """The spec of a JSON mirror, each declaration located as ``gat NAME: sorts[i]``
+    (or ``ops[i]``, ``axioms[i]``)."""
     name = _json_field(data, "gat", "gat JSON")
-    where = f"gat {name}"
+    where: dict[Decl, str] = {}
 
     def decls(key: str) -> list[tuple[str, dict]]:
-        return [(f"{where}: {key}[{i}]", d) for i, d in enumerate(_json_field(data, key, where, list))]
+        items = _json_field(data, key, f"gat {name}", list)
+        for i in range(len(items)):
+            where[key[:-1], i] = f"gat {name}: {key}[{i}]"  # "sorts" -> "sort", ...
+        return [(where[key[:-1], i], d) for i, d in enumerate(items)]
 
     return GatSpec(
         name,
@@ -202,6 +234,7 @@ def gat_from_json(data: dict) -> GatSpec:
             for at, d in decls("ops")
         ),
         tuple(AxiomDecl(_json_names(d, "ctx", at), _json_field(d, "sort", at)) for at, d in decls("axioms")),
+        where,
     )
 
 

@@ -348,10 +348,11 @@ MATCH_PREMISES = {
     ),
 }
 
-# Premises without flat atoms, matched as tuples of their carriers: an
-# equation of variables (two names over one carrier) and two carriers of two
-# sorts.  The first conclusion creates f(x) live, since f(y) reads its key,
-# and the third creates src(f(x)) merged whenever src(x) is defined.
+# Premises without flat atoms, whose joins are loops over their carriers
+# alone: an equation of variables (two names over one carrier) and two
+# carriers of two sorts.  The first conclusion creates f(x) live, since
+# f(y) reads its key, and the third creates src(f(x)) merged whenever
+# src(x) is defined.
 ATOMLESS = parse_theory("""
 theory atomless {
   sort v;
@@ -492,9 +493,9 @@ def _subset(data, items, label):
 # A sequent's compiled premise with flat atoms tests its conclusion
 # read-only at each match: full and delta plans return the bare premise's
 # matches less exactly those at which the conclusion holds, also after
-# unions.  A premise without flat atoms is not tested: it returns every
-# instance, the bare premise's.  The facts written in this round and the one
-# before are drawn among the current ones.
+# unions.  A premise without flat atoms has no guard: its join returns
+# every instance, the bare premise's.  The facts written in this round and
+# the one before are drawn among the current ones.
 @given(st.data())
 def test_guarded_matches_drop_only_satisfied_instances(data):
     theory = data.draw(st.sampled_from(list(MATCH_PREMISES)), label="theory")
@@ -920,11 +921,12 @@ def test_fused_creation_falls_back_to_a_live_element(case):
         assert _state_view(state) == got[1]
 
 
-# A premise without flat atoms returns all its instances, untested: its
-# conclusion kernel is its own test.  Firing each such sequent's whole
-# instance list leaves the state that firing only its active instances
-# leaves (tables, classes, use-lists, writes, fresh log and counters), in
-# full and delta rounds, after unions, and when the budget stops a batch.
+# The join of a premise without flat atoms returns all its instances, with
+# no guard: its conclusion kernel is its own test.  Firing each such
+# sequent's whole instance list leaves the state that firing only its
+# active instances leaves (tables, classes, use-lists, writes, fresh log
+# and counters), in full and delta rounds, after unions, and when the
+# budget stops a batch.
 @given(st.data())
 def test_atomless_instances_fire_as_their_active_ones(data):
     theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")

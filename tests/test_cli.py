@@ -238,12 +238,28 @@ def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data
      "theory t: funcs[1]: duplicate function symbol 'f'"),
     ("check", json.dumps({"theory": "t", "sorts": ["s", "s"], "funcs": [], "rels": [], "axioms": []}),
      "theory t: sorts[1]: duplicate sort 's'"),
+    # a signature's sort errors name the declaration they are found in
+    ("gat-rank", "gat t {\n  sort A;\n  sort B ctx(A, Y);\n}\n", "3:3: sort B: undeclared sort 'Y'"),
+    ("gat-rank", "gat t {\n  sort A;\n  sort A ctx(A);\n}\n", "3:3: sort A: duplicate sort declaration"),
+    ("gat-rank", "gat t {\n  sort A ctx(B);\n  sort B ctx(A);\n}\n", "3:3: sort B: cyclic sort dependencies at 'A'"),
+    ("gat-rank", "gat t {\n  sort A;\n  op f ctx(A) : B;\n}\n", "3:3: op f: undeclared sort 'B'"),
+    ("gat-rank", "gat t {\n  sort A;\n  op f : A;\n  axiom ctx(A, Z) : A;\n}\n", "4:3: axiom1: undeclared sort 'Z'"),
+    ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": []}, {"name": "B", "ctx": ["A", "Y"]}],
+                             "ops": [], "axioms": []}), "gat t: sorts[1]: sort B: undeclared sort 'Y'"),
+    ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": []}, {"name": "A", "ctx": []}],
+                             "ops": [], "axioms": []}), "gat t: sorts[1]: sort A: duplicate sort declaration"),
+    ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": ["B"]}, {"name": "B", "ctx": ["A"]}],
+                             "ops": [], "axioms": []}), "gat t: sorts[1]: sort B: cyclic sort dependencies at 'A'"),
+    ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": []}],
+                             "ops": [{"name": "f", "ctx": ["A"], "result": "B"}], "axioms": []}),
+     "gat t: ops[0]: op f: undeclared sort 'B'"),
 ])
 def test_sort_errors_in_scale_and_theory_files_are_located(corpus, tmp_path, capsys, command, text, message):
-    path = tmp_path / ("bad.scale" if command == "decnum" else "bad.pht")
+    path = tmp_path / {"decnum": "bad.scale", "gat-rank": "bad.gat"}.get(command, "bad.pht")
     path.write_text(text)
     argv = {
         "check": ["--theory", path],
+        "gat-rank": [path],
         "decnum": [
             "--theory", corpus / "theories" / "ladder.pht", "--scale", path,
             "--from", corpus / "models" / "ladder_M.pm", "--to", corpus / "models" / "ladder_T.pm",
@@ -713,6 +729,49 @@ def test_examples_filters(corpus, capsys):
     code, out, _ = run(capsys, "examples", "--corpus", corpus, "--filter", "koizumi")
     assert code == 0
     assert len([l for l in out.splitlines() if l.endswith(" PASS")]) == 3
+
+
+# The chase budget reaches the cases that chase (decnum, gauge-check), the
+# step cap the towers (decnum, topdec) except chainfwd.maxsteps7, which
+# caps itself at 7; the gat and normalization cases read neither.
+UNLIMITED = {"gat.cat": "3", "gat.ncat1": "3", "gat.ncat2": "4", "gat.ncat3": "5", "gat.moncat": "3",
+             "gat.multicat": "3", "gat.dblcat": "4", "gat.set": "2", "gat.violation": "violation",
+             "ncat.normalize.exchange": "comp2(comp1(x, z), comp1(y, d2(z)))"}
+
+
+@pytest.mark.parametrize("limits, passed, measured", [
+    (("--max-elements", "3", "--max-steps", "2"), 12, {
+        "toy.decnum": "NotStabilized", "toy.gauge": "not certified", "cat.decnum": "BudgetExceeded",
+        "twocat.decnum": "BudgetExceeded", "chain.decnum.0": "1",
+        **{f"chain.decnum.{n}": "NotStabilized" for n in range(1, 7)},
+        "chainfwd.decnum": "NotStabilized", "chainfwd.maxsteps7": "NotStabilized",
+        **{f"koizumi.lambda{lam}": "NotStabilized" for lam in (1, 2, 3)}, **UNLIMITED}),
+    (("--max-rounds", "1"), 15, {
+        "toy.decnum": "BudgetExceeded", "toy.gauge": "certified bound 3", "cat.decnum": "BudgetExceeded",
+        "twocat.decnum": "BudgetExceeded", "chain.decnum.0": "1",
+        **{f"chain.decnum.{n}": "BudgetExceeded" for n in range(1, 7)},
+        "chainfwd.decnum": "BudgetExceeded", "chainfwd.maxsteps7": "BudgetExceeded",
+        **{f"koizumi.lambda{lam}": str(2 * lam) for lam in (1, 2, 3)}, **UNLIMITED}),
+])
+def test_examples_forward_limits(corpus, capsys, schema, limits, passed, measured):
+    code, payload, _ = run_json(capsys, schema, "examples", "--corpus", corpus, *limits)
+    records = payload["result"]["records"]
+    assert code == 1 and not payload["result"]["ok"]
+    assert {r["case"]: r["measured"] for r in records} == measured
+    assert sum(r["status"] == "PASS" for r in records) == passed
+    assert all((r["status"] == "PASS") == (r["measured"] == r["expected"]) for r in records)
+    code, out, _ = run(capsys, "examples", "--corpus", corpus, *limits)
+    assert code == 1 and out.endswith(f"\n{passed}/26 passed\n")
+
+
+# A corpus path that starts with '-' reaches each case's subcommand as a
+# path, not as a flag: an option's value (decnum) and a positional (gat-rank).
+def test_examples_corpus_path_may_start_with_a_dash(corpus, tmp_path, monkeypatch, capsys):
+    (tmp_path / "-c").symlink_to(corpus, target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
+    for case in ("toy.decnum", "gat.cat"):
+        code, out, _ = run(capsys, "examples", "--corpus=-c", "--filter", case)
+        assert (code, out.splitlines()[-1]) == (0, "1/1 passed")
 
 
 def test_examples_json_is_deterministic(corpus, capsys):

@@ -3,6 +3,9 @@
 import pytest
 
 from partialhorn import (
+    GatSpec,
+    OpDecl,
+    SortDecl,
     analyze,
     decnum_bound,
     dependency_rank,
@@ -54,6 +57,17 @@ def test_undeclared_and_duplicate_sorts_rejected():
         analyze(parse_gat("gat t { sort A; axiom ctx(A) : B; }"))
     with pytest.raises(ValueError):
         analyze(parse_gat("gat t { sort A; op f ctx(B) : A; }"))
+
+
+# An error names the declaration it is found in; a spec built in code has
+# no place in a file to add.
+def test_errors_name_the_declaration():
+    with pytest.raises(ValueError, match=r"^sort B: cyclic sort dependencies at 'A'$"):
+        dependency_rank(GatSpec("t", (SortDecl("A", ("B",)), SortDecl("B", ("A",))), (), ()))
+    with pytest.raises(ValueError, match=r"^op f: undeclared sort 'B'$"):
+        analyze(GatSpec("t", (SortDecl("A", ()),), (OpDecl("f", (), "B"),), ()))
+    with pytest.raises(ValueError, match=r"^2:20: sort A: duplicate sort declaration$"):
+        dependency_rank(parse_gat("gat t { sort A; sort B;\n sort C ctx(A, B); sort A; }"))
 
 
 def test_non_descending_analysis_of_cat():
