@@ -94,6 +94,11 @@ whose joins are loops over their carriers alone: in prover chases most of
 their instances are active, so the conclusion kernel, which changes
 nothing at an instance whose conclusion holds, is their only test.
 
+The prover tests its goal between rounds.  Callers that read only the
+verdict have it tested inside each round as well, after every kernel call
+that changed the state, and the chase stops there: facts only grow, so the
+goal would still hold at the round's end.
+
 Everything fires in a fixed order (sequents by declaration, assignments
 lexicographically in canonical ids), so results are bit-for-bit
 reproducible; snapshots list every table in sorted key order, so a
@@ -713,6 +718,7 @@ class _ChaseState:
         self.version = 0
         self.merges = 0
         self.fresh_log: list[tuple] = []  # see ChaseResult.log
+        self.goal: Optional[Callable[[_ChaseState], bool]] = None  # tested inside rounds
 
     # -- union-find (least id is the representative)
 
@@ -948,15 +954,23 @@ class _ChaseState:
         With ``delta`` (every sequent was matched in the round before, or the
         base is a model), match only instances that use a fact written in
         this round or the one before: any other instance was matched in the
-        round before, or holds in the base, so its conclusion already holds."""
+        round before, or holds in the base, so its conclusion already holds.
+        With a ``goal``, test it after each kernel call that changed the
+        state (the kernel's unions have normalized it, so no id is pending)
+        and end the round as soon as it holds: facts only grow, so it would
+        hold at the round's end too."""
         v0 = self.version
         self.normalize()
         self.written_before, self.written = self.written, _Writes(self.sig)
+        goal = self.goal
         for seq in theory.sequents:
             premise, conclusion = _compiled(seq)
             batch = self.matches(premise, delta)
             if batch:  # most sequents of a round from a model match nothing
+                v = self.version
                 conclusion.kernel(self, batch)
+                if goal is not None and self.version != v and goal(self):
+                    break
         return self.version != v0
 
     def snapshot(self) -> PartialStructure:
@@ -975,14 +989,25 @@ def chase(
     stop: Optional[Callable[[_ChaseState], bool]] = None,
     *,
     _base_is_model: bool = False,
+    _stop_in_round: bool = False,
 ) -> ChaseResult:
     """Saturate the presentation under the theory's sequents.
+
+    ``stop`` is tested after the forced atoms and after every round; the
+    chase ends ``Stopped`` when it holds.  ``_stop_in_round`` (for callers
+    that read only whether it stopped) also tests it inside each round,
+    after every sequent's firing that changed the state, and ends the
+    round there; the cut-short round counts as a round.  Rounds, elements
+    and merges then differ from a chase that finishes its rounds, and a
+    budget that would have run out later in the round no longer does.
 
     ``_base_is_model`` (for decomposition steps after the first) promises
     that the base satisfies every sequent: then even the first round
     matches only instances that use a fact the forced atoms wrote."""
     budget = budget or ChaseBudget()
     state = _ChaseState(theory.signature, budget)
+    if _stop_in_round:
+        state.goal = stop
     status = COMPLETE
     rounds = 0
     try:
@@ -1068,11 +1093,19 @@ class ProveResult:
     merges: int
 
 
-def prove_sequent(theory: Theory, seq: Sequent, budget: Optional[ChaseBudget] = None) -> ProveResult:
+def prove_sequent(
+    theory: Theory, seq: Sequent, budget: Optional[ChaseBudget] = None, *, _verdict_only: bool = False
+) -> ProveResult:
     """Bounded derivability: chase the premise, watch for the conclusion.
 
     Valid as soon as the conclusion holds at the generic assignment;
     Invalid only when the chase completes without it; Unknown on budget.
+    The conclusion is tested after every round, so rounds, elements and
+    merges are those of whole rounds.  ``_verdict_only`` (for callers that
+    read only the verdict) tests it inside rounds too and stops the chase
+    where it first holds: Valid and Invalid stay as they are, but Unknown
+    may become Valid when the budget would have run out later in the round
+    that reached the conclusion, and the counts are those of the cut chase.
     """
     presentation, items = _generic_presentation(theory, seq.context, seq.premise)
 
@@ -1081,7 +1114,7 @@ def prove_sequent(theory: Theory, seq: Sequent, budget: Optional[ChaseBudget] = 
         tables = PartialStructure(state.sig, {}, state.funcs, state.rels)  # type: ignore[arg-type]
         return holds(tables, {name: state.find(i) for name, i in items}, seq.conclusion)
 
-    result = chase(theory, presentation, budget, stop=stop)
+    result = chase(theory, presentation, budget, stop=stop, _stop_in_round=_verdict_only)
     if result.status == STOPPED:
         verdict = VALID
     elif result.status == COMPLETE:
@@ -1098,9 +1131,13 @@ def reduces(
     tau: RawTerm,
     budget: Optional[ChaseBudget] = None,
 ) -> Optional[bool]:
-    """sigma reduces to tau: defined sigma forces sigma = tau (None on budget)."""
+    """sigma reduces to tau: defined sigma forces sigma = tau (None on budget).
+
+    Only the verdict is read, so the chase stops inside the round where
+    sigma = tau first holds: a budget that ``prove_sequent`` exhausts in
+    that round (Unknown) may give True here."""
     seq = Sequent(ctx, HornFormula((Def(sigma),)), HornFormula((Eq(sigma, tau),)), label="reduces")
-    res = prove_sequent(theory, seq, budget)
+    res = prove_sequent(theory, seq, budget, _verdict_only=True)
     if res.verdict == VALID:
         return True
     if res.verdict == INVALID:

@@ -62,31 +62,42 @@ def _error(spec: GatSpec, decl: Decl, message: str) -> ValueError:
 
 
 def dependency_rank(spec: GatSpec) -> dict[str, int]:
+    """Every sort's rank, found depth-first on an explicit stack (a chain of
+    sorts declared against its order is as deep as it is long).  Errors
+    name the declaration whose context names the bad sort."""
     index: dict[str, int] = {}
     for i, d in enumerate(spec.sort_decls):
         if index.setdefault(d.name, i) != i:
             raise _error(spec, ("sort", i), "duplicate sort declaration")
     ranks: dict[str, int] = {}
-    in_progress: set[str] = set()
-
-    def rank(s: str, user: Decl) -> int:
-        """The rank of ``s``, which the declaration ``user`` names."""
-        if s in ranks:
-            return ranks[s]
-        if s not in index:
-            raise _error(spec, user, f"undeclared sort {s!r}")
-        if s in in_progress:
-            raise _error(spec, user, f"cyclic sort dependencies at {s!r}")
-        in_progress.add(s)
-        decl = ("sort", index[s])
-        ctx = spec.sort_decls[index[s]].ctx
-        r = 0 if not ctx else 1 + max(rank(t, decl) for t in ctx)
-        in_progress.discard(s)
-        ranks[s] = r
-        return r
-
     for i, d in enumerate(spec.sort_decls):
-        rank(d.name, ("sort", i))
+        if d.name in ranks:
+            continue
+        # frames [sort index, next context position, rank so far]; their
+        # sorts are the ones in progress
+        stack, in_progress = [[i, 0, 0]], {d.name}
+        while stack:
+            frame = stack[-1]
+            j, k, r = frame
+            decl = spec.sort_decls[j]
+            if k == len(decl.ctx):
+                stack.pop()
+                in_progress.discard(decl.name)
+                ranks[decl.name] = r
+                if stack:
+                    stack[-1][2] = max(stack[-1][2], r + 1)
+                continue
+            frame[1] = k + 1
+            t = decl.ctx[k]
+            if t in ranks:
+                frame[2] = max(r, ranks[t] + 1)
+            elif t not in index:
+                raise _error(spec, ("sort", j), f"undeclared sort {t!r}")
+            elif t in in_progress:
+                raise _error(spec, ("sort", j), f"cyclic sort dependencies at {t!r}")
+            else:
+                in_progress.add(t)
+                stack.append([index[t], 0, 0])
     return ranks
 
 

@@ -185,7 +185,10 @@ def check_gauge(
     """Certify the gauge at a term and, transitively, at its defining args.
 
     Each row re-proves the bisequent: the term is defined iff all its
-    defining instances hold and their arguments are defined.
+    defining instances hold and their arguments are defined.  A row keeps
+    only the two verdicts, so each proof stops inside the round where its
+    conclusion first holds: a budget that ``prove_sequent`` exhausts in
+    that round (Unknown) may give Valid here.
     """
     by_label = {e.label: e for e in equational_scale(rules.theory.signature).entries}
     rows: list[GaugeRow] = []
@@ -196,10 +199,12 @@ def check_gauge(
         sharp_ok = all(rules.sharp(a) < s for e in entries for a in e.args)
         phi = _defining_formula(by_label, entries)
         fwd = prove_sequent(
-            rules.theory, Sequent(ctx, HornFormula((Def(tau),)), phi, label="gauge.fwd"), budget
+            rules.theory, Sequent(ctx, HornFormula((Def(tau),)), phi, label="gauge.fwd"), budget,
+            _verdict_only=True,
         )
         bwd = prove_sequent(
-            rules.theory, Sequent(ctx, phi, HornFormula((Def(tau),)), label="gauge.bwd"), budget
+            rules.theory, Sequent(ctx, phi, HornFormula((Def(tau),)), label="gauge.bwd"), budget,
+            _verdict_only=True,
         )
         rows.append(GaugeRow(tau, s, entries, sharp_ok, fwd.verdict, bwd.verdict))
         for a in [a for e in entries for a in e.args]:

@@ -28,6 +28,7 @@ from partialhorn import (
     Presentation,
     ProveResult,
     chase,
+    check_gauge,
     coequalizer,
     equational_scale,
     induced_hom,
@@ -35,6 +36,7 @@ from partialhorn import (
     is_model,
     ladder_theory,
     load_hom,
+    ncat_gauge_rules,
     ncat_theory,
     prove_sequent,
     reduces,
@@ -1249,6 +1251,74 @@ def test_prove_stop_matches_reference(data):
     want = chase(theory, presentation, budget, stop=stop)
     verdict = {STOPPED: VALID, COMPLETE: INVALID}.get(want.status, UNKNOWN)
     assert prove_sequent(theory, seq, budget) == ProveResult(verdict, want.rounds, want.model.size(), want.merges)
+
+
+def _recording_chase(record):
+    """A stand-in for chase that runs each call as asked and also without
+    the in-round stop, appending (keywords, result, whole-round result)
+    to ``record``; it checks that no id is pending whenever the goal runs."""
+    real = CHASE_MODULE.chase
+
+    def recording(theory, presentation, budget=None, stop=None, **kwargs):
+        def checked(state):
+            assert not state.pending  # the goal reads canonical tables
+            return stop(state)
+
+        got = real(theory, presentation, budget, checked, **kwargs)
+        record.append((kwargs, got, real(theory, presentation, budget, stop)))
+        return got
+
+    return recording
+
+
+# Verdict-only proofs test the goal inside a round and stop where it first
+# holds.  Facts only grow, so the goal still held at the round's end: the
+# verdict is prove_sequent's, except that a budget that ran out later in
+# that round (Unknown there) may give Valid.
+@given(st.data())
+def test_verdict_only_prover_matches_prove_or_proves_more(data):
+    theory = data.draw(st.sampled_from(list(PROVE_ATOMS)), label="theory")
+    ctx, atoms = PROVE_ATOMS[theory]
+    premise, conclusion = (
+        " & ".join(data.draw(st.lists(st.sampled_from(atoms), max_size=3), label=side)) or "top"
+        for side in ("premise", "conclusion")
+    )
+    (seq,) = parse_sequent(theory.signature, f"{ctx} {premise} |- {conclusion}")
+    budget = ChaseBudget(max_elements=data.draw(st.integers(0, 150), label="max_elements"),
+                         max_rounds=data.draw(st.integers(0, 6), label="max_rounds"))
+    want = prove_sequent(theory, seq, budget)
+    record: list = []
+    with mock.patch.object(CHASE_MODULE, "chase", _recording_chase(record)):
+        got = prove_sequent(theory, seq, budget, _verdict_only=True)
+    [(kwargs, cut, whole)] = record
+    assert kwargs == {"_stop_in_round": True}
+    assert got.verdict == want.verdict or (want.verdict, got.verdict) == (UNKNOWN, VALID)
+    assert (got.rounds, got.elements, got.merges) == (cut.rounds, cut.model.size(), cut.merges)
+    if got.verdict == want.verdict != VALID:  # no stop: the same chase
+        assert cut == whole
+    if got.verdict == VALID:
+        assert cut.rounds <= whole.rounds and len(cut.quotient) <= len(whole.quotient)
+
+
+# d1(c1(x)) = c1(x) holds in the ncat1 chase of d1(c1(x)) ! after the first
+# sequents of round 1 fire; the rest of that round creates 12 more elements.
+# reduces and check_gauge take the in-round stop: dropping it fails here.
+def test_verdict_only_callers_stop_inside_the_round():
+    ncat1, ctx = ncat_theory(1), Context((("x", "*"),))
+    term, nf = parse_term(ncat1.signature, "d1(c1(x))"), parse_term(ncat1.signature, "c1(x)")
+    record: list = []
+    with mock.patch.object(CHASE_MODULE, "chase", _recording_chase(record)):
+        assert reduces(ncat1, ctx, term, nf) is True
+    [(kwargs, cut, whole)] = record
+    assert kwargs == {"_stop_in_round": True}
+    assert cut.status == whole.status == STOPPED and cut.rounds == whole.rounds == 1
+    assert (len(cut.quotient), len(whole.quotient)) == (9, 21)
+    record.clear()
+    with mock.patch.object(CHASE_MODULE, "chase", _recording_chase(record)):
+        cert = check_gauge(ncat_gauge_rules(1), ctx, term)
+    assert cert.certified and len(record) == 2 * len(cert.rows)
+    assert all(kwargs == {"_stop_in_round": True} and cut.status == STOPPED for kwargs, cut, _ in record)
+    assert sum(len(cut.quotient) for _, cut, _ in record) < sum(len(whole.quotient) for _, _, whole in record)
 
 
 DECOMPOSE_MODULE = importlib.import_module("partialhorn.decompose")

@@ -70,6 +70,26 @@ def test_errors_name_the_declaration():
         dependency_rank(parse_gat("gat t { sort A; sort B;\n sort C ctx(A, B); sort A; }"))
 
 
+def _reverse_chain(n: int, last_ctx: str = "") -> str:
+    """``sort S0 ctx(S1); ... sort S<n-1> <last_ctx>;``: each sort's context
+    names the next one, so no rank is known before the whole chain is."""
+    decls = [f"sort S{i} ctx(S{i + 1});" for i in range(n - 1)]
+    return "gat chain {\n" + "\n".join(decls + [f"sort S{n - 1}{last_ctx};"]) + "\n}\n"
+
+
+# Ranking walks the chain on an explicit stack, so its depth is not bound
+# by Python's recursion limit; an error at the chain's end is still located.
+def test_long_chain_declared_against_its_order_ranks():
+    report = analyze(parse_gat(_reverse_chain(5000)))
+    assert report.ranks["S0"] == 4999 and report.ranks["S4999"] == 0
+    assert list(report.ranks)[:2] == ["S4999", "S4998"]  # ranked as they are found
+    assert report.bound == 5001
+    with pytest.raises(ValueError, match=r"^5001:1: sort S4999: cyclic sort dependencies at 'S0'$"):
+        dependency_rank(parse_gat(_reverse_chain(5000, " ctx(S0)")))
+    with pytest.raises(ValueError, match=r"^5001:1: sort S4999: undeclared sort 'T'$"):
+        dependency_rank(parse_gat(_reverse_chain(5000, " ctx(T)")))
+
+
 def test_non_descending_analysis_of_cat():
     report = analyze(parse_gat(CAT))
     assert report.non_descending
