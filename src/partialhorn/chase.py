@@ -20,14 +20,14 @@ the same fixpoint a full rebuild reaches.
 Every union takes that one path, even the commonest: a fresh element,
 created by an instance whose equation then merges it, united with the one
 entry that holds it (``normalize`` then pops one listing).  Most such
-unions never happen: when the equation's other side is already defined,
-a conclusion kernel creates the element merged, storing the entry with
-its final value, and the fresh id is used up and logged but never live.
-The other side may need ops of its own, up to the union: if none reads
-the new element, they run first as read-only lookups, and only when one
-misses is the element created live and the other side evaluated after it
-(a lookup of the very key being created misses, as it must: in op order
-it would read the new element back).
+unions never happen: when the equation's other side is already defined, a
+conclusion kernel creates the element merged, storing the entry with its
+final value, and the fresh id is used up and logged, as six items of one
+flat list, but never live.  The other side may need ops of its own, up to
+the union: if none reads the new element, they run first as read-only
+lookups, and only when one misses is the element created live and the
+other side evaluated after it (a lookup of the very key being created
+misses, as it must: in op order it would read the new element back).
 
 Premises are matched by a join over flattened atoms ``f(x1..xk) = y``,
 in the spirit of relational e-matching.  Each sequent's premise is
@@ -166,12 +166,16 @@ class FreshEntry:
 class ChaseResult:
     model: PartialStructure
     union_find: dict[int, int] = field(repr=False)  # every id ever created -> a lesser id of its class, or itself
-    log: tuple[tuple, ...]  # per fresh element: (elem, func, args, term, names, ids)
+    flat_log: list = field(repr=False)  # per fresh element six items: elem, func, args, term, names, ids
     status: str
     rounds: int
     merges: int
 
-    # Both built on first read: the prover reads neither.
+    # All three built on first read: the prover reads none.
+
+    @cached_property
+    def log(self) -> tuple[tuple, ...]:  # per fresh element, in id order: (elem, func, args, term, names, ids)
+        return tuple(zip(*[iter(self.flat_log)] * 6))
 
     @cached_property
     def quotient(self) -> dict[int, int]:
@@ -188,8 +192,8 @@ class ChaseResult:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChaseResult):
             return NotImplemented
-        return ((self.model, self.quotient, self.log, self.status, self.rounds, self.merges)
-                == (other.model, other.quotient, other.log, other.status, other.rounds, other.merges))
+        return ((self.model, self.quotient, self.flat_log, self.status, self.rounds, self.merges)
+                == (other.model, other.quotient, other.flat_log, other.status, other.rounds, other.merges))
 
 
 class _Budget(Exception):
@@ -469,7 +473,8 @@ def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int
                     | {f for op, f, _ in test if op == _APPLY})
     rels = sorted({s for k, s, _, _ in steps if k == _REL} | {r for op, r, _ in test if op == _INSERT})
     prelude = ["funcs, rels, index = state.funcs, state.rels, state.value_index",
-               *(f"T{f} = funcs[K{f}]" for f in tables), *(f"R{r} = rels[K{r}]" for r in rels)]
+               *(f"T{f} = funcs[K{f}]" for f in tables), *(f"R{r} = rels[K{r}]" for r in rels),
+               *(f"I{f} = index(K{f})" for f in sorted({f for k, s, _, _ in steps if k == _PROBE for f, _ in s}))]
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):"]
 
     def part(name: str, start: int, bound: list[int]) -> None:
@@ -515,7 +520,7 @@ def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int
             if kind == _PROBE:  # walk the shortest fiber, check the others by table lookup
                 fibers = [f"F{j}_{i}" for i in range(len(sym))]
                 for fiber, (f, out) in zip(fibers, sym):
-                    put(f"{fiber} = index(K{f}).get(s{out})")
+                    put(f"{fiber} = I{f}.get(s{out})")
                     put(f"if {fiber} is None: {fail}")
                 targets, checks = unpack(extra, j)
                 if len(sym) == 1:
@@ -649,7 +654,7 @@ def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
                     body += [f"    {line}" for line in merged]
             body += [f"    T{sym}[{key}] = {v}", f"    W{sym}.add({key})", f"    cell = [T{sym}, {key}, K{sym}]",
                      *(f"    uses[{a}].append(cell)" for a in (*vals, v)),
-                     f"    log.append((fresh, K{sym}, {key}, K{term}, K0, ids))", "    fresh += 1"]
+                     f"    log += fresh, K{sym}, {key}, K{term}, K0, ids", "    fresh += 1"]
             slot += 1
         elif op == _UNITE:
             body += [f"if {vals[0]} != {vals[1]}:", f"    unite({vals[0]}, {vals[1]})"]
@@ -717,7 +722,7 @@ class _ChaseState:
         self.created = 0
         self.version = 0
         self.merges = 0
-        self.fresh_log: list[tuple] = []  # see ChaseResult.log
+        self.fresh_log: list = []  # see ChaseResult.flat_log
         self.goal: Optional[Callable[[_ChaseState], bool]] = None  # tested inside rounds
 
     # -- union-find (least id is the representative)
@@ -780,22 +785,28 @@ class _ChaseState:
         pending = self.pending
         if not pending:
             return
-        written, parent, find, uses = self.written.funcs, self.parent, self.find, self.uses
+        written, parent, find, uses, live = self.written.funcs, self.parent, self.find, self.uses, self.live
+        rel_uses, merges = self.rel_uses, 0
         stale: list[tuple[str, tuple[int, ...]]] = []
         while pending:
             lost = pending.pop()
-            stale += self.rel_uses.pop(lost, ())
+            if rel_uses:  # no relation tuple is listed in most theories
+                stale += rel_uses.pop(lost, ())
             for cell in uses.pop(lost, ()):
                 table, args, f = cell
                 if args is None:
                     continue  # dead: its key collided
                 val = table[args]
-                revalue = parent[val] != val
-                if revalue:
-                    val = find(val)
+                revalue = (p := parent[val]) != val
+                if revalue:  # most ids lie one step below their root
+                    val = p if parent[p] == p else find(val)
                 if len(args) == 1:  # most keys: no list to build
                     a = args[0]
-                    key = args if parent[a] == a else (find(a),)
+                    key = args if (p := parent[a]) == a else (p,) if parent[p] == p else (find(a),)
+                elif len(args) == 2:  # two-argument keys: no list either
+                    a, b = args
+                    key = (a if (p := parent[a]) == a else p if parent[p] == p else find(a),
+                           b if (p := parent[b]) == b else p if parent[p] == p else find(b))
                 else:
                     key = tuple([a if parent[a] == a else find(a) for a in args])
                 if key == args:
@@ -814,10 +825,9 @@ class _ChaseState:
                     if old != val:  # congruent keys: unite the values
                         lo, hi = (old, val) if old < val else (val, old)
                         parent[hi] = lo
-                        del self.live[hi]
+                        del live[hi]
                         pending.append(hi)
-                        self.merges += 1
-                        self.version += 1
+                        merges += 1
                     continue
                 table[key] = val
                 cell[1] = key
@@ -826,6 +836,7 @@ class _ChaseState:
                         uses[b].append(cell)
                 if revalue:
                     uses[val].append(cell)
+        self.merges, self.version = self.merges + merges, self.version + merges
         for r, tup in stale:
             if tup in self.rels[r]:  # not moved already
                 self.rels[r].remove(tup)
@@ -890,7 +901,7 @@ class _ChaseState:
         self.funcs[f][args] = fresh
         self.written.funcs[f].add(args)
         self._use(self.funcs[f], args, f, fresh)
-        self.fresh_log.append((fresh, f, args, term, names, ids))
+        self.fresh_log += fresh, f, args, term, names, ids
         return fresh
 
     # -- premise matching (compiled join, lexicographic output)
@@ -1037,7 +1048,7 @@ def chase(
                     break
     except _Budget:
         status = BUDGET_EXCEEDED
-    return ChaseResult(state.snapshot(), state.parent, tuple(state.fresh_log), status, rounds, state.merges)
+    return ChaseResult(state.snapshot(), state.parent, state.fresh_log, status, rounds, state.merges)
 
 
 def _satisfying(

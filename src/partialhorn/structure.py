@@ -300,6 +300,7 @@ class _ModelBuilder:
             raise ValueError(f"{where}: declares theory {of!r}, expected {theory.name!r}")
         self.theory, self.name = theory, name
         self.ids: dict[str, int] = {}
+        self.sorts: list[str] = []  # id -> its sort
         self.carriers: dict[str, list[int]] = {s: [] for s in theory.signature.sorts}
         self.funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in theory.signature.funcs}
         self.rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in theory.signature.rels}
@@ -312,23 +313,31 @@ class _ModelBuilder:
                 raise ValueError(f"{where}: duplicate element {e!r}")
             self.carriers[sort].append(len(self.ids))
             self.ids[e] = len(self.ids)
+            self.sorts.append(sort)
 
-    def _ids(self, where: str, args: object) -> tuple[int, ...]:
+    def _ids(self, where: str, sym: str, args: object, sorts: tuple[str, ...]) -> tuple[int, ...]:
         if not isinstance(args, list):
             raise ValueError(f"{where}: expected a list of elements, got {type(args).__name__}")
-        return tuple(_element_id(self.ids, a, where) for a in args)
+        if len(args) != len(sorts):
+            raise ValueError(f"{where}: {sym} expects {len(sorts)} arguments, got {len(args)}")
+        ids = tuple(_element_id(self.ids, a, where) for a in args)
+        for a, i, sort in zip(args, ids, sorts):
+            if self.sorts[i] != sort:
+                raise ValueError(f"{where}: {sym}: element {a!r} not in carrier of {sort}")
+        return ids
 
     def entry(self, where: str, func: str, args: list, value: object) -> None:
         if func not in self.funcs:
             raise ValueError(f"{where}: unknown function symbol {func!r}")
-        key, val = self._ids(where, args), _element_id(self.ids, value, where)
+        decl = self.theory.signature.func(func)
+        key, (val,) = self._ids(where, func, args, decl.arg_sorts), self._ids(where, func, [value], (decl.result_sort,))
         if self.funcs[func].setdefault(key, val) != val:
             raise ValueError(f"{where}: conflicting entries for {func}{key}")
 
     def fact(self, where: str, rel: str, args: object) -> None:
         if rel not in self.rels:
             raise ValueError(f"{where}: unknown relation symbol {rel!r}")
-        self.rels[rel].add(self._ids(where, args))
+        self.rels[rel].add(self._ids(where, rel, args, self.theory.signature.rel(rel).arg_sorts))
 
     def finish(self) -> NamedModel:
         carriers = {s: tuple(es) for s, es in self.carriers.items()}

@@ -702,6 +702,9 @@ def test_chase_leaves_no_reference_cycles():
 
 # The incremental closure reaches the full rebuild's fixpoint after every
 # union, so whole chases agree: model, quotient, fresh ids, merges, rounds.
+# The fresh log lists every fresh id once, in id order, as the 6-tuple
+# (elem, func, args, term, names, ids) that ChaseResult.log cuts from the
+# flat list the kernels extend.
 @given(st.data())
 def test_chase_matches_full_rebuild_closure(data):
     theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")
@@ -710,6 +713,14 @@ def test_chase_matches_full_rebuild_closure(data):
     presentation = Presentation(base, _forced(data, theory, base))
     budget = ChaseBudget(max_elements=150, max_rounds=6)
     got = chase(theory, presentation, budget)
+    first = base.size()  # the base's ids are 0..size-1
+    fresh = [e for e, *_ in got.log]
+    assert fresh == list(range(first, first + len(fresh))) == [i for i in sorted(got.union_find) if i >= first]
+    assert len(got.flat_log) == 6 * len(got.log)
+    for _, f, args, term, names, ids in got.log:
+        assert term.func == f and len(args) == len(sig.func(f).arg_sorts)
+        assert len(names) == len(ids) and all(isinstance(n, str) for n in names)
+        assert all(isinstance(i, int) for i in (*args, *ids))
     with mock.patch.object(CHASE_MODULE, "_ChaseState", _FullRebuildState):
         want = chase(theory, presentation, budget)
     assert got.model == want.model
@@ -1319,6 +1330,22 @@ def test_verdict_only_callers_stop_inside_the_round():
     assert cert.certified and len(record) == 2 * len(cert.rows)
     assert all(kwargs == {"_stop_in_round": True} and cut.status == STOPPED for kwargs, cut, _ in record)
     assert sum(len(cut.quotient) for _, cut, _ in record) < sum(len(whole.quotient) for _, _, whole in record)
+
+
+# Prover chases never cut the flat fresh log into entries: neither a
+# prove_sequent call nor a verdict-only one reads log, fresh_log or
+# quotient, so each stays unbuilt until a caller reads it.
+def test_prover_leaves_the_fresh_log_unbuilt():
+    ncat1 = ncat_theory(1)
+    (seq,) = parse_sequent(ncat1.signature, "[x: *] d1(c1(x)) ! |- d1(c1(x)) = c1(x)")
+    record: list = []
+    with mock.patch.object(CHASE_MODULE, "chase", _recording_chase(record)):
+        assert prove_sequent(ncat1, seq).verdict == prove_sequent(ncat1, seq, _verdict_only=True).verdict == VALID
+    assert [kwargs for kwargs, _, _ in record] == [{"_stop_in_round": False}, {"_stop_in_round": True}]
+    for result in (r for _, cut, whole in record for r in (cut, whole)):
+        assert result.flat_log and not {"log", "fresh_log", "quotient"} & result.__dict__.keys()
+        assert len(result.fresh_log) == len(result.log) == len(result.flat_log) // 6
+        assert {"log", "fresh_log"} <= result.__dict__.keys()
 
 
 DECOMPOSE_MODULE = importlib.import_module("partialhorn.decompose")

@@ -219,6 +219,11 @@ def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data
         assert err.startswith(f"error: gauge rules {path}: ")
 
 
+TWO_SORTED = "theory two {\n  sort s;\n  sort t;\n  func a : s;\n  func f : s -> t;\n  rel R : s, t;\n}\n"
+TWO_SORTED_MODEL = "model m of two {\n  elem s : x;\n  elem t : y;\n"
+TWO_SORTED_JSON = {"model": "m", "of": "two", "elems": {"s": ["x"], "t": ["y"]}}
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("decnum", "scale q {\n  entry e1 [z: s] z = z;\n  entry e2 [z: nosort] z = z;\n}\n",
      "3:3: undeclared sort 'nosort'"),
@@ -253,11 +258,26 @@ def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data
     ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": []}],
                              "ops": [{"name": "f", "ctx": ["A"], "result": "B"}], "axioms": []}),
      "gat t: ops[0]: op f: undeclared sort 'B'"),
+    # a model's entries and tuples are checked against their symbol's arity
+    # and sorts where they are read (models of TWO_SORTED)
+    ("model", f"{TWO_SORTED_MODEL}  a(x) = x;\n}}\n", "4:3: model m: a expects 0 arguments, got 1"),
+    ("model", f"{TWO_SORTED_MODEL}  f(y) = y;\n}}\n", "4:3: model m: f: element 'y' not in carrier of s"),
+    ("model", f"{TWO_SORTED_MODEL}  f(x) = x;\n}}\n", "4:3: model m: f: element 'x' not in carrier of t"),
+    ("model", f"{TWO_SORTED_MODEL}  R(x);\n}}\n", "4:3: model m: R expects 2 arguments, got 1"),
+    ("model", json.dumps(dict(TWO_SORTED_JSON, funcs={"a": [{"args": ["x"], "value": "x"}]})),
+     "model m: funcs.a[0]: a expects 0 arguments, got 1"),
+    ("model", json.dumps(dict(TWO_SORTED_JSON, funcs={"f": [{"args": ["x"], "value": "x"}]})),
+     "model m: funcs.f[0]: f: element 'x' not in carrier of t"),
+    ("model", json.dumps(dict(TWO_SORTED_JSON, rels={"R": [["x", "y"], ["y", "y"]]})),
+     "model m: rels.R[1]: R: element 'y' not in carrier of s"),
 ])
 def test_sort_errors_in_scale_and_theory_files_are_located(corpus, tmp_path, capsys, command, text, message):
-    path = tmp_path / {"decnum": "bad.scale", "gat-rank": "bad.gat"}.get(command, "bad.pht")
+    path = tmp_path / {"decnum": "bad.scale", "gat-rank": "bad.gat", "model": "bad.pm"}.get(command, "bad.pht")
     path.write_text(text)
+    if command == "model":
+        (tmp_path / "two.pht").write_text(TWO_SORTED)
     argv = {
+        "model": ["--theory", tmp_path / "two.pht", path],
         "check": ["--theory", path],
         "gat-rank": [path],
         "decnum": [
@@ -266,7 +286,7 @@ def test_sort_errors_in_scale_and_theory_files_are_located(corpus, tmp_path, cap
             "--hom", corpus / "homs" / "ladder_bang.phom",
         ],
     }[command]
-    code, _, err = run(capsys, command, *argv)
+    code, _, err = run(capsys, "check" if command == "model" else command, *argv)
     assert code == 2 and f"error: {message}" in err
 
 
