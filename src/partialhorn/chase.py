@@ -94,27 +94,28 @@ whose joins are loops over their carriers alone: in prover chases most of
 their instances are active, so the conclusion kernel, which changes
 nothing at an instance whose conclusion holds, is their only test.
 
-The prover tests its goal between rounds.  Callers that read only the
-verdict have it tested inside each round as well, after every kernel call
-that changed the state, and the chase stops there: facts only grow, so the
-goal would still hold at the round's end.
+The prover tests its goal between rounds, running its conclusion's ops
+(compiled once per call) read only at the canonical generic ids.  Callers
+that read only the verdict have it tested inside each round as well, after
+every kernel call that changed the state, and the chase stops there: facts
+only grow, so the goal would still hold at the round's end.
 
 Everything fires in a fixed order (sequents by declaration, assignments
 lexicographically in canonical ids), so results are bit-for-bit
-reproducible; snapshots list every table in sorted key order, so a
-model does not depend on the history of its merges.
+reproducible; a model lists every table in sorted key order, so it does
+not depend on the history of its merges.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from typing import Callable, Mapping, Optional, Sequence
 
-from .structure import Hom, PartialStructure, empty_structure, holds
+from .structure import Hom, PartialStructure
 from .syntax import (
     Atom,
     Context,
@@ -164,14 +165,27 @@ class FreshEntry:
 
 @dataclass(frozen=True, eq=False)
 class ChaseResult:
-    model: PartialStructure
+    signature: Signature = field(repr=False)
+    live: dict[int, str] = field(repr=False)  # canonical id -> its sort
+    funcs: dict[str, dict[tuple[int, ...], int]] = field(repr=False)  # the final tables, keyed by canonical ids
+    rels: dict[str, set[tuple[int, ...]]] = field(repr=False)
     union_find: dict[int, int] = field(repr=False)  # every id ever created -> a lesser id of its class, or itself
     flat_log: list = field(repr=False)  # per fresh element six items: elem, func, args, term, names, ids
     status: str
     rounds: int
     merges: int
 
-    # All three built on first read: the prover reads none.
+    # All four built on first read: the prover reads none.
+
+    @cached_property
+    def model(self) -> PartialStructure:
+        """The final tables, every carrier and table sorted (see the module docstring)."""
+        return PartialStructure(
+            self.signature,
+            {s: tuple(sorted(e for e, t in self.live.items() if t == s)) for s in self.signature.sorts},
+            {f: dict(sorted(t.items())) for f, t in self.funcs.items()},
+            {r: frozenset(t) for r, t in self.rels.items()},
+        )
 
     @cached_property
     def log(self) -> tuple[tuple, ...]:  # per fresh element, in id order: (elem, func, args, term, names, ids)
@@ -372,7 +386,8 @@ class _Conclusion:
     element when the entry is missing; each atom ends in a ``_UNITE`` or an
     ``_INSERT`` (a definedness atom in its applications alone).  A
     sequent's conclusion also holds the program's kernel (see
-    _fire_source); the one-shot programs of forced atoms have none.
+    _fire_source); the one-shot programs of forced atoms and the prover's
+    goal (see ``holds``) have none.
     """
 
     __slots__ = ("names", "atoms", "ops", "kernel")
@@ -400,6 +415,19 @@ class _Conclusion:
                 ops.append((_APPLY, t.func, args, t))
         self.ops = tuple(ops)
         self.kernel: Optional[Callable[[_ChaseState, list[tuple[int, ...]]], None]] = None
+
+    def holds(self, funcs: Mapping[str, dict], rels: Mapping[str, set], vals: list[int]) -> bool:
+        """The read-only twin of _ChaseState.fire at the canonical ids ``vals``: every
+        lookup hits, every union's sides are equal, every inserted tuple is present."""
+        for op, sym, args, _ in self.ops:
+            key = tuple([vals[a] for a in args])
+            if op == _APPLY:
+                vals.append(funcs[sym].get(key))
+                if vals[-1] is None:
+                    return False
+            elif key[0] != key[1] if op == _UNITE else key not in rels[sym]:
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +785,6 @@ class _ChaseState:
             for tup in tuples if listed else ():
                 self._rel_use(r, tup)
 
-    def carrier(self, sort: str) -> list[int]:
-        return sorted(e for e, s in self.live.items() if s == sort)
-
     # -- congruence closure: keep tables keyed by canonical ids
 
     def _use(self, table: dict, args: tuple[int, ...], f: str, val: int) -> None:
@@ -922,7 +947,7 @@ class _ChaseState:
         round or the one before that still hold (keys of f's entries, tuples
         of R, elements of a sort)."""
         if isinstance(key, str):
-            return self.carrier(key)
+            return sorted(e for e, s in self.live.items() if s == key)
         kind, sym = key
         now, before = self.written, self.written_before
         if kind == _ELEM:
@@ -984,14 +1009,6 @@ class _ChaseState:
                     break
         return self.version != v0
 
-    def snapshot(self) -> PartialStructure:
-        return PartialStructure(
-            self.sig,
-            {s: tuple(self.carrier(s)) for s in self.sig.sorts},
-            {f: dict(sorted(t.items())) for f, t in self.funcs.items()},
-            {r: frozenset(t) for r, t in self.rels.items()},
-        )
-
 
 def chase(
     theory: Theory,
@@ -1048,7 +1065,8 @@ def chase(
                     break
     except _Budget:
         status = BUDGET_EXCEEDED
-    return ChaseResult(state.snapshot(), state.parent, state.fresh_log, status, rounds, state.merges)
+    return ChaseResult(state.sig, state.live, state.funcs, state.rels, state.parent, state.fresh_log, status, rounds,
+                       state.merges)
 
 
 def _satisfying(
@@ -1071,7 +1089,7 @@ def _generic_presentation(
     """The generic context: one base element per variable (ids in context
     order) and the atoms of phi forced at the generic assignment."""
     carriers = {s: tuple(i for i, (_, t) in enumerate(ctx.vars) if t == s) for s in theory.signature.sorts}
-    base = replace(empty_structure(theory.signature), carriers=carriers)
+    base = PartialStructure(theory.signature, carriers, {}, {})  # no tables: the state starts with empty ones
     items = tuple((name, i) for i, name in enumerate(ctx.names()))
     return Presentation(base, tuple((atom, items) for atom in phi.atoms)), items
 
@@ -1119,20 +1137,15 @@ def prove_sequent(
     that reached the conclusion, and the counts are those of the cut chase.
     """
     presentation, items = _generic_presentation(theory, seq.context, seq.premise)
+    goal = _Conclusion(seq.context.names(), seq.conclusion.atoms)
 
     def stop(state: _ChaseState) -> bool:
         # stop runs after normalize, so the live tables are keyed by canonical ids
-        tables = PartialStructure(state.sig, {}, state.funcs, state.rels)  # type: ignore[arg-type]
-        return holds(tables, {name: state.find(i) for name, i in items}, seq.conclusion)
+        return goal.holds(state.funcs, state.rels, [state.find(i) for _, i in items])
 
     result = chase(theory, presentation, budget, stop=stop, _stop_in_round=_verdict_only)
-    if result.status == STOPPED:
-        verdict = VALID
-    elif result.status == COMPLETE:
-        verdict = INVALID
-    else:
-        verdict = UNKNOWN
-    return ProveResult(verdict, result.rounds, result.model.size(), result.merges)
+    verdict = {STOPPED: VALID, COMPLETE: INVALID}.get(result.status, UNKNOWN)
+    return ProveResult(verdict, result.rounds, len(result.live), result.merges)
 
 
 def reduces(
@@ -1148,12 +1161,7 @@ def reduces(
     sigma = tau first holds: a budget that ``prove_sequent`` exhausts in
     that round (Unknown) may give True here."""
     seq = Sequent(ctx, HornFormula((Def(sigma),)), HornFormula((Eq(sigma, tau),)), label="reduces")
-    res = prove_sequent(theory, seq, budget, _verdict_only=True)
-    if res.verdict == VALID:
-        return True
-    if res.verdict == INVALID:
-        return False
-    return None
+    return {VALID: True, INVALID: False}.get(prove_sequent(theory, seq, budget, _verdict_only=True).verdict)
 
 
 def term_equivalent(

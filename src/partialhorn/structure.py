@@ -379,6 +379,8 @@ def parse_model(text: str, theory: Theory) -> NamedModel:
             if ts.at("="):
                 ts.next()
                 builder.entry(where, sym, args, ts.expect_ident().text)
+            elif sym in builder.funcs:
+                raise ValueError(f"{where}: function symbol {sym!r} is missing '= value'")
             else:
                 builder.fact(where, sym, args)
         ts.expect(";")

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
 
 from partialhorn import (
@@ -46,6 +46,7 @@ from partialhorn import (
 from partialhorn.chase import _ChaseState
 from partialhorn.structure import ModelReport, PartialStructure, enumerate_homs, holds
 from partialhorn.syntax import (
+    App,
     Context,
     Def,
     Eq,
@@ -432,6 +433,12 @@ def substructures(draw, models, max_size):
     return PartialStructure(M.signature, carriers, funcs, M.rels)
 
 
+def _snapshot(state):
+    """The state's tables as the sorted model a chase result builds from them."""
+    return CHASE_MODULE.ChaseResult(state.sig, state.live, state.funcs, state.rels, state.parent, state.fresh_log,
+                                    COMPLETE, 0, state.merges).model
+
+
 # The brute-force oracle for is_model: every assignment of each sequent's
 # context, lexicographic in the ids (carriers are sorted), in declaration
 # order; the first one where the premise holds and the conclusion does not.
@@ -470,7 +477,7 @@ def test_match_premise_matches_brute_force(data):
     state = _ChaseState(sig, ChaseBudget())
     state.load(base)
     for step in range(2):
-        model = state.snapshot()
+        model = _snapshot(state)
         assert is_model(model, theory) == brute_is_model(model, theory), step
         for text in MATCH_PREMISES[theory]:
             (seq,) = parse_sequent(sig, f"{text} |- top")
@@ -517,7 +524,7 @@ def test_guarded_matches_drop_only_satisfied_instances(data):
         for r, tuples in state.rels.items():
             writes.rels[r] = _subset(data, tuples, f"written {r}")
         writes.elems = _subset(data, state.live, "written elements")
-    model = state.snapshot()
+    model = _snapshot(state)
     for seq in theory.sequents:
         guarded, bare, names = CHASE_MODULE._compiled(seq)[0], CHASE_MODULE._Premise(seq), seq.context.names()
         for delta in (False, True):
@@ -964,7 +971,7 @@ def test_atomless_instances_fire_as_their_active_ones(data):
                     continue
                 batch = state.matches(premise, delta)
                 if active_only:
-                    model, names = state.snapshot(), seq.context.names()
+                    model, names = _snapshot(state), seq.context.names()
                     batch = [ids for ids in batch if not holds(model, dict(zip(names, ids)), seq.conclusion)]
                 conclusion.kernel(state, batch)
         except CHASE_MODULE._Budget:
@@ -1239,7 +1246,7 @@ PROVE_ATOMS = {
 }
 
 
-# The stop test evaluates the conclusion with structure.holds over the live
+# The stop test runs the compiled conclusion's ops read only over the live
 # tables; it agrees with the find-based evaluation it replaced, round for
 # round, so verdicts, rounds, sizes and merges are unchanged.
 @given(st.data())
@@ -1282,21 +1289,33 @@ def _recording_chase(record):
     return recording
 
 
+@st.composite
+def prove_cases(draw):
+    """A theory of PROVE_ATOMS and the text of a sequent over its context,
+    with up to three of its atoms on each side."""
+    theory = draw(st.sampled_from(list(PROVE_ATOMS)), label="theory")
+    ctx, atoms = PROVE_ATOMS[theory]
+    premise, conclusion = (
+        " & ".join(draw(st.lists(st.sampled_from(atoms), max_size=3), label=side)) or "top"
+        for side in ("premise", "conclusion")
+    )
+    return theory, f"{ctx} {premise} |- {conclusion}"
+
+
 # Verdict-only proofs test the goal inside a round and stop where it first
 # holds.  Facts only grow, so the goal still held at the round's end: the
 # verdict is prove_sequent's, except that a budget that ran out later in
-# that round (Unknown there) may give Valid.
-@given(st.data())
-def test_verdict_only_prover_matches_prove_or_proves_more(data):
-    theory = data.draw(st.sampled_from(list(PROVE_ATOMS)), label="theory")
-    ctx, atoms = PROVE_ATOMS[theory]
-    premise, conclusion = (
-        " & ".join(data.draw(st.lists(st.sampled_from(atoms), max_size=3), label=side)) or "top"
-        for side in ("premise", "conclusion")
-    )
-    (seq,) = parse_sequent(theory.signature, f"{ctx} {premise} |- {conclusion}")
-    budget = ChaseBudget(max_elements=data.draw(st.integers(0, 150), label="max_elements"),
-                         max_rounds=data.draw(st.integers(0, 6), label="max_rounds"))
+# that round (Unknown there) may give Valid.  A chase whose budget runs out
+# counts only the rounds it completed, and a cut chase counts the round it
+# cut short: in the pinned case the whole chase runs out in round 1 (0
+# rounds) and the cut one stops in it (1 round).
+@given(case=prove_cases(), max_elements=st.integers(0, 150), max_rounds=st.integers(0, 6))
+@example(case=(NCAT1, "[x: *, y: *] comp1(x, c1(x)) = y & d1(comp1(y, x)) = d1(x) |- x = y"),
+         max_elements=53, max_rounds=1)
+def test_verdict_only_prover_matches_prove_or_proves_more(case, max_elements, max_rounds):
+    theory, text = case
+    (seq,) = parse_sequent(theory.signature, text)
+    budget = ChaseBudget(max_elements=max_elements, max_rounds=max_rounds)
     want = prove_sequent(theory, seq, budget)
     record: list = []
     with mock.patch.object(CHASE_MODULE, "chase", _recording_chase(record)):
@@ -1308,7 +1327,56 @@ def test_verdict_only_prover_matches_prove_or_proves_more(data):
     if got.verdict == want.verdict != VALID:  # no stop: the same chase
         assert cut == whole
     if got.verdict == VALID:
-        assert cut.rounds <= whole.rounds and len(cut.quotient) <= len(whole.quotient)
+        assert cut.rounds <= whole.rounds + (whole.status == BUDGET_EXCEEDED)
+        assert len(cut.quotient) <= len(whole.quotient)
+
+
+def sorted_terms(sig, ctx, sort, depth):
+    """Terms of the sort over the context's variables and the signature,
+    at most ``depth`` applications of non-constants deep."""
+    leaves = [Var(n) for n, s in ctx.vars if s == sort]
+    leaves += [App(f.name) for f in sig.funcs if f.result_sort == sort and not f.arg_sorts]
+    options = [st.sampled_from(leaves)] if leaves else []
+    funcs = [f for f in sig.funcs if f.result_sort == sort and f.arg_sorts]
+    if depth and funcs:
+        options.append(st.sampled_from(funcs).flatmap(lambda f: st.tuples(
+            *[sorted_terms(sig, ctx, s, depth - 1) for s in f.arg_sorts]).map(lambda args: App(f.name, args))))
+    return st.one_of(options)
+
+
+@st.composite
+def random_atoms(draw, sig, ctx, depth=2):
+    """An equation, definedness atom or relation atom over random terms."""
+    kinds = ["eq", "def"] + (["rel"] if sig.rels else [])
+    kind = draw(st.sampled_from(kinds), label="kind")
+    if kind == "rel":
+        r = draw(st.sampled_from(sig.rels), label="relation")
+        return Rel(r.name, tuple(draw(sorted_terms(sig, ctx, s, depth)) for s in r.arg_sorts))
+    sort = draw(st.sampled_from(sig.sorts), label="sort")
+    lhs = draw(sorted_terms(sig, ctx, sort, depth), label="lhs")
+    return Def(lhs) if kind == "def" else Eq(lhs, draw(sorted_terms(sig, ctx, sort, depth), label="rhs"))
+
+
+# The prover tests its goal by running the compiled conclusion's ops read
+# only at the canonical generic ids.  On the tables a chase ends with (cut
+# short by a budget or not), that test agrees with structure.holds on the
+# result's model at the generic assignment, for the whole conclusion and
+# for each of its atoms.
+@given(st.data())
+def test_goal_ops_agree_with_holds_on_the_model(data):
+    theory, text = data.draw(prove_cases(), label="premise")
+    (seq,) = parse_sequent(theory.signature, text)
+    names = seq.context.names()
+    # a budget below the context's size would load only part of it
+    budget = ChaseBudget(max_elements=data.draw(st.integers(len(names), 150), label="max_elements"),
+                         max_rounds=data.draw(st.integers(0, 6), label="max_rounds"))
+    result, generic = representing_model(theory, seq.context, seq.premise, budget)
+    atoms = data.draw(st.lists(random_atoms(theory.signature, seq.context), min_size=1, max_size=3), label="goal")
+    for goal in [atoms, *([atom] for atom in atoms)]:
+        ops = CHASE_MODULE._Conclusion(names, goal)
+        want = holds(result.model, generic, HornFormula(tuple(goal)))
+        assert ops.holds(result.funcs, result.rels, [generic[n] for n in names]) == want, goal
+        event(f"holds: {want}")
 
 
 # d1(c1(x)) = c1(x) holds in the ncat1 chase of d1(c1(x)) ! after the first
@@ -1332,20 +1400,23 @@ def test_verdict_only_callers_stop_inside_the_round():
     assert sum(len(cut.quotient) for _, cut, _ in record) < sum(len(whole.quotient) for _, _, whole in record)
 
 
-# Prover chases never cut the flat fresh log into entries: neither a
-# prove_sequent call nor a verdict-only one reads log, fresh_log or
-# quotient, so each stays unbuilt until a caller reads it.
+# Prover chases build neither the model nor the entries of the fresh log:
+# neither a prove_sequent call nor a verdict-only one reads model, log,
+# fresh_log or quotient, so each stays unbuilt until a caller reads it.
 def test_prover_leaves_the_fresh_log_unbuilt():
     ncat1 = ncat_theory(1)
     (seq,) = parse_sequent(ncat1.signature, "[x: *] d1(c1(x)) ! |- d1(c1(x)) = c1(x)")
     record: list = []
     with mock.patch.object(CHASE_MODULE, "chase", _recording_chase(record)):
-        assert prove_sequent(ncat1, seq).verdict == prove_sequent(ncat1, seq, _verdict_only=True).verdict == VALID
+        proofs = [prove_sequent(ncat1, seq), prove_sequent(ncat1, seq, _verdict_only=True)]
+    assert [proof.verdict for proof in proofs] == [VALID, VALID]
     assert [kwargs for kwargs, _, _ in record] == [{"_stop_in_round": False}, {"_stop_in_round": True}]
     for result in (r for _, cut, whole in record for r in (cut, whole)):
-        assert result.flat_log and not {"log", "fresh_log", "quotient"} & result.__dict__.keys()
+        assert result.flat_log and not {"model", "log", "fresh_log", "quotient"} & result.__dict__.keys()
         assert len(result.fresh_log) == len(result.log) == len(result.flat_log) // 6
         assert {"log", "fresh_log"} <= result.__dict__.keys()
+    for proof, (_, cut, _) in zip(proofs, record):
+        assert proof.elements == cut.model.size()
 
 
 DECOMPOSE_MODULE = importlib.import_module("partialhorn.decompose")

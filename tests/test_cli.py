@@ -264,6 +264,9 @@ TWO_SORTED_JSON = {"model": "m", "of": "two", "elems": {"s": ["x"], "t": ["y"]}}
     ("model", f"{TWO_SORTED_MODEL}  f(y) = y;\n}}\n", "4:3: model m: f: element 'y' not in carrier of s"),
     ("model", f"{TWO_SORTED_MODEL}  f(x) = x;\n}}\n", "4:3: model m: f: element 'x' not in carrier of t"),
     ("model", f"{TWO_SORTED_MODEL}  R(x);\n}}\n", "4:3: model m: R expects 2 arguments, got 1"),
+    # an entry written without its value is named as the function's
+    ("model", f"{TWO_SORTED_MODEL}  a;\n}}\n", "4:3: model m: function symbol 'a' is missing '= value'"),
+    ("model", f"{TWO_SORTED_MODEL}  f(x);\n}}\n", "4:3: model m: function symbol 'f' is missing '= value'"),
     ("model", json.dumps(dict(TWO_SORTED_JSON, funcs={"a": [{"args": ["x"], "value": "x"}]})),
      "model m: funcs.a[0]: a expects 0 arguments, got 1"),
     ("model", json.dumps(dict(TWO_SORTED_JSON, funcs={"f": [{"args": ["x"], "value": "x"}]})),
