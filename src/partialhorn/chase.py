@@ -92,7 +92,13 @@ for their own sake (``_satisfying``) and empty conclusions get no test.
 Nor do premises without flat atoms (``[x: *] top``, ``[x, y] x = y``),
 whose joins are loops over their carriers alone: in prover chases most of
 their instances are active, so the conclusion kernel, which changes
-nothing at an instance whose conclusion holds, is their only test.
+nothing at an instance whose conclusion holds, is their only test.  That
+kernel skips an instance whose ids lost a union since the match: the sorted
+batch holds every tuple of the carriers (in a delta round, every one with a
+recent element), and canonical ids are lesser and were live at the match, so
+the canonical tuple fired earlier in the batch or round, or holds in the
+base.  A guarded premise's moved instances are not always repeats: its
+kernel re-finds their ids.
 
 The prover tests its goal between rounds, running its conclusion's ops
 (compiled once per call) read only at the canonical generic ids.  Callers
@@ -104,10 +110,14 @@ Everything fires in a fixed order (sequents by declaration, assignments
 lexicographically in canonical ids), so results are bit-for-bit
 reproducible; a model lists every table in sorted key order, so it does
 not depend on the history of its merges.
+
+A chase pauses the cyclic collector (process-wide) and then leaves it as it
+found it: a chase, kernel compilation included, makes no reference cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -504,102 +514,98 @@ def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int
                *(f"T{f} = funcs[K{f}]" for f in tables), *(f"R{r} = rels[K{r}]" for r in rels),
                *(f"I{f} = index(K{f})" for f in sorted({f for k, s, _, _ in steps if k == _PROBE for f, _ in s}))]
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):"]
+    bound: list[int] = []
 
-    def part(name: str, start: int, bound: list[int]) -> None:
-        body = [f"    def {name}(state, pools, results{''.join(f', s{s}' for s in bound)}):"]
-        body += [f"        {line}" for line in prelude]
-        loops = 0
-        bound = list(bound)
+    def header(name: str) -> list[str]:
+        return [f"    def {name}(state, pools, results{''.join(f', s{s}' for s in bound)}):",
+                *(f"        {line}" for line in prelude)]
 
-        def put(text: str) -> None:
-            body.append("    " * (loops + 2) + text)
+    def put(text: str) -> None:
+        body.append("    " * (loops + 2) + text)
 
-        def unpack(pattern: tuple, j: int) -> tuple[list[str], list[str]]:
-            """Loop targets for a pattern, and the checks against slots bound before."""
-            targets, checks = [], []
-            for i, (slot, bind) in enumerate(pattern):
-                if bind:
-                    targets.append(f"s{slot}")
-                    bound.append(slot)
-                else:
-                    targets.append(f"c{j}_{i}")
-                    checks.append(f"c{j}_{i} != s{slot}")
-            return targets, checks
+    def unpack(pattern: tuple, j: int) -> tuple[list[str], list[str]]:
+        """Loop targets for a pattern, and the checks against slots bound before."""
+        targets, checks = [], []
+        for i, (slot, bind) in enumerate(pattern):
+            if bind:
+                targets.append(f"s{slot}")
+                bound.append(slot)
+            else:
+                targets.append(f"c{j}_{i}")
+                checks.append(f"c{j}_{i} != s{slot}")
+        return targets, checks
 
-        for j in range(start, len(steps)):
-            if loops == _MAX_LOOPS:
-                put(f"part{j}(state, pools, results{''.join(f', s{s}' for s in bound)})")
-                lines.extend(body)
-                part(f"part{j}", j, bound)
-                return
-            kind, sym, slots, extra = steps[j]
-            fail = "continue" if loops else "return"
-            checks: list[str] = []
-            if kind == _LOOKUP:
-                out, bind = extra
-                key = _tuple([f"s{a}" for a in slots])
-                if bind:
-                    put(f"s{out} = T{sym}.get({key})")
-                    put(f"if s{out} is None: {fail}")
-                    bound.append(out)
-                else:
-                    put(f"if T{sym}.get({key}) != s{out}: {fail}")
-                continue
-            if kind == _PROBE:  # walk the shortest fiber, check the others by table lookup
-                fibers = [f"F{j}_{i}" for i in range(len(sym))]
-                for fiber, (f, out) in zip(fibers, sym):
-                    put(f"{fiber} = I{f}.get(s{out})")
-                    put(f"if {fiber} is None: {fail}")
-                targets, checks = unpack(extra, j)
-                if len(sym) == 1:
-                    put(f"for {_tuple(targets)} in {fibers[0]}:")
-                else:
-                    pairs = [(f"C{j}_{m}", f"D{j}_{m}") for m in range(len(sym) - 1)]
-                    names = ", ".join(f"{c}, {d}" for c, d in pairs)
-                    for i, fiber in enumerate(fibers):
-                        others = ", ".join(f"T{f}, s{out}" for m, (f, out) in enumerate(sym) if m != i)
-                        choose = f"W{j}, {names} = {fiber}, {others}"
-                        put(choose if i == 0 else f"if len({fiber}) < len(W{j}): {choose}")
-                    put(f"for A{j} in W{j}:")
-                    checks = [f"{c}.get(A{j}) != {d}" for c, d in pairs] + checks
-                    put(f"    {_tuple(targets)} = A{j}")
-            elif kind == _SCAN:
-                targets, checks = unpack(extra, j)
-                put(f"for {_tuple(targets[:-1])}, {targets[-1]} in T{sym}.items():")
-            elif kind == _REL:
-                targets, checks = unpack(extra, j)
-                put(f"for {_tuple(targets)} in R{sym}:")
-            elif kind == _CARRIER:
-                put(f"for s{slots} in pools[K{sym}]:")
-                bound.append(slots)
-            elif slots is None:  # _NEW over a relation's tuples
-                targets, checks = unpack(extra, j)
-                put(f"for {_tuple(targets)} in pools[K{sym}]:")
-            else:  # _NEW over a function's keys
-                targets, checks = unpack(extra, j)
-                put(f"for A{j} in pools[K{sym}]:")
-                if len(targets) > 1:
-                    put(f"    {_tuple(targets[:-1])} = A{j}")
-                put(f"    {targets[-1]} = T{slots}[A{j}]")
-            loops += 1
-            if checks:
-                put(f"if {' or '.join(checks)}: continue")
-        if test:  # one line of short-circuit tests, so no block is nested
-            var, clauses = [f"s{s}" for s in emit], []
-            for op, sym, args in test:
-                vals = [var[a] for a in args]
-                if op == _APPLY:
-                    var.append(f"g{len(var)}")
-                    clauses.append(f"({var[-1]} := T{sym}.get({_tuple(vals)})) is not None")
-                elif op == _UNITE:
-                    clauses.append(f"{vals[0]} == {vals[1]}")
-                else:
-                    clauses.append(f"{_tuple(vals)} in R{sym}")
-            put(f"if {' and '.join(clauses)}: {'continue' if loops else 'return'}")
-        put(f"results.append({_tuple([f's{s}' for s in emit])})")
-        lines.extend(body)
-
-    part("kernel", 0, [])
+    body, loops = header("kernel"), 0
+    for j, (kind, sym, slots, extra) in enumerate(steps):
+        if loops == _MAX_LOOPS:  # the rest goes into a function of its own
+            put(f"part{j}(state, pools, results{''.join(f', s{s}' for s in bound)})")
+            lines.extend(body)
+            body, loops = header(f"part{j}"), 0
+        fail = "continue" if loops else "return"
+        checks: list[str] = []
+        if kind == _LOOKUP:
+            out, bind = extra
+            key = _tuple([f"s{a}" for a in slots])
+            if bind:
+                put(f"s{out} = T{sym}.get({key})")
+                put(f"if s{out} is None: {fail}")
+                bound.append(out)
+            else:
+                put(f"if T{sym}.get({key}) != s{out}: {fail}")
+            continue
+        if kind == _PROBE:  # walk the shortest fiber, check the others by table lookup
+            fibers = [f"F{j}_{i}" for i in range(len(sym))]
+            for fiber, (f, out) in zip(fibers, sym):
+                put(f"{fiber} = I{f}.get(s{out})")
+                put(f"if {fiber} is None: {fail}")
+            targets, checks = unpack(extra, j)
+            if len(sym) == 1:
+                put(f"for {_tuple(targets)} in {fibers[0]}:")
+            else:
+                pairs = [(f"C{j}_{m}", f"D{j}_{m}") for m in range(len(sym) - 1)]
+                names = ", ".join(f"{c}, {d}" for c, d in pairs)
+                for i, fiber in enumerate(fibers):
+                    others = ", ".join(f"T{f}, s{out}" for m, (f, out) in enumerate(sym) if m != i)
+                    choose = f"W{j}, {names} = {fiber}, {others}"
+                    put(choose if i == 0 else f"if len({fiber}) < len(W{j}): {choose}")
+                put(f"for A{j} in W{j}:")
+                checks = [f"{c}.get(A{j}) != {d}" for c, d in pairs] + checks
+                put(f"    {_tuple(targets)} = A{j}")
+        elif kind == _SCAN:
+            targets, checks = unpack(extra, j)
+            put(f"for {_tuple(targets[:-1])}, {targets[-1]} in T{sym}.items():")
+        elif kind == _REL:
+            targets, checks = unpack(extra, j)
+            put(f"for {_tuple(targets)} in R{sym}:")
+        elif kind == _CARRIER:
+            put(f"for s{slots} in pools[K{sym}]:")
+            bound.append(slots)
+        elif slots is None:  # _NEW over a relation's tuples
+            targets, checks = unpack(extra, j)
+            put(f"for {_tuple(targets)} in pools[K{sym}]:")
+        else:  # _NEW over a function's keys
+            targets, checks = unpack(extra, j)
+            put(f"for A{j} in pools[K{sym}]:")
+            if len(targets) > 1:
+                put(f"    {_tuple(targets[:-1])} = A{j}")
+            put(f"    {targets[-1]} = T{slots}[A{j}]")
+        loops += 1
+        if checks:
+            put(f"if {' or '.join(checks)}: continue")
+    if test:  # one line of short-circuit tests, so no block is nested
+        var, clauses = [f"s{s}" for s in emit], []
+        for op, sym, args in test:
+            vals = [var[a] for a in args]
+            if op == _APPLY:
+                var.append(f"g{len(var)}")
+                clauses.append(f"({var[-1]} := T{sym}.get({_tuple(vals)})) is not None")
+            elif op == _UNITE:
+                clauses.append(f"{vals[0]} == {vals[1]}")
+            else:
+                clauses.append(f"{_tuple(vals)} in R{sym}")
+        put(f"if {' and '.join(clauses)}: {'continue' if loops else 'return'}")
+    put(f"results.append({_tuple([f's{s}' for s in emit])})")
+    lines.extend(body)
     lines.append("    return kernel")
     return lines
 
@@ -617,14 +623,14 @@ def _union_after(ops: tuple, k: int, slot: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _fire_kernel(conclusion: _Conclusion) -> Callable[[_ChaseState, list[tuple[int, ...]]], None]:
+def _fire_kernel(conclusion: _Conclusion, skip_moved: bool) -> Callable[[_ChaseState, list[tuple[int, ...]]], None]:
     symbols: dict = {conclusion.names: 0}
     ops = tuple((op, None if sym is None else _symbol(symbols, sym), args,
                  None if term is None else _symbol(symbols, term)) for op, sym, args, term in conclusion.ops)
-    return _kernel(("fire", len(conclusion.names), ops), symbols, _fire_source)
+    return _kernel(("fire", len(conclusion.names), ops, skip_moved), symbols, _fire_source)
 
 
-def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
+def _fire_source(nnames: int, ops: tuple, skip_moved: bool, nsymbols: int) -> list[str]:
     """Source of the factory of a conclusion kernel ``kernel(state, batch)``,
     which runs the program's ops at each assignment of the batch in turn,
     slot i in the local ``v<i>`` (K0 holds the context's names).  The
@@ -641,7 +647,8 @@ def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
     what they looked up, the union finds its sides equal, and the state is
     the one ``create`` and then ``unite`` leave, less a dead id among the
     written elements.  If one misses, the element is created live
-    and the ops run after it as usual."""
+    and the ops run after it as usual.  ``skip_moved`` (a premise without
+    flat atoms) skips an assignment whose ids lost a union since the match."""
     tables = sorted({sym for op, sym, _, _ in ops if op == _APPLY})
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):",
              "    def kernel(state, batch):",
@@ -658,7 +665,7 @@ def _fire_source(nnames: int, ops: tuple, nsymbols: int) -> list[str]:
     if nnames:
         body.append(f"{_tuple([f'v{i}' for i in range(nnames)])} = ids")
     refind = [f"if parent[v{i}] != v{i}: v{i} = find(v{i})" for i in range(nnames + len(ops))]
-    body += refind[:nnames]
+    body += [f"if parent[v{i}] != v{i}: continue" for i in range(nnames)] if skip_moved else refind[:nnames]
     slot = nnames
     for k, (op, sym, args, term) in enumerate(ops):
         vals = [f"v{a}" for a in args]
@@ -710,8 +717,9 @@ def _compiled(seq: Sequent) -> tuple[_Premise, _Conclusion]:
     compiled = _COMPILED.get(id(seq))
     if compiled is None:
         conclusion = _Conclusion(seq.context.names(), seq.conclusion.atoms)
-        conclusion.kernel = _fire_kernel(conclusion)
-        compiled = _COMPILED[id(seq)] = (_Premise(seq, conclusion.ops), conclusion)
+        premise = _Premise(seq, conclusion.ops)
+        conclusion.kernel = _fire_kernel(conclusion, not premise.atoms)
+        compiled = _COMPILED[id(seq)] = (premise, conclusion)
         weakref.finalize(seq, _COMPILED.pop, id(seq), None)
     return compiled
 
@@ -1038,35 +1046,43 @@ def chase(
         state.goal = stop
     status = COMPLETE
     rounds = 0
+    collecting = gc.isenabled()
+    gc.disable()  # the chase makes no reference cycles (see the module docstring)
     try:
-        state.load(presentation.base)
-        programs: dict[tuple[Atom, tuple[str, ...]], _Conclusion] = {}
-        for atom, items in presentation.forced:
-            names = tuple(n for n, _ in items)
-            program = programs.get((atom, names))
-            if program is None:
-                program = programs[atom, names] = _Conclusion(names, (atom,))
-            state.fire(program, tuple(i for _, i in items))
-        state.normalize()
-        if stop is not None and stop(state):
-            status = STOPPED
-        else:
-            while True:
-                if rounds >= budget.max_rounds:
-                    status = BUDGET_EXCEEDED
-                    break
-                changed = state.run_round(theory, delta=rounds > 0 or _base_is_model)
-                rounds += 1
-                if stop is not None and stop(state):
-                    status = STOPPED
-                    break
-                if not changed:
-                    status = COMPLETE
-                    break
-    except _Budget:
-        status = BUDGET_EXCEEDED
-    return ChaseResult(state.sig, state.live, state.funcs, state.rels, state.parent, state.fresh_log, status, rounds,
-                       state.merges)
+        try:
+            state.load(presentation.base)
+            programs: dict[tuple[Atom, tuple[str, ...]], _Conclusion] = {}
+            for atom, items in presentation.forced:
+                names = tuple(n for n, _ in items)
+                program = programs.get((atom, names))
+                if program is None:
+                    program = programs[atom, names] = _Conclusion(names, (atom,))
+                state.fire(program, tuple(i for _, i in items))
+            state.normalize()
+            if stop is not None and stop(state):
+                status = STOPPED
+            else:
+                while True:
+                    if rounds >= budget.max_rounds:
+                        status = BUDGET_EXCEEDED
+                        break
+                    changed = state.run_round(theory, delta=rounds > 0 or _base_is_model)
+                    rounds += 1
+                    if stop is not None and stop(state):
+                        status = STOPPED
+                        break
+                    if not changed:
+                        status = COMPLETE
+                        break
+        except _Budget:
+            status = BUDGET_EXCEEDED
+        result = ChaseResult(state.sig, state.live, state.funcs, state.rels, state.parent, state.fresh_log, status,
+                             rounds, state.merges)
+        del state  # its use-lists and indexes are freed before the collector resumes, not walked by it
+        return result
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _satisfying(

@@ -1,5 +1,6 @@
 """Deterministic chase: free models, prover verdicts, quotients, budgets."""
 
+import copy
 import gc
 import importlib
 import importlib.util
@@ -152,6 +153,36 @@ def test_stop_callback_reports_stopped():
                             {})
     result = chase(LADDER, Presentation(base), stop=lambda state: len(state.parent) >= 2)
     assert result.status == STOPPED
+
+
+# A chase pauses the cyclic collector and leaves it as it found it: enabled,
+# or disabled by the caller, also when the stop callback raises and when the
+# budget runs out.
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled by the caller"])
+def test_chase_leaves_the_collector_as_it_found_it(enabled):
+    base = PartialStructure(LADDER.signature, {"s": ()}, {f.name: {} for f in LADDER.signature.funcs}, {})
+    seen = []
+
+    def watch(state):
+        seen.append(gc.isenabled())
+        return False
+
+    def fail(state):
+        raise RuntimeError("stop failed")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert chase(LADDER, Presentation(base), stop=watch).status == COMPLETE
+        assert gc.isenabled() == enabled
+        with pytest.raises(RuntimeError, match="stop failed"):
+            chase(LADDER, Presentation(base), stop=fail)
+        assert gc.isenabled() == enabled
+        assert representing_model(GROWING, EMPTY, TOP, ChaseBudget(max_elements=10))[0].status == BUDGET_EXCEEDED
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)  # paused throughout
 
 
 def test_prove_ladder_sequents():
@@ -370,6 +401,19 @@ theory atomless {
 }
 """)
 
+# A premise without flat atoms whose instances move each other: at x = 0,
+# with f(0) = 1 and f(1) = 2 in the base, the union of 1 and 2 moves the
+# instance x = 2 to x = 1.  That instance changes nothing because x = 1 came
+# before it in the sorted batch and added P(1); fired out of order, it would.
+MOVING = parse_theory("""
+theory moving {
+  sort s;
+  func f : s -> s;
+  rel P : s;
+  axiom [x: s] top |- f(f(x)) = f(x) & P(x);
+}
+""")
+
 # Ground atoms to force over two base elements u, v (of sort e in ATOMLESS).
 FORCED_ATOMS = {
     LADDER: ("u = v", "a = b", "a = c", "c !", "d !", "a = u"),
@@ -377,6 +421,7 @@ FORCED_ATOMS = {
     NCAT2: ("comp2(u, v) !", "d2(u) = c1(v)", "comp1(u, comp2(v, u)) !"),
     ORDER: ("u = v", "R(u, v)", "f(u) = v", "R(f(u), v)", "f(f(v)) !"),
     ATOMLESS: ("u = v", "f(u) = v", "src(u) = src(v)", "L(src(u), v)"),
+    MOVING: ("u = v", "f(u) = v", "P(f(u))", "f(f(v)) !"),
 }
 
 
@@ -679,18 +724,26 @@ class _FailingIndexState(_ChaseState):
         raise CHASE_MODULE._Budget
 
 
-# Chases leave no reference cycles for the cyclic collector: a join run
-# holds its bindings, pools and results only while it runs, also when an
-# exception ends it inside a probe.
+# Chases leave no reference cycles for the cyclic collector, which a chase
+# pauses: a join run holds its bindings, pools and results only while it
+# runs, also when an exception ends it inside a probe, and compiling a new
+# shape (here a premise long enough to chain functions, full and delta
+# plans and its conclusion) leaves none either.
 def test_chase_leaves_no_reference_cycles():
     (seq,) = parse_sequent(NCAT1.signature, "[x: *, y: *] d1(x) = c1(y) |- comp1(x, y) !")
     premise, _ = CHASE_MODULE._compiled(seq)
     assert any(kind == CHASE_MODULE._PROBE for kind, _, _, _ in premise.full)
     base = representing_model(NCAT1, Context((("x", "*"), ("y", "*"))), TOP)[0].model
     prove_sequent(NCAT1, seq)  # compile the theory's sequents outside the window
+    context = ", ".join(f"x{i}: *" for i in range(20))
+    path = " & ".join(f"d1(x{i}) = c1(x{i + 1})" for i in range(19))
+    (long,) = parse_sequent(NCAT1.signature, f"[{context}] {path} |- comp1(x0, x1) = x0")
     gc.collect()
     gc.disable()
     try:
+        with mock.patch.dict(CHASE_MODULE._KERNELS, clear=True):  # every shape compiles anew
+            long_premise, _ = CHASE_MODULE._compiled(long)
+            assert len(long_premise.full) > CHASE_MODULE._MAX_LOOPS and long_premise.delta_runs()
         assert prove_sequent(NCAT1, seq).verdict == VALID
         assert representing_model(GROWING, EMPTY, TOP, ChaseBudget(max_elements=10))[0].status == BUDGET_EXCEEDED
         state = _FailingIndexState(NCAT1.signature, ChaseBudget())
@@ -857,7 +910,11 @@ def _fired_both_ways(theory, base, unions, batches, budget):
     """The states left by each sequent's batch kernel and by the interpreted
     op loop firing the same assignments one by one, the sequents in turn as
     in a round, after the unions; each with the label of the sequent whose
-    firing the budget stopped, if any."""
+    firing the budget stopped, if any.  The op loop skips an assignment of a
+    premise without flat atoms whose ids lost a union before its turn, as
+    the kernel does: in a round's sorted batch its canonical tuple fired
+    before (see test_moved_atomless_instances_change_nothing), in these
+    arbitrary batches perhaps not."""
     views = []
     for batched in (True, False):
         state = _united_state(theory, base, unions, budget)
@@ -865,12 +922,13 @@ def _fired_both_ways(theory, base, unions, batches, budget):
         try:
             for seq, batch in zip(theory.sequents, batches):
                 stopped = seq.label
-                conclusion = CHASE_MODULE._compiled(seq)[1]
+                premise, conclusion = CHASE_MODULE._compiled(seq)
                 if batched:
                     conclusion.kernel(state, batch)
                 else:
                     for ids in batch:
-                        state.fire(conclusion, ids)
+                        if premise.atoms or all(state.parent[i] == i for i in ids):
+                            state.fire(conclusion, ids)
             stopped = None
         except CHASE_MODULE._Budget:
             pass
@@ -978,6 +1036,59 @@ def test_atomless_instances_fire_as_their_active_ones(data):
             stopped = True
         views.append((stopped, _state_view(state)))
     assert views[0] == views[1]
+
+
+class _MovedCheckingState(_ChaseState):
+    """A round that fires the batch of each premise without flat atoms one
+    instance at a time through the interpreted op loop, and checks that an
+    instance whose ids lost a union before its turn, which the kernel skips,
+    changes nothing when fired.  Other premises fire through their kernels."""
+
+    def run_round(self, theory, delta=False):
+        v0 = self.version
+        self.normalize()
+        self.written_before, self.written = self.written, CHASE_MODULE._Writes(self.sig)
+        for seq in theory.sequents:
+            premise, conclusion = CHASE_MODULE._compiled(seq)
+            batch = self.matches(premise, delta)
+            if premise.atoms:
+                conclusion.kernel(self, batch)
+                continue
+            for ids in batch:
+                if all(self.parent[i] == i for i in ids):
+                    self.fire(conclusion, ids)
+                    continue
+                event(f"a moved instance: {theory.name}, delta {delta}")
+                before = copy.deepcopy(_state_view(self))
+                try:
+                    self.fire(conclusion, ids)
+                except CHASE_MODULE._Budget:
+                    raise AssertionError(f"{seq.label} at {ids} created an element") from None
+                assert _state_view(self) == before, (seq.label, ids)
+        return self.version != v0
+
+
+# The kernel of a premise without flat atoms skips an instance whose ids lost
+# a union since the match: its batch is sorted and holds every tuple of the
+# carriers (or every one with a recent element), so the canonical tuple came
+# first or was fired in an earlier round.  Firing such an instance at its
+# turn changes nothing, in full and delta rounds, from scratch and from a
+# model, after the forced atoms' unions; and the chase ends as it does with
+# the kernels.
+@given(st.data())
+def test_moved_atomless_instances_change_nothing(data):
+    theory = data.draw(st.sampled_from(list(FORCED_ATOMS)), label="theory")
+    budget = ChaseBudget(max_elements=300, max_rounds=10)
+    base = data.draw(structures(theory.signature, 4))
+    from_model = data.draw(st.booleans(), label="from a model")
+    if from_model:
+        start = chase(theory, Presentation(base), budget)
+        assume(start.status == COMPLETE)
+        base = start.model
+    presentation = Presentation(base, _forced(data, theory, base, min_size=from_model))
+    with mock.patch.object(CHASE_MODULE, "_ChaseState", _MovedCheckingState):
+        got = chase(theory, presentation, budget, _base_is_model=from_model)
+    _same_result(got, chase(theory, presentation, budget, _base_is_model=from_model))
 
 
 # Delta rounds, from scratch and from a model, agree with the reference that
