@@ -68,21 +68,8 @@ premise built on the fly, that shares a shape shares its compiled code.
 The memo keeps the most recently used shapes only: hom search builds a
 premise, and so a shape, from each source's diagram.
 
-Rounds are semi-naive, as in egglog.  The state records every fact it
-writes (a table entry inserted or re-keyed, a relation tuple added or
-moved, an element created) in a set for the current round, and keeps
-the previous round's set.  The first round matches every premise in full;
-later rounds match only instances that use at least one fact of those
-two sets, through one delta plan per flat atom and per carrier variable
-that starts from the written facts and joins the rest against the whole
-tables.  Facts are only ever added, so every skipped instance was matched
-before and its conclusion already holds: enforcing it again would change
-nothing, and since matches stay sorted, fresh ids, merges and rounds are
-those of full matching.  A chase whose base is known to be a model (a
-decomposition step after the first) is delta-driven from its first round:
-the base's facts count as old and only what the forced atoms wrote is new.
-
-The chase is restricted (standard), not oblivious (Fagin, Kolaitis, Miller
+Every round matches every premise in full, through its one plan.  The
+chase is restricted (standard), not oblivious (Fagin, Kolaitis, Miller
 and Popa, "Data exchange", 2005): a round's join kernel tests the
 conclusion, read only, where its last loop emits, and drops each match at
 which it holds.  Outputs are those of firing every match: facts only grow
@@ -94,10 +81,9 @@ whose joins are loops over their carriers alone: in prover chases most of
 their instances are active, so the conclusion kernel, which changes
 nothing at an instance whose conclusion holds, is their only test.  That
 kernel skips an instance whose ids lost a union since the match: the sorted
-batch holds every tuple of the carriers (in a delta round, every one with a
-recent element), and canonical ids are lesser and were live at the match, so
-the canonical tuple fired earlier in the batch or round, or holds in the
-base.  A guarded premise's moved instances are not always repeats: its
+batch holds every tuple of the carriers, and canonical ids are lesser and
+were live at the match, so the canonical tuple came earlier in the batch
+and fired.  A guarded premise's moved instances are not always repeats: its
 kernel re-finds their ids.
 
 The prover tests its goal between rounds, running its conclusion's ops
@@ -162,17 +148,6 @@ class Presentation:
     forced: tuple[tuple[Atom, AssignmentItems], ...] = ()
 
 
-@dataclass(frozen=True)
-class FreshEntry:
-    """A fresh element: value of func at args (ids at creation time)."""
-
-    elem: int
-    func: str
-    args: tuple[int, ...]
-    term: RawTerm
-    assignment: AssignmentItems
-
-
 @dataclass(frozen=True, eq=False)
 class ChaseResult:
     signature: Signature = field(repr=False)
@@ -185,7 +160,7 @@ class ChaseResult:
     rounds: int
     merges: int
 
-    # All four built on first read: the prover reads none.
+    # All three built on first read: the prover reads none.
 
     @cached_property
     def model(self) -> PartialStructure:
@@ -209,10 +184,6 @@ class ChaseResult:
             quotient[i] = i if p == i else quotient[p]  # p < i, so its class is known
         return quotient
 
-    @cached_property
-    def fresh_log(self) -> tuple[FreshEntry, ...]:
-        return tuple(FreshEntry(e, f, args, t, tuple(zip(names, ids))) for e, f, args, t, names, ids in self.log)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChaseResult):
             return NotImplemented
@@ -229,17 +200,11 @@ _LOOKUP = 0  # f(bound args): read the table, bind or check the value slot
 _PROBE = 1  # f(args) = bound value, g(args) = bound value, ...: intersect the fibers
 _SCAN = 2  # f(args) = value, value unbound: unify every table entry
 _REL = 3  # R(args): unify every tuple of the relation
-_CARRIER = 4  # a context variable no atom binds: every element of a pool
-_NEW = 5  # first step of a delta plan: unify every entry of f (or tuple of R) written lately
+_CARRIER = 4  # a context variable no atom binds: every element of its sort's carrier
 
 _Step = tuple  # (kind, symbol, slots, extra); see _order
 _Plan = tuple[_Step, ...]
 _FlatAtom = tuple[int, str, tuple[int, ...], int]  # (_SCAN or _REL, symbol, arg slots, value slot)
-
-# Pools of written facts are keyed (kind, symbol): a function's entries, a
-# relation's tuples, the elements of a sort.  A carrier's pool is keyed by
-# its sort alone.
-_FUNC, _RELN, _ELEM = "f", "r", "e"
 
 
 def _pattern(slots: tuple[int, ...], bound: set[int]) -> tuple[tuple[int, bool], ...]:
@@ -296,21 +261,18 @@ def _flatten(term: RawTerm, slots: dict[RawTerm, int], flat: list) -> int:
 
 
 class _Premise:
-    """A premise flattened into atoms over variable slots, with its join plans.
+    """A premise flattened into atoms over variable slots, with its join plan.
 
     Every subterm gets one slot (the context variables take slots 0..n-1,
     repeated subterms share theirs) and becomes a flat atom
     ``f(slots) = slot``; an equation unites the slots of its sides.  Context
     variables that no atom binds range over their carrier, after the atoms.
-    ``full`` joins every atom against the whole tables.  ``deltas`` (built
-    on first use) holds one plan per flat atom and one per carrier variable:
-    each starts from the pool of that atom's (or sort's) facts written
-    lately and joins the rest against the whole tables.  A premise without
-    flat atoms holds at every tuple of its carriers, and its plans are
+    ``full`` joins every atom against the whole tables.  A premise without
+    flat atoms holds at every tuple of its carriers, and its plan is
     carrier steps alone, with no guard.
     """
 
-    __slots__ = ("names", "atoms", "carriers", "emit", "guard", "full", "full_run", "_deltas", "_delta_runs")
+    __slots__ = ("names", "atoms", "emit", "guard", "full", "full_run")
 
     def __init__(self, seq: Sequent, guard: tuple = ()) -> None:
         names = self.names = seq.context.names()
@@ -340,43 +302,14 @@ class _Premise:
         bound: set[int] = set()
         steps = _order(self.atoms, bound)
         sorts = dict(seq.context.vars)
-        self.carriers: list[tuple[str, int]] = []
         for name, slot in zip(names, self.emit):
             if slot not in bound:
-                self.carriers.append((sorts[name], slot))
+                steps.append((_CARRIER, sorts[name], slot, None))
                 bound.add(slot)
-        self.full: _Plan = tuple(steps) + self._carrier_steps(-1)
+        self.full: _Plan = tuple(steps)
         # the ops of a conclusion whose holding drops a match (see _join_source)
         self.guard = guard if self.atoms else ()
         self.full_run = _run(self.full, self.emit, self.guard)
-        self._deltas: Optional[tuple[_Plan, ...]] = None
-        self._delta_runs: tuple[_Run, ...] = ()
-
-    def _carrier_steps(self, skip: int) -> _Plan:
-        return tuple((_CARRIER, sort, slot, None) for sort, slot in self.carriers if slot != skip)
-
-    def deltas(self) -> tuple[_Plan, ...]:
-        if self._deltas is None:
-            plans = []
-            for i, (kind, sym, args, out) in enumerate(self.atoms):
-                bound: set[int] = set()
-                if kind == _REL:
-                    first = (_NEW, (_RELN, sym), None, _pattern(args, bound))
-                else:
-                    first = (_NEW, (_FUNC, sym), sym, _pattern(args + (out,), bound))
-                rest = _order(self.atoms[:i] + self.atoms[i + 1:], bound)
-                plans.append((first, *rest, *self._carrier_steps(-1)))
-            for sort, slot in self.carriers:
-                bound = {slot}
-                first = (_CARRIER, (_ELEM, sort), slot, None)
-                plans.append((first, *_order(self.atoms, bound), *self._carrier_steps(slot)))
-            self._deltas = tuple(plans)
-            self._delta_runs = tuple(_run(plan, self.emit, self.guard) for plan in plans)
-        return self._deltas
-
-    def delta_runs(self) -> tuple[_Run, ...]:
-        self.deltas()
-        return self._delta_runs
 
 
 # Operations of a compiled conclusion (see _Conclusion).
@@ -454,7 +387,7 @@ _KERNEL_NUMBERS = count()  # file names of compiled shapes, never reused after a
 
 _MAX_LOOPS = 16  # nested loops per generated function, under CPython's limit of 20 nested blocks
 
-_Run = tuple[tuple, Callable]  # (pool keys, kernel) of a join plan; see _ChaseState.matches
+_Run = tuple[tuple, Callable]  # (sorts of its carrier steps, kernel) of a join plan; see _ChaseState.matches
 
 
 def _kernel(shape: tuple, symbols: dict, source: Callable[..., list[str]]) -> Callable:
@@ -479,7 +412,7 @@ def _tuple(items: Sequence[str]) -> str:
 
 
 def _run(plan: _Plan, emit: tuple[int, ...], guard: tuple) -> _Run:
-    """The plan's kernel, with the keys of the pools it ranges over."""
+    """The plan's kernel, with the sorts whose carriers it ranges over."""
     symbols: dict = {}
     steps = []
     for kind, sym, slots, extra in plan:
@@ -487,12 +420,10 @@ def _run(plan: _Plan, emit: tuple[int, ...], guard: tuple) -> _Run:
             sym = tuple((_symbol(symbols, f), out) for f, out in sym)
         else:
             sym = _symbol(symbols, sym)
-        if kind == _NEW and slots is not None:
-            slots = _symbol(symbols, slots)
         steps.append((kind, sym, slots, extra))
-    keys = tuple(dict.fromkeys(s for kind, s, _, _ in plan if kind == _CARRIER or kind == _NEW))
+    sorts = tuple(dict.fromkeys(s for kind, s, _, _ in plan if kind == _CARRIER))
     test = tuple((op, None if sym is None else _symbol(symbols, sym), args) for op, sym, args, _ in guard)
-    return keys, _kernel(("join", emit, tuple(steps), test), symbols, _join_source)
+    return sorts, _kernel(("join", emit, tuple(steps), test), symbols, _join_source)
 
 
 def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int) -> list[str]:
@@ -507,7 +438,6 @@ def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int
     an application is a lookup, a union an equality, an insert a membership."""
     tables = sorted({s for k, s, _, _ in steps if k in (_LOOKUP, _SCAN)}
                     | {f for k, s, _, _ in steps if k == _PROBE and len(s) > 1 for f, _ in s}
-                    | {f for k, _, f, _ in steps if k == _NEW and f is not None}
                     | {f for op, f, _ in test if op == _APPLY})
     rels = sorted({s for k, s, _, _ in steps if k == _REL} | {r for op, r, _ in test if op == _INSERT})
     prelude = ["funcs, rels, index = state.funcs, state.rels, state.value_index",
@@ -577,18 +507,9 @@ def _join_source(emit: tuple[int, ...], steps: tuple, test: tuple, nsymbols: int
         elif kind == _REL:
             targets, checks = unpack(extra, j)
             put(f"for {_tuple(targets)} in R{sym}:")
-        elif kind == _CARRIER:
+        else:  # _CARRIER
             put(f"for s{slots} in pools[K{sym}]:")
             bound.append(slots)
-        elif slots is None:  # _NEW over a relation's tuples
-            targets, checks = unpack(extra, j)
-            put(f"for {_tuple(targets)} in pools[K{sym}]:")
-        else:  # _NEW over a function's keys
-            targets, checks = unpack(extra, j)
-            put(f"for A{j} in pools[K{sym}]:")
-            if len(targets) > 1:
-                put(f"    {_tuple(targets[:-1])} = A{j}")
-            put(f"    {targets[-1]} = T{slots}[A{j}]")
         loops += 1
         if checks:
             put(f"if {' or '.join(checks)}: continue")
@@ -634,9 +555,9 @@ def _fire_source(nnames: int, ops: tuple, skip_moved: bool, nsymbols: int) -> li
     """Source of the factory of a conclusion kernel ``kernel(state, batch)``,
     which runs the program's ops at each assignment of the batch in turn,
     slot i in the local ``v<i>`` (K0 holds the context's names).  The
-    state's tables, union-find, use-lists, fresh log, write sets and budget
-    are read once; the next fresh id and the counts of changes and merges
-    are locals, stored back when the batch ends or the budget stops it.
+    state's tables, union-find, use-lists, fresh log and budget are read
+    once; the next fresh id and the counts of changes and merges are
+    locals, stored back when the batch ends or the budget stops it.
     After a union only the slots that later ops read are re-canonicalized.
     A miss creates the element inline, as ``create`` does.  When a union
     follows that unites the slot with another and the ops in between are
@@ -645,17 +566,16 @@ def _fire_source(nnames: int, ops: tuple, skip_moved: bool, nsymbols: int) -> li
     none), the entry is stored with the other side's value and the fresh id
     is used up and logged as already merged, never live: the ops then find
     what they looked up, the union finds its sides equal, and the state is
-    the one ``create`` and then ``unite`` leave, less a dead id among the
-    written elements.  If one misses, the element is created live
-    and the ops run after it as usual.  ``skip_moved`` (a premise without
-    flat atoms) skips an assignment whose ids lost a union since the match."""
+    the one ``create`` and then ``unite`` leave.  If one misses, the element
+    is created live and the ops run after it as usual.  ``skip_moved`` (a
+    premise without flat atoms) skips an assignment whose ids lost a union
+    since the match."""
     tables = sorted({sym for op, sym, _, _ in ops if op == _APPLY})
     lines = [f"def make({', '.join(f'K{i}' for i in range(nsymbols))}):",
              "    def kernel(state, batch):",
-             "        parent, find, live, uses, log = state.parent, state.find, state.live, state.uses, state.fresh_log",
-             "        unite, insert, sorts, written = state.unite, state.insert, state.result_sort, state.written",
-             "        funcs, elems = state.funcs, written.elems",
-             *(f"        T{f}, W{f}, S{f} = funcs[K{f}], written.funcs[K{f}], sorts[K{f}]" for f in tables),
+             "        parent, find, live, uses, log = state.parent, state.find, state.live, state.uses, state.flat_log",
+             "        unite, insert, funcs, sorts = state.unite, state.insert, state.funcs, state.result_sort",
+             *(f"        T{f}, S{f} = funcs[K{f}], sorts[K{f}]" for f in tables),
              "        first = fresh = state.next_id",
              "        stop = first + state.budget.max_elements - state.created",
              "        changes = merges = 0",
@@ -673,7 +593,7 @@ def _fire_source(nnames: int, ops: tuple, skip_moved: bool, nsymbols: int) -> li
             v, key = f"v{slot}", f"k{slot}"
             body += [f"{key} = {_tuple(vals)}", f"{v} = T{sym}.get({key})", f"if {v} is None:",
                      "    if fresh >= stop: raise Budget"]
-            live = [f"{v} = parent[fresh] = fresh", f"live[fresh] = S{sym}", "elems.add(fresh)", "changes += 1"]
+            live = [f"{v} = parent[fresh] = fresh", f"live[fresh] = S{sym}", "changes += 1"]
             union = _union_after(ops, k, slot)
             if union is None:
                 body += [f"    {line}" for line in live]
@@ -687,7 +607,7 @@ def _fire_source(nnames: int, ops: tuple, skip_moved: bool, nsymbols: int) -> li
                              "    else:", *(f"        {line}" for line in live)]
                 else:
                     body += [f"    {line}" for line in merged]
-            body += [f"    T{sym}[{key}] = {v}", f"    W{sym}.add({key})", f"    cell = [T{sym}, {key}, K{sym}]",
+            body += [f"    T{sym}[{key}] = {v}", f"    cell = [T{sym}, {key}, K{sym}]",
                      *(f"    uses[{a}].append(cell)" for a in (*vals, v)),
                      f"    log += fresh, K{sym}, {key}, K{term}, K0, ids", "    fresh += 1"]
             slot += 1
@@ -724,18 +644,6 @@ def _compiled(seq: Sequent) -> tuple[_Premise, _Conclusion]:
     return compiled
 
 
-class _Writes:
-    """The facts written in one round: function keys, relation tuples and
-    elements.  An entry re-keyed by ``normalize`` counts as written."""
-
-    __slots__ = ("funcs", "rels", "elems")
-
-    def __init__(self, sig: Signature) -> None:
-        self.funcs: dict[str, set[tuple[int, ...]]] = {f.name: set() for f in sig.funcs}
-        self.rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in sig.rels}
-        self.elems: set[int] = set()
-
-
 class _ChaseState:
     def __init__(self, sig: Signature, budget: ChaseBudget) -> None:
         self.sig = sig
@@ -752,13 +660,11 @@ class _ChaseState:
         self.rel_uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
         self.pending: list[int] = []  # ids that lost a union, not yet re-keyed
         self.indexes: dict[str, tuple[int, dict[int, list[tuple[int, ...]]]]] = {}
-        self.written = _Writes(sig)  # facts written in this round
-        self.written_before = _Writes(sig)  # ... and in the round before
         self.next_id = 0
         self.created = 0
         self.version = 0
         self.merges = 0
-        self.fresh_log: list = []  # see ChaseResult.flat_log
+        self.flat_log: list = []  # see ChaseResult.flat_log
         self.goal: Optional[Callable[[_ChaseState], bool]] = None  # tested inside rounds
 
     # -- union-find (least id is the representative)
@@ -813,12 +719,11 @@ class _ChaseState:
         afterwards every key and value is canonical.  A cell is re-keyed in
         place and listed again only under the ids new to it; a cell whose
         new key collides is dead, and the entry it met keeps its stored
-        value until the pop of that value's id.  A key that holds a dead id
-        is never stored again, so it may stay among the written keys."""
+        value until the pop of that value's id."""
         pending = self.pending
         if not pending:
             return
-        written, parent, find, uses, live = self.written.funcs, self.parent, self.find, self.uses, self.live
+        parent, find, uses, live = self.parent, self.find, self.uses, self.live
         rel_uses, merges = self.rel_uses, 0
         stale: list[tuple[str, tuple[int, ...]]] = []
         while pending:
@@ -845,11 +750,9 @@ class _ChaseState:
                 if key == args:
                     if revalue:
                         table[args] = val
-                        written[f].add(args)
                         uses[val].append(cell)
                     continue
                 del table[args]
-                written[f].add(key)
                 old = table.get(key)
                 if old is not None:
                     cell[1] = None
@@ -876,7 +779,6 @@ class _ChaseState:
                 moved = tuple([find(a) for a in tup])
                 self.rels[r].add(moved)
                 self._rel_use(r, moved)
-                self.written.rels[r].add(moved)
 
     def unite(self, a: int, b: int) -> None:
         """Unite two canonical ids, queue the losing one and normalize."""
@@ -917,7 +819,6 @@ class _ChaseState:
         if tup not in self.rels[r]:
             self.rels[r].add(tup)
             self._rel_use(r, tup)
-            self.written.rels[r].add(tup)
             self.version += 1
 
     def create(self, f: str, args: tuple[int, ...], term: RawTerm, names: Sequence[str], ids: Sequence[int]) -> int:
@@ -929,12 +830,10 @@ class _ChaseState:
         self.next_id, self.created = fresh + 1, self.created + 1
         self.parent[fresh] = fresh
         self.live[fresh] = self.result_sort[f]
-        self.written.elems.add(fresh)
         self.version += 1
         self.funcs[f][args] = fresh
-        self.written.funcs[f].add(args)
         self._use(self.funcs[f], args, f, fresh)
-        self.fresh_log += fresh, f, args, term, names, ids
+        self.flat_log += fresh, f, args, term, names, ids
         return fresh
 
     # -- premise matching (compiled join, lexicographic output)
@@ -949,67 +848,43 @@ class _ChaseState:
             cached = self.indexes[f] = (self.version, index)
         return cached[1]
 
-    def pool(self, key: object) -> list:
-        """What a _CARRIER or _NEW step ranges over: the carrier of a sort,
-        or for a (kind, symbol) key the facts of that kind written in this
-        round or the one before that still hold (keys of f's entries, tuples
-        of R, elements of a sort)."""
-        if isinstance(key, str):
-            return sorted(e for e, s in self.live.items() if s == key)
-        kind, sym = key
-        now, before = self.written, self.written_before
-        if kind == _ELEM:
-            return [e for e in now.elems | before.elems if self.live.get(e) == sym]
-        if kind == _FUNC:
-            new, old, held = now.funcs[sym], before.funcs[sym], self.funcs[sym]
-        else:
-            new, old, held = now.rels[sym], before.rels[sym], self.rels[sym]
-        return [x for x in new if x in held] + [x for x in old if x in held and x not in new]
+    def pool(self, sort: str) -> list[int]:
+        """What a _CARRIER step ranges over: the carrier of a sort, sorted."""
+        return sorted(e for e, s in self.live.items() if s == sort)
 
-    def matches(self, premise: _Premise, delta: bool = False) -> list[tuple[int, ...]]:
+    def matches(self, premise: _Premise) -> list[tuple[int, ...]]:
         """The assignments at which the premise holds and its guard does not,
-        as id tuples in context order, sorted.  With ``delta``, only those
-        that use a fact written in this round or the one before."""
-        pools: dict = {}
+        as id tuples in context order, sorted."""
+        sorts, kernel = premise.full_run
+        pools = {}
+        for sort in sorts:
+            pools[sort] = self.pool(sort)
+            if not pools[sort]:
+                return []  # the plan needs an element of every carrier it ranges over
         results: list[tuple[int, ...]] = []
-        runs = 0
-        for keys, kernel in premise.delta_runs() if delta else (premise.full_run,):
-            for key in keys:
-                if key not in pools:
-                    pools[key] = self.pool(key)
-                if not pools[key]:
-                    break  # the plan needs an element of every pool
-            else:
-                kernel(self, pools, results)
-                runs += 1
+        kernel(self, pools, results)
         # Every slot is a context variable or a table's value at other slots,
-        # so one plan meets each match once: only several plans repeat one.
-        # A plan over a sorted carrier emits in order, which sorted() finds.
-        return sorted(set(results) if runs > 1 else results)
+        # so the plan meets each match once.  A plan over a sorted carrier
+        # emits in order, which sorted() finds.
+        return sorted(results)
 
     # -- rounds
 
-    def run_round(self, theory: Theory, delta: bool = False) -> bool:
-        """Match every sequent and fire its conclusion at each active match,
-        all in one kernel call (the join drops the matches where it holds,
-        whose firing changes nothing; a premise without flat atoms has no
-        guard, and all its instances go to the kernel, which changes nothing
-        at those where the conclusion holds).
-        With ``delta`` (every sequent was matched in the round before, or the
-        base is a model), match only instances that use a fact written in
-        this round or the one before: any other instance was matched in the
-        round before, or holds in the base, so its conclusion already holds.
-        With a ``goal``, test it after each kernel call that changed the
-        state (the kernel's unions have normalized it, so no id is pending)
-        and end the round as soon as it holds: facts only grow, so it would
-        hold at the round's end too."""
+    def run_round(self, theory: Theory) -> bool:
+        """Match every sequent in full and fire its conclusion at each active
+        match, all in one kernel call (the join drops the matches where it
+        holds, whose firing changes nothing; a premise without flat atoms has
+        no guard, and all its instances go to the kernel, which changes
+        nothing at those where the conclusion holds).  With a ``goal``, test
+        it after each kernel call that changed the state (the kernel's unions
+        have normalized it, so no id is pending) and end the round as soon as
+        it holds: facts only grow, so it would hold at the round's end too."""
         v0 = self.version
         self.normalize()
-        self.written_before, self.written = self.written, _Writes(self.sig)
         goal = self.goal
         for seq in theory.sequents:
             premise, conclusion = _compiled(seq)
-            batch = self.matches(premise, delta)
+            batch = self.matches(premise)
             if batch:  # most sequents of a round from a model match nothing
                 v = self.version
                 conclusion.kernel(self, batch)
@@ -1024,7 +899,6 @@ def chase(
     budget: Optional[ChaseBudget] = None,
     stop: Optional[Callable[[_ChaseState], bool]] = None,
     *,
-    _base_is_model: bool = False,
     _stop_in_round: bool = False,
 ) -> ChaseResult:
     """Saturate the presentation under the theory's sequents.
@@ -1035,11 +909,7 @@ def chase(
     after every sequent's firing that changed the state, and ends the
     round there; the cut-short round counts as a round.  Rounds, elements
     and merges then differ from a chase that finishes its rounds, and a
-    budget that would have run out later in the round no longer does.
-
-    ``_base_is_model`` (for decomposition steps after the first) promises
-    that the base satisfies every sequent: then even the first round
-    matches only instances that use a fact the forced atoms wrote."""
+    budget that would have run out later in the round no longer does."""
     budget = budget or ChaseBudget()
     state = _ChaseState(theory.signature, budget)
     if _stop_in_round:
@@ -1066,7 +936,7 @@ def chase(
                     if rounds >= budget.max_rounds:
                         status = BUDGET_EXCEEDED
                         break
-                    changed = state.run_round(theory, delta=rounds > 0 or _base_is_model)
+                    changed = state.run_round(theory)
                     rounds += 1
                     if stop is not None and stop(state):
                         status = STOPPED
@@ -1076,7 +946,7 @@ def chase(
                         break
         except _Budget:
             status = BUDGET_EXCEEDED
-        result = ChaseResult(state.sig, state.live, state.funcs, state.rels, state.parent, state.fresh_log, status,
+        result = ChaseResult(state.sig, state.live, state.funcs, state.rels, state.parent, state.flat_log, status,
                              rounds, state.merges)
         del state  # its use-lists and indexes are freed before the collector resumes, not walked by it
         return result
@@ -1224,12 +1094,12 @@ def induced_hom(result: ChaseResult, base_map: Mapping[int, int], target: Partia
         c = result.quotient[b]
         if values.setdefault(c, t) != t:
             raise ValueError(f"map not constant on the class of {b}")
-    for entry in result.fresh_log:
-        c = result.quotient[entry.elem]
-        targs = tuple(values[result.quotient[a]] for a in entry.args)
-        v = target.funcs.get(entry.func, {}).get(targs)
+    for elem, func, args, _, _, _ in result.log:
+        c = result.quotient[elem]
+        targs = tuple(values[result.quotient[a]] for a in args)
+        v = target.funcs.get(func, {}).get(targs)
         if v is None:
-            raise ValueError(f"{entry.func}{targs} undefined in the target")
+            raise ValueError(f"{func}{targs} undefined in the target")
         if values.setdefault(c, v) != v:
             raise ValueError(f"inconsistent values on class {c}")
     return Hom(result.model, target, {e: values[e] for e in result.model.elements()})

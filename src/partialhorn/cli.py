@@ -69,6 +69,7 @@ from .syntax import (
     load_theory,
     parse_sequent,
     parse_term,
+    read_text,
     sequent_to_text,
     term_to_text,
 )
@@ -223,8 +224,7 @@ def _resolve_hom(args: argparse.Namespace, theory) -> tuple[NamedModel, NamedMod
 
 def _load_scale(args: argparse.Namespace, theory) -> Scale:
     if getattr(args, "scale", None):
-        with open(args.scale, encoding="utf-8") as fh:
-            return parse_scale(fh.read(), theory.signature)
+        return parse_scale(read_text(args.scale), theory.signature)
     return equational_scale(theory.signature)
 
 
@@ -234,7 +234,7 @@ def _trace_json(trace: DecompositionTrace) -> dict:
             {
                 "elements": step.result.model.size(),
                 "merges": step.result.merges,
-                "fresh": len(step.result.fresh_log),
+                "fresh": len(step.result.log),
                 "firedMatches": len(step.fired),
             }
             for step in trace.steps
@@ -250,7 +250,7 @@ def _trace_lines(trace: DecompositionTrace) -> list[str]:
     for i, step in enumerate(trace.steps, start=1):
         lines.append(
             f"step {i}: elements {step.result.model.size()}, merges {step.result.merges}, "
-            f"fresh {len(step.result.fresh_log)}, fired {len(step.fired)}"
+            f"fresh {len(step.result.log)}, fired {len(step.fired)}"
         )
     if trace.status == STABILIZED:
         lines.append(f"decnum {trace.claimed_decnum} (stabilized after {trace.stabilization_index} steps)")

@@ -13,8 +13,7 @@ premise matcher, and the matches are pulled back along f through its
 fibers, then sorted, which is the order of the lexicographic enumeration.
 Only the atoms that fail in the source are forced (facts only grow).  Every
 step after the first starts from a model (the previous step's complete
-result), so its chase matches only the instances that use a fact the forced
-atoms wrote, and a step that forces nothing is the identity: not chased.
+result), so a step that forces nothing is the identity: not chased.
 """
 
 from __future__ import annotations
@@ -129,14 +128,13 @@ def scale_step(
     budget: Optional[ChaseBudget] = None,
     *,
     _pulled: Optional[tuple] = None,
-    _base_is_model: bool = False,
 ) -> StepResult:
     """One canonical step: force the scale instances true at the image (the
     atoms that fail in the source).  ``_pulled`` is ``_pull_back``'s result
-    for f, when the caller has it; ``_base_is_model`` says f's source is a model."""
+    for f, when the caller has it."""
     A, X = f.source, f.target
     fired, forced = _pulled or _pull_back(scale, f, _entry_matches(scale, X))
-    result = chase(theory, Presentation(A, tuple(forced)), budget, _base_is_model=_base_is_model)
+    result = chase(theory, Presentation(A, tuple(forced)), budget)
     if result.status != COMPLETE:  # perhaps before every element of A was loaded
         return StepResult(None, None, result, fired)
     e = Hom(A, result.model, {a: result.quotient[a] for a in A.elements()})
@@ -177,7 +175,7 @@ def canonical_decomposition(
         pulled = _pull_back(scale, current, matches)
         if i > 0 and not pulled[1]:  # the source is a model: this step is the identity
             break
-        step = scale_step(theory, scale, current, budget, _pulled=pulled, _base_is_model=i > 0)
+        step = scale_step(theory, scale, current, budget, _pulled=pulled)
         if step.result.status != COMPLETE:
             return DecompositionTrace(tuple(steps), None, None, BUDGET_EXCEEDED)
         if _is_identity_step(step, current.source):

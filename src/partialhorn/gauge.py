@@ -39,6 +39,7 @@ from .syntax import (
     _json_names,
     check_term,
     free_vars,
+    load_json_or_text,
     parse_term,
     substitute_formula,
 )
@@ -93,8 +94,7 @@ def load_gauge_rules(path: str, theory: Theory) -> TableGaugeRules:
 
     Each sym is a function symbol of the theory, each n a natural number,
     and each term ground, of the sort the scale entry's context gives it."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_json_or_text(path, lambda data: data)
     where = f"gauge rules {path}"
     sig = theory.signature
     contexts = {e.label: e.context for e in equational_scale(sig).entries}

@@ -765,14 +765,28 @@ def _json_names(data: object, key: str, where: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def load_json_or_text(path: str, from_json: Callable[[Any], T], from_text: Callable[[str], T]) -> T:
+def read_text(path: str) -> str:
+    """The file's UTF-8 text; bytes that do not decode raise ValueError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_json_or_text(path: str, from_json: Callable[[Any], T], from_text: Optional[Callable[[str], T]] = None) -> T:
     """Read a file in its JSON mirror (a ``.json`` name, or text that starts
-    with ``{``) or in its text form."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return from_json(json.loads(text))
-    return from_text(text)
+    with ``{``) or in its text form; a file with no text form (no
+    ``from_text``) is JSON whatever its name.  Malformed JSON raises
+    ValueError located as ``path:line:col``."""
+    text = read_text(path)
+    if from_text is not None and not path.endswith(".json") and not text.lstrip().startswith("{"):
+        return from_text(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from None
+    return from_json(data)
 
 
 def load_theory(path: str) -> Theory:

@@ -219,6 +219,41 @@ def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data
         assert err.startswith(f"error: gauge rules {path}: ")
 
 
+# Malformed JSON and bytes that are not UTF-8 are input errors that name the
+# file, and for JSON the line and column, whichever reader meets them.
+@pytest.mark.parametrize("reader", ["theory", "model", "hom", "gat", "rules"])
+@pytest.mark.parametrize("content, message", [
+    (b'{"name": "x", ', "{path}:1:15: malformed JSON: Expecting property name enclosed in double quotes"),
+    (b"\xff\xfe", "{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["json", "bytes"])
+def test_unreadable_files_name_their_path(corpus, tmp_path, capsys, reader, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    ladder, models = corpus / "theories" / "ladder.pht", corpus / "models"
+    argv = {
+        "theory": ["check", "--theory", path],
+        "model": ["check", "--theory", ladder, path],
+        "hom": ["check", "--theory", ladder, "--hom", path,
+                "--from", models / "ladder_M.pm", "--to", models / "ladder_T.pm"],
+        "gat": ["gat-rank", path],
+        "rules": ["gauge-check", "--rules", path, "--theory", ladder, "--term", "c"],
+    }[reader]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and err.startswith(f"error: {message.format(path=path)}")
+
+
+# A scale file has a text form only, and it too names its path when its
+# bytes are not UTF-8.
+def test_undecodable_scale_file_names_its_path(corpus, tmp_path, capsys):
+    path = tmp_path / "bad.scale"
+    path.write_bytes(b"\xff\xfe")
+    models = corpus / "models"
+    code, out, err = run(capsys, "decnum", "--theory", corpus / "theories" / "ladder.pht", "--scale", path,
+                         "--from", models / "ladder_M.pm", "--to", models / "ladder_T.pm",
+                         "--hom", corpus / "homs" / "ladder_bang.phom")
+    assert code == 2 and not out and err.startswith(f"error: {path}: not UTF-8 text: ")
+
+
 TWO_SORTED = "theory two {\n  sort s;\n  sort t;\n  func a : s;\n  func f : s -> t;\n  rel R : s, t;\n}\n"
 TWO_SORTED_MODEL = "model m of two {\n  elem s : x;\n  elem t : y;\n"
 TWO_SORTED_JSON = {"model": "m", "of": "two", "elems": {"s": ["x"], "t": ["y"]}}

@@ -276,11 +276,11 @@ def test_scale_firing_matches_brute_force(theory, data):
         assert step.fired == brute_force_fired(scale, f)
 
 
-def every_atom_forced(theory, scale, f, budget, base_is_model):
+def every_atom_forced(theory, scale, f, budget):
     """scale_step forcing every pulled-back atom, the ones that hold in f's
     source included."""
     with mock.patch.object(DECOMPOSE_MODULE, "holds_atom", lambda S, assignment, atom: False):
-        return scale_step(theory, scale, f, budget, _base_is_model=base_is_model)
+        return scale_step(theory, scale, f, budget)
 
 
 def assert_tower_matches_oracle(theory, scale, f, budget=None):
@@ -292,7 +292,7 @@ def assert_tower_matches_oracle(theory, scale, f, budget=None):
     matches = DECOMPOSE_MODULE._entry_matches(scale, f.target)
     current = f
     for i, step in enumerate(trace.steps + (None,)):
-        want = every_atom_forced(theory, scale, current, budget, i > 0)
+        want = every_atom_forced(theory, scale, current, budget)
         complete = want.result.status == COMPLETE
         identity = complete and DECOMPOSE_MODULE._is_identity_step(want, current.source)
         if i > 0:
