@@ -99,6 +99,9 @@ not depend on the history of its merges.
 
 A chase pauses the cyclic collector (process-wide) and then leaves it as it
 found it: a chase, kernel compilation included, makes no reference cycles.
+A prover call pauses it too, around its chase, and drops the chase's result
+before it resumes the collector: reference counting frees the result's young
+key, cell and log tuples, which the next collection would otherwise walk.
 """
 
 from __future__ import annotations
@@ -248,15 +251,19 @@ def _order(atoms: list[_FlatAtom], bound: set[int]) -> list[_Step]:
     return steps
 
 
-def _flatten(term: RawTerm, slots: dict[RawTerm, int], flat: list) -> int:
-    """The slot of ``term``.  Variables have theirs in ``slots``; an
-    application met for the first time takes the next slot, after its
-    arguments', and is listed in ``flat`` as (term, argument slots)."""
-    slot = slots.get(term)
+def _flatten(term: RawTerm, slots: dict, flat: list) -> int:
+    """The slot of ``term``.  Variables have theirs in ``slots``, under
+    their names; an application is keyed there by (symbol, argument slots),
+    so no term is hashed.  One met for the first time takes the next slot,
+    after its arguments', and is listed in ``flat`` as (term, argument
+    slots)."""
+    if isinstance(term, Var):
+        return slots[term.name]
+    key = (term.func, tuple([_flatten(a, slots, flat) for a in term.args]))
+    slot = slots.get(key)
     if slot is None:
-        args = tuple(_flatten(a, slots, flat) for a in term.args)
-        slot = slots[term] = len(slots)
-        flat.append((term, args))
+        slot = slots[key] = len(slots)
+        flat.append((term, key[1]))
     return slot
 
 
@@ -276,7 +283,7 @@ class _Premise:
 
     def __init__(self, seq: Sequent, guard: tuple = ()) -> None:
         names = self.names = seq.context.names()
-        slots: dict[RawTerm, int] = {Var(n): i for i, n in enumerate(names)}
+        slots = {n: i for i, n in enumerate(names)}  # see _flatten
         flat: list[tuple[object, tuple[int, ...]]] = []
         parent: list[int] = []
 
@@ -294,8 +301,9 @@ class _Premise:
                 parent[max(a, b)] = min(a, b)
         self.atoms: list[_FlatAtom] = []
         for t, args in flat:
-            args = tuple(find(a) for a in args)
-            renamed = (_REL, t.rel, args, -1) if isinstance(t, Rel) else (_SCAN, t.func, args, find(slots[t]))
+            found = tuple(find(a) for a in args)
+            renamed = ((_REL, t.rel, found, -1) if isinstance(t, Rel)
+                       else (_SCAN, t.func, found, find(slots[t.func, args])))
             if renamed not in self.atoms:
                 self.atoms.append(renamed)
         self.emit = tuple(find(i) for i in range(len(names)))
@@ -338,7 +346,7 @@ class _Conclusion:
     def __init__(self, names: tuple[str, ...], atoms: Sequence[Atom]) -> None:
         self.names = names
         self.atoms = tuple(atoms)
-        slots: dict[RawTerm, int] = {Var(n): i for i, n in enumerate(names)}
+        slots = {n: i for i, n in enumerate(names)}  # see _flatten
         flat: list[tuple[object, tuple[int, ...]]] = []
         for atom in self.atoms:
             if isinstance(atom, Def):
@@ -607,7 +615,7 @@ def _fire_source(nnames: int, ops: tuple, skip_moved: bool, nsymbols: int) -> li
                              "    else:", *(f"        {line}" for line in live)]
                 else:
                     body += [f"    {line}" for line in merged]
-            body += [f"    T{sym}[{key}] = {v}", f"    cell = [T{sym}, {key}, K{sym}]",
+            body += [f"    T{sym}[{key}] = {v}", f"    cell = [T{sym}, {key}]",
                      *(f"    uses[{a}].append(cell)" for a in (*vals, v)),
                      f"    log += fresh, K{sym}, {key}, K{term}, K0, ids", "    fresh += 1"]
             slot += 1
@@ -653,8 +661,8 @@ class _ChaseState:
         self.funcs: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in sig.funcs}
         self.result_sort = {f.name: f.result_sort for f in sig.funcs}
         self.rels: dict[str, set[tuple[int, ...]]] = {r.name: set() for r in sig.rels}
-        # id -> the cells [table, key, func] of the entries whose key or value
-        # holds it; a cell whose key collided on re-keying is dead (key None)
+        # id -> the cells [table, key] of the entries whose key or value holds
+        # it; a cell whose key collided on re-keying is dead (key None)
         self.uses: defaultdict[int, list[list]] = defaultdict(list)
         # id -> the (rel, tuple) pairs whose tuple held it when stored
         self.rel_uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
@@ -693,7 +701,7 @@ class _ChaseState:
         for f, table in base.funcs.items():
             copy = self.funcs[f] = dict(table)
             for args, val in table.items() if listed else ():
-                self._use(copy, args, f, val)
+                self._use(copy, args, val)
         for r, tuples in base.rels.items():
             self.rels[r] = set(tuples)
             for tup in tuples if listed else ():
@@ -701,9 +709,9 @@ class _ChaseState:
 
     # -- congruence closure: keep tables keyed by canonical ids
 
-    def _use(self, table: dict, args: tuple[int, ...], f: str, val: int) -> None:
-        """List the cell of the entry ``table[args] = val`` of f."""
-        cell, uses = [table, args, f], self.uses
+    def _use(self, table: dict, args: tuple[int, ...], val: int) -> None:
+        """List the cell of the entry ``table[args] = val``."""
+        cell, uses = [table, args], self.uses
         for i in args:
             uses[i].append(cell)
         uses[val].append(cell)
@@ -731,13 +739,9 @@ class _ChaseState:
             if rel_uses:  # no relation tuple is listed in most theories
                 stale += rel_uses.pop(lost, ())
             for cell in uses.pop(lost, ()):
-                table, args, f = cell
+                table, args = cell
                 if args is None:
                     continue  # dead: its key collided
-                val = table[args]
-                revalue = (p := parent[val]) != val
-                if revalue:  # most ids lie one step below their root
-                    val = p if parent[p] == p else find(val)
                 if len(args) == 1:  # most keys: no list to build
                     a = args[0]
                     key = args if (p := parent[a]) == a else (p,) if parent[p] == p else (find(a),)
@@ -747,12 +751,16 @@ class _ChaseState:
                            b if (p := parent[b]) == b else p if parent[p] == p else find(b))
                 else:
                     key = tuple([a if parent[a] == a else find(a) for a in args])
-                if key == args:
-                    if revalue:
-                        table[args] = val
+                if key == args:  # only the value moved
+                    val = table[args]
+                    if (p := parent[val]) != val:  # most ids lie one step below their root
+                        val = table[args] = p if parent[p] == p else find(val)
                         uses[val].append(cell)
                     continue
-                del table[args]
+                val = table.pop(args)
+                revalue = (p := parent[val]) != val
+                if revalue:
+                    val = p if parent[p] == p else find(val)
                 old = table.get(key)
                 if old is not None:
                     cell[1] = None
@@ -832,7 +840,7 @@ class _ChaseState:
         self.live[fresh] = self.result_sort[f]
         self.version += 1
         self.funcs[f][args] = fresh
-        self._use(self.funcs[f], args, f, fresh)
+        self._use(self.funcs[f], args, fresh)
         self.flat_log += fresh, f, args, term, names, ids
         return fresh
 
@@ -893,6 +901,21 @@ class _ChaseState:
         return self.version != v0
 
 
+class _CollectorPaused:
+    """A with-block during which the cyclic collector (process-wide) is
+    paused, left as it was found; inside another pause it does nothing."""
+
+    __slots__ = ("resume",)
+
+    def __enter__(self) -> None:
+        self.resume = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self.resume:
+            gc.enable()
+
+
 def chase(
     theory: Theory,
     presentation: Presentation,
@@ -916,9 +939,7 @@ def chase(
         state.goal = stop
     status = COMPLETE
     rounds = 0
-    collecting = gc.isenabled()
-    gc.disable()  # the chase makes no reference cycles (see the module docstring)
-    try:
+    with _CollectorPaused():  # the chase makes no reference cycles (see the module docstring)
         try:
             state.load(presentation.base)
             programs: dict[tuple[Atom, tuple[str, ...]], _Conclusion] = {}
@@ -949,10 +970,7 @@ def chase(
         result = ChaseResult(state.sig, state.live, state.funcs, state.rels, state.parent, state.flat_log, status,
                              rounds, state.merges)
         del state  # its use-lists and indexes are freed before the collector resumes, not walked by it
-        return result
-    finally:
-        if collecting:
-            gc.enable()
+    return result
 
 
 def _satisfying(
@@ -1029,9 +1047,12 @@ def prove_sequent(
         # stop runs after normalize, so the live tables are keyed by canonical ids
         return goal.holds(state.funcs, state.rels, [state.find(i) for _, i in items])
 
-    result = chase(theory, presentation, budget, stop=stop, _stop_in_round=_verdict_only)
-    verdict = {STOPPED: VALID, COMPLETE: INVALID}.get(result.status, UNKNOWN)
-    return ProveResult(verdict, result.rounds, len(result.live), result.merges)
+    with _CollectorPaused():  # the chase's result is freed before the collector resumes, not walked by it
+        result = chase(theory, presentation, budget, stop=stop, _stop_in_round=_verdict_only)
+        verdict = {STOPPED: VALID, COMPLETE: INVALID}.get(result.status, UNKNOWN)
+        proved = ProveResult(verdict, result.rounds, len(result.live), result.merges)
+        del result
+    return proved
 
 
 def reduces(

@@ -66,6 +66,7 @@ from .syntax import (
     check_formula,
     check_term,
     free_vars,
+    in_file,
     load_theory,
     parse_sequent,
     parse_term,
@@ -224,7 +225,9 @@ def _resolve_hom(args: argparse.Namespace, theory) -> tuple[NamedModel, NamedMod
 
 def _load_scale(args: argparse.Namespace, theory) -> Scale:
     if getattr(args, "scale", None):
-        return parse_scale(read_text(args.scale), theory.signature)
+        text = read_text(args.scale)
+        with in_file(args.scale):
+            return parse_scale(text, theory.signature)
     return equational_scale(theory.signature)
 
 

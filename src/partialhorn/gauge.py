@@ -15,7 +15,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from .chase import ChaseBudget, prove_sequent
@@ -273,8 +273,10 @@ def ladder_gauge_rules() -> TableGaugeRules:
 # Built-in: strict n-categories, one-sorted
 
 
+@lru_cache(maxsize=16)
 def ncat_signature(n: int) -> Signature:
-    """One sort of cells; dk/ck boundaries and compk composition, k = 1..n."""
+    """One sort of cells; dk/ck boundaries and compk composition, k = 1..n.
+    Built once per n: the signature and its declarations are frozen."""
     if n < 1:
         raise ValueError("n must be at least 1")
     funcs: list[FuncDecl] = []

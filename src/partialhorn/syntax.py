@@ -21,10 +21,11 @@ T = TypeVar("T")
 
 
 class ParseError(Exception):
-    """Surface-syntax error with 1-based line/column."""
+    """Surface-syntax error with 1-based line/column, and the file's path if known."""
 
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(self, message: str, line: int, col: int, path: Optional[str] = None) -> None:
+        super().__init__(f"{line}:{col}: {message}" if path is None else f"{path}:{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -774,14 +775,29 @@ def read_text(path: str) -> str:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+@contextmanager
+def in_file(path: str) -> Iterator[None]:
+    """Prefix the path to an error raised inside, while a file's text is
+    read: ``path:line:col: ...`` for a located one, ``path: ...`` else."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, exc.col, path) from None
+    except (SortError, ValueError) as exc:
+        text = str(exc)
+        raise type(exc)(f"{path}:{text}" if re.match(r"\d+:\d+: ", text) else f"{path}: {text}") from None
+
+
 def load_json_or_text(path: str, from_json: Callable[[Any], T], from_text: Optional[Callable[[str], T]] = None) -> T:
     """Read a file in its JSON mirror (a ``.json`` name, or text that starts
     with ``{``) or in its text form; a file with no text form (no
     ``from_text``) is JSON whatever its name.  Malformed JSON raises
-    ValueError located as ``path:line:col``."""
+    ValueError located as ``path:line:col``; an error in the text form
+    names the path too (see ``in_file``)."""
     text = read_text(path)
     if from_text is not None and not path.endswith(".json") and not text.lstrip().startswith("{"):
-        return from_text(text)
+        with in_file(path):
+            return from_text(text)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,12 +1,12 @@
 """Deterministic chase: free models, prover verdicts, quotients, budgets."""
 
-import copy
 import gc
 import importlib
 import importlib.util
 import itertools
 import json
 import random
+import weakref
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +38,7 @@ from partialhorn import (
     ladder_theory,
     load_hom,
     ncat_gauge_rules,
+    ncat_normalize,
     ncat_theory,
     prove_sequent,
     reduces,
@@ -183,6 +184,61 @@ def test_chase_leaves_the_collector_as_it_found_it(enabled):
     finally:
         (gc.enable if was else gc.disable)()
     assert seen and not any(seen)  # paused throughout
+
+
+# A prover call drops its chase's result while the collector is still paused
+# (reference counting frees it, no collection walks it), and then leaves the
+# collector as it found it: enabled, or disabled by the caller, also when
+# the budget runs out.
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled by the caller"])
+def test_prover_frees_its_chase_before_the_collector_resumes(enabled):
+    (valid,) = parse_sequent(LADDER.signature, "[] a = c |- d !")
+    (growing,) = parse_sequent(GROWING.signature, "[] top |- k = f(k)")
+    real, freed = CHASE_MODULE.chase, []
+
+    def watched(*args, **kwargs):
+        result = real(*args, **kwargs)
+        weakref.finalize(result, lambda: freed.append(gc.isenabled()))
+        return result
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(CHASE_MODULE, "chase", watched):
+            assert prove_sequent(LADDER, valid).verdict == VALID
+            assert gc.isenabled() == enabled
+            assert prove_sequent(GROWING, growing, ChaseBudget(max_elements=20)).verdict == UNKNOWN
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert freed == [False, False]
+
+
+# After a warm-up call (which compiles the theory's kernels) and a full
+# collection, one prover call on an ncat3 word, thousands of merges, starts
+# no collection: its young tuples are freed before the collector resumes.
+def test_prover_call_on_an_ncat3_word_starts_no_collection():
+    ncat3, ctx = ncat_theory(3), Context((("x", "*"),))
+    term = parse_term(ncat3.signature, "c3(d2(d1(x)))")
+    seq = Sequent(ctx, HornFormula((Def(term),)), HornFormula((Eq(term, ncat_normalize(3, ctx, term)),)))
+    assert prove_sequent(ncat3, seq).verdict == VALID
+    starts = []
+
+    def watch(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(watch)
+    try:
+        proved = prove_sequent(ncat3, seq)
+    finally:
+        gc.callbacks.remove(watch)
+        (gc.enable if was else gc.disable)()
+    assert proved.verdict == VALID and proved.merges > 1000
+    assert starts == []
 
 
 def test_prove_ladder_sequents():
@@ -857,17 +913,23 @@ def _classes(parent):
 
 
 def _state_view(state):
-    """Everything a fire may change: tables, classes, use-lists (live cells,
-    in listing order), fresh log and counters.  The classes stand for the
-    parent pointers, which path compression leaves apart: the kernel
-    re-finds after a union only the slots that later ops read."""
-    listed = {i: [(c[2], c[1]) for c in cells if c[1] is not None] for i, cells in state.uses.items()}
+    """A snapshot of everything a fire may change: tables, classes, use-lists
+    (live cells, in listing order, each named by its function, found from
+    its table's identity), fresh log and counters.  The classes stand for
+    the parent pointers, which path compression leaves apart: the kernel
+    re-finds after a union only the slots that later ops read.  Each
+    container is copied; what they hold are ints, strings, tuples and terms,
+    none of which a fire changes."""
+    func = {id(table): f for f, table in state.funcs.items()}
+    listed = {i: [(func[id(c[0])], c[1]) for c in cells if c[1] is not None] for i, cells in state.uses.items()}
     return {
-        "funcs": state.funcs, "rels": state.rels, "classes": _classes(state.parent), "live": state.live,
+        "funcs": {f: dict(table) for f, table in state.funcs.items()},
+        "rels": {r: set(tuples) for r, tuples in state.rels.items()},
+        "classes": _classes(state.parent), "live": dict(state.live),
         "uses": {i: cells for i, cells in listed.items() if cells},
-        "rel_uses": {i: tuples for i, tuples in state.rel_uses.items() if tuples},
-        "pending": state.pending,
-        "log": state.flat_log,
+        "rel_uses": {i: list(tuples) for i, tuples in state.rel_uses.items() if tuples},
+        "pending": list(state.pending),
+        "log": list(state.flat_log),
         "counts": (state.next_id, state.created, state.version, state.merges),
     }
 
@@ -1031,7 +1093,7 @@ class _MovedCheckingState(_ChaseState):
                     self.fire(conclusion, ids)
                     continue
                 event(f"a moved instance: {theory.name}")
-                before = copy.deepcopy(_state_view(self))
+                before = _state_view(self)
                 try:
                     self.fire(conclusion, ids)
                 except CHASE_MODULE._Budget:
@@ -1084,11 +1146,14 @@ def _assert_use_lists(state):
     its key and under its value, and each live cell listed under an id holds
     that id (its other listings went with the ids that lost)."""
     cells = defaultdict(list)
+    func = {id(table): f for f, table in state.funcs.items()}  # a cell's function, found from its table
     for i, listed in state.uses.items():
         for cell in {id(c): c for c in listed}.values():
-            table, key, f = cell
+            table, key = cell
             if key is not None:
-                assert table is state.funcs[f] and (i in key or table[key] == i), (i, f, key)
+                assert id(table) in func, (i, key)  # not a table the state no longer holds
+                f = func[id(table)]
+                assert i in key or table[key] == i, (i, f, key)
                 cells[f, key].append(cell)
     for f, table in state.funcs.items():
         for key, val in table.items():
@@ -1455,6 +1520,50 @@ def test_goal_ops_agree_with_holds_on_the_model(data):
         want = holds(result.model, generic, HornFormula(tuple(goal)))
         assert ops.holds(result.funcs, result.rels, [generic[n] for n in names]) == want, goal
         event(f"holds: {want}")
+
+
+def _term_keyed_flatten(term, slots, flat):
+    """The reference: slots keyed by the terms themselves, variables as Var."""
+    slot = slots.get(term)
+    if slot is None:
+        args = tuple(_term_keyed_flatten(a, slots, flat) for a in term.args)
+        slot = slots[term] = len(slots)
+        flat.append((term, args))
+    return slot
+
+
+def _atom_terms(atom):
+    return (atom.term,) if isinstance(atom, Def) else (atom.lhs, atom.rhs) if isinstance(atom, Eq) else atom.args
+
+
+def _applications(term):
+    return 0 if isinstance(term, Var) else 1 + sum(map(_applications, term.args))
+
+
+def _flattened(flatten, var, names, atoms):
+    """Each atom's slots, the flat list and the number of slots, as a
+    premise or conclusion flattens its atoms in turn."""
+    slots, flat = {var(n): i for i, n in enumerate(names)}, []
+    got = [tuple(flatten(t, slots, flat) for t in _atom_terms(atom)) for atom in atoms]
+    return got, flat, len(slots)
+
+
+# Premises and conclusions compile without hashing a term: _flatten keys a
+# variable's slot by its name and an application's by (symbol, argument
+# slots).  It gives every term the slot, and builds the flat list, that
+# keying by the terms themselves gives, on random formulas and on their
+# desugared premise forms.
+@given(st.data())
+def test_flatten_matches_term_keyed_reference(data):
+    theory, text = data.draw(prove_cases(), label="context")
+    (seq,) = parse_sequent(theory.signature, text)
+    names = seq.context.names()
+    atoms = data.draw(st.lists(random_atoms(theory.signature, seq.context, depth=3), max_size=4), label="atoms")
+    for formula in (atoms, normalized(HornFormula(tuple(atoms))).atoms):
+        want = _flattened(_term_keyed_flatten, Var, names, formula)
+        assert _flattened(CHASE_MODULE._flatten, str, names, formula) == want
+        terms = [t for atom in formula for t in _atom_terms(atom)]
+        event(f"a repeated application: {sum(map(_applications, terms)) > len(want[1])}")
 
 
 # d1(c1(x)) = c1(x) holds in the ncat1 chase of d1(c1(x)) ! after the first

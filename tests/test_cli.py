@@ -254,6 +254,27 @@ def test_undecodable_scale_file_names_its_path(corpus, tmp_path, capsys):
     assert code == 2 and not out and err.startswith(f"error: {path}: not UTF-8 text: ")
 
 
+# A parse error in a text-form file names the file, then the line and
+# column, whichever reader meets it.
+@pytest.mark.parametrize("reader, keyword", [
+    ("theory", "theory"), ("model", "model"), ("hom", "hom"), ("gat", "gat"), ("scale", "scale"),
+])
+def test_text_parse_errors_name_their_path(corpus, tmp_path, capsys, reader, keyword):
+    path = tmp_path / f"bad.{reader}"
+    path.write_text("\n\n}\n")
+    ladder, models = corpus / "theories" / "ladder.pht", corpus / "models"
+    pair = ["--from", models / "ladder_M.pm", "--to", models / "ladder_T.pm"]
+    argv = {
+        "theory": ["check", "--theory", path],
+        "model": ["check", "--theory", ladder, models / "ladder_M.pm", path],
+        "hom": ["check", "--theory", ladder, "--hom", path, *pair],
+        "gat": ["gat-rank", path],
+        "scale": ["decnum", "--theory", ladder, "--scale", path, *pair, "--hom", corpus / "homs" / "ladder_bang.phom"],
+    }[reader]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and err == f"error: {path}:3:1: expected {keyword!r}, got '}}'\n"
+
+
 TWO_SORTED = "theory two {\n  sort s;\n  sort t;\n  func a : s;\n  func f : s -> t;\n  rel R : s, t;\n}\n"
 TWO_SORTED_MODEL = "model m of two {\n  elem s : x;\n  elem t : y;\n"
 TWO_SORTED_JSON = {"model": "m", "of": "two", "elems": {"s": ["x"], "t": ["y"]}}
@@ -261,18 +282,18 @@ TWO_SORTED_JSON = {"model": "m", "of": "two", "elems": {"s": ["x"], "t": ["y"]}}
 
 @pytest.mark.parametrize("command, text, message", [
     ("decnum", "scale q {\n  entry e1 [z: s] z = z;\n  entry e2 [z: nosort] z = z;\n}\n",
-     "3:3: undeclared sort 'nosort'"),
-    ("decnum", "scale q {\n  entry e1 [z: s] g(z) = z;\n}\n", "2:3: undeclared function symbol 'g'"),
-    ("decnum", "scale q {\n  entry e1 [z: s, z: s] z = z;\n}\n", "2:3: duplicate context variable 'z'"),
+     "{path}:3:3: undeclared sort 'nosort'"),
+    ("decnum", "scale q {\n  entry e1 [z: s] g(z) = z;\n}\n", "{path}:2:3: undeclared function symbol 'g'"),
+    ("decnum", "scale q {\n  entry e1 [z: s, z: s] z = z;\n}\n", "{path}:2:3: duplicate context variable 'z'"),
     ("check", "theory t {\n  sort s;\n  func f : s -> s;\n  axiom [x: nosort] top |- f(x) !;\n}\n",
-     "4:3: undeclared sort 'nosort'"),
-    ("check", "theory t {\n  sort s;\n  axiom [x: s] top |- g(x) !;\n}\n", "3:3: undeclared function symbol 'g'"),
+     "{path}:4:3: undeclared sort 'nosort'"),
+    ("check", "theory t {\n  sort s;\n  axiom [x: s] top |- g(x) !;\n}\n", "{path}:3:3: undeclared function symbol 'g'"),
     ("check", "theory t {\n  sort s;\n  axiom [x: s, x: s] top |- x = x;\n}\n",
-     "3:3: duplicate context variable 'x'"),
-    ("check", "theory t {\n  sort s;\n  func f : s -> nosort;\n}\n", "3:3: function f: undeclared sort 'nosort'"),
-    ("check", "theory t {\n  sort s;\n  func f : s;\n  func f : s;\n}\n", "4:3: duplicate function symbol 'f'"),
-    ("check", "theory t {\n  sort s;\n  func f : s;\n  rel f : s;\n}\n", "4:3: duplicate relation symbol 'f'"),
-    ("check", "theory t {\n  sort s;\n  sort s;\n}\n", "3:3: duplicate sort 's'"),
+     "{path}:3:3: duplicate context variable 'x'"),
+    ("check", "theory t {\n  sort s;\n  func f : s -> nosort;\n}\n", "{path}:3:3: function f: undeclared sort 'nosort'"),
+    ("check", "theory t {\n  sort s;\n  func f : s;\n  func f : s;\n}\n", "{path}:4:3: duplicate function symbol 'f'"),
+    ("check", "theory t {\n  sort s;\n  func f : s;\n  rel f : s;\n}\n", "{path}:4:3: duplicate relation symbol 'f'"),
+    ("check", "theory t {\n  sort s;\n  sort s;\n}\n", "{path}:3:3: duplicate sort 's'"),
     ("check", json.dumps({"theory": "t", "sorts": ["s"], "rels": [], "axioms": [], "funcs": [
         {"name": "f", "args": [], "result": "s"}, {"name": "f", "args": ["s"], "result": "s"}]}),
      "theory t: funcs[1]: duplicate function symbol 'f'"),
@@ -295,13 +316,13 @@ TWO_SORTED_JSON = {"model": "m", "of": "two", "elems": {"s": ["x"], "t": ["y"]}}
      "gat t: ops[0]: op f: undeclared sort 'B'"),
     # a model's entries and tuples are checked against their symbol's arity
     # and sorts where they are read (models of TWO_SORTED)
-    ("model", f"{TWO_SORTED_MODEL}  a(x) = x;\n}}\n", "4:3: model m: a expects 0 arguments, got 1"),
-    ("model", f"{TWO_SORTED_MODEL}  f(y) = y;\n}}\n", "4:3: model m: f: element 'y' not in carrier of s"),
-    ("model", f"{TWO_SORTED_MODEL}  f(x) = x;\n}}\n", "4:3: model m: f: element 'x' not in carrier of t"),
-    ("model", f"{TWO_SORTED_MODEL}  R(x);\n}}\n", "4:3: model m: R expects 2 arguments, got 1"),
+    ("model", f"{TWO_SORTED_MODEL}  a(x) = x;\n}}\n", "{path}:4:3: model m: a expects 0 arguments, got 1"),
+    ("model", f"{TWO_SORTED_MODEL}  f(y) = y;\n}}\n", "{path}:4:3: model m: f: element 'y' not in carrier of s"),
+    ("model", f"{TWO_SORTED_MODEL}  f(x) = x;\n}}\n", "{path}:4:3: model m: f: element 'x' not in carrier of t"),
+    ("model", f"{TWO_SORTED_MODEL}  R(x);\n}}\n", "{path}:4:3: model m: R expects 2 arguments, got 1"),
     # an entry written without its value is named as the function's
-    ("model", f"{TWO_SORTED_MODEL}  a;\n}}\n", "4:3: model m: function symbol 'a' is missing '= value'"),
-    ("model", f"{TWO_SORTED_MODEL}  f(x);\n}}\n", "4:3: model m: function symbol 'f' is missing '= value'"),
+    ("model", f"{TWO_SORTED_MODEL}  a;\n}}\n", "{path}:4:3: model m: function symbol 'a' is missing '= value'"),
+    ("model", f"{TWO_SORTED_MODEL}  f(x);\n}}\n", "{path}:4:3: model m: function symbol 'f' is missing '= value'"),
     ("model", json.dumps(dict(TWO_SORTED_JSON, funcs={"a": [{"args": ["x"], "value": "x"}]})),
      "model m: funcs.a[0]: a expects 0 arguments, got 1"),
     ("model", json.dumps(dict(TWO_SORTED_JSON, funcs={"f": [{"args": ["x"], "value": "x"}]})),
@@ -325,7 +346,7 @@ def test_sort_errors_in_scale_and_theory_files_are_located(corpus, tmp_path, cap
         ],
     }[command]
     code, _, err = run(capsys, "check" if command == "model" else command, *argv)
-    assert code == 2 and f"error: {message}" in err
+    assert code == 2 and f"error: {message.format(path=path)}" in err
 
 
 def test_free_prints_the_two_element_model(corpus, capsys):

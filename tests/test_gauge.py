@@ -157,6 +157,13 @@ def test_normalize_is_idempotent_and_recognized():
         assert ncat_normalize(n, ctx, nf) == nf
 
 
+# The signature is built once per n and shared: by every call, by the
+# theory, and so by each normalization's check (its declarations are frozen).
+def test_ncat_signature_is_built_once_per_n():
+    assert ncat_signature(3) is ncat_signature(3) is ncat_theory(3).signature
+    assert ncat_signature(2) is not ncat_signature(3)
+
+
 # Normalization checks the term against the signature alone, the one the
 # theory is built on: it builds no theory, so a large n answers at once,
 # and a wrong term gets the signature's error text.
