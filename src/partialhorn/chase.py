@@ -942,13 +942,8 @@ def chase(
     with _CollectorPaused():  # the chase makes no reference cycles (see the module docstring)
         try:
             state.load(presentation.base)
-            programs: dict[tuple[Atom, tuple[str, ...]], _Conclusion] = {}
             for atom, items in presentation.forced:
-                names = tuple(n for n, _ in items)
-                program = programs.get((atom, names))
-                if program is None:
-                    program = programs[atom, names] = _Conclusion(names, (atom,))
-                state.fire(program, tuple(i for _, i in items))
+                state.fire(_Conclusion(tuple(n for n, _ in items), (atom,)), tuple(i for _, i in items))
             state.normalize()
             if stop is not None and stop(state):
                 status = STOPPED

@@ -33,13 +33,13 @@ from .decompose import (
 from .gatrank import analyze, load_gat
 from .gauge import (
     GaugeRules,
-    _normalize,
     check_gauge,
     enumerate_terms,
     ladder_gauge_rules,
     load_gauge_rules,
     ncat_gauge_rules,
     ncat_is_normal,
+    ncat_normalize,
     ncat_sharp,
     ncat_signature,
 )
@@ -64,7 +64,6 @@ from .syntax import (
     _parse_formula,
     check_context,
     check_formula,
-    check_term,
     free_vars,
     in_file,
     load_theory,
@@ -403,11 +402,8 @@ def _cmd_gauge_check(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_ncat_normalize(args: argparse.Namespace) -> Outcome:
-    sig = ncat_signature(args.n)  # built once: at large n it dominates the command
-    term = parse_term(sig, args.term)
-    ctx = Context(tuple((v, "*") for v in free_vars(term)))
-    check_term(sig, ctx, term)  # what ncat_normalize checks, against this signature
-    normal = _normalize(term)
+    term = parse_term(ncat_signature(args.n), args.term)
+    normal = ncat_normalize(args.n, Context(tuple((v, "*") for v in free_vars(term))), term)
     if not ncat_is_normal(normal):
         raise RuntimeError(f"normalizer returned a non-normal term: {term_to_text(normal)}")
     result = {"input": term_to_text(term), "normal": term_to_text(normal), "sharp": ncat_sharp(term), "isNormal": True}
@@ -456,7 +452,8 @@ def _cmd_topdec(args: argparse.Namespace) -> Outcome:
 
 def _cmd_gat_rank(args: argparse.Namespace) -> Outcome:
     spec = load_gat(args.file)
-    report = analyze(spec)
+    with in_file(args.file):
+        report = analyze(spec)
     lines = [f"gat {spec.name}"]
     for s, r in sorted(report.ranks.items()):
         lines.append(f"  rank {s} = {r}")

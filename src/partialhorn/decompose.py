@@ -32,7 +32,7 @@ from .chase import (
     chase,
     induced_hom,
 )
-from .structure import Hom, PartialStructure, compose_hom, holds_atom, is_hom
+from .structure import Hom, PartialStructure, compose_hom, holds_atom, identity_hom, is_hom
 from .syntax import (
     Atom,
     Context,
@@ -212,7 +212,7 @@ def image_factorization(
     trace = canonical_decomposition(theory, equational_scale(f.source.signature), f, budget, max_steps)
     if trace.status != STABILIZED:
         raise RuntimeError(f"decomposition did not stabilize: {trace.status}")
-    epi = Hom(f.source, f.source, {e: e for e in f.source.elements()})
+    epi = identity_hom(f.source)
     for step in trace.steps:
         epi = compose_hom(step.e, epi)
     mono = trace.steps[-1].f_prime if trace.steps else f

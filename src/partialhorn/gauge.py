@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
@@ -25,7 +25,6 @@ from .syntax import (
     Atom,
     Context,
     Def,
-    Eq,
     FuncDecl,
     HornFormula,
     ParseError,
@@ -40,7 +39,9 @@ from .syntax import (
     check_term,
     free_vars,
     load_json_or_text,
+    parse_sequent,
     parse_term,
+    parse_theory,
     substitute_formula,
 )
 
@@ -238,22 +239,22 @@ def enumerate_terms(sig: Signature, ctx: Context, depth: int) -> list[RawTerm]:
 # Built-in: the ladder theory (four constants, conditional definedness)
 
 
+_LADDER_TEXT = """theory ladder {
+  sort s;
+  func a : s;
+  func b : s;
+  func c : s;
+  func d : s;
+  axiom [] top |- a = a & b = b;
+  axiom [] a = b -||- c = c;
+  axiom [] a = c -||- d = d;
+}
+"""
+
+
 def ladder_theory() -> Theory:
     """a, b total; c defined iff a = b; d defined iff a = c."""
-    sig = Signature(
-        ("s",),
-        tuple(FuncDecl(x, (), "s") for x in ("a", "b", "c", "d")),
-    )
-    a, b, c, d = (App(x, ()) for x in ("a", "b", "c", "d"))
-    empty = Context(())
-    seqs = (
-        Sequent(empty, HornFormula(()), HornFormula((Eq(a, a), Eq(b, b))), label="ax1"),
-        Sequent(empty, HornFormula((Eq(a, b),)), HornFormula((Eq(c, c),)), label="ax2.fwd"),
-        Sequent(empty, HornFormula((Eq(c, c),)), HornFormula((Eq(a, b),)), label="ax2.bwd"),
-        Sequent(empty, HornFormula((Eq(a, c),)), HornFormula((Eq(d, d),)), label="ax3.fwd"),
-        Sequent(empty, HornFormula((Eq(d, d),)), HornFormula((Eq(a, c),)), label="ax3.bwd"),
-    )
-    return Theory("ladder", sig, seqs)
+    return parse_theory(_LADDER_TEXT)
 
 
 def ladder_gauge_rules() -> TableGaugeRules:
@@ -288,118 +289,46 @@ def ncat_signature(n: int) -> Signature:
     return Signature(("*",), tuple(funcs))
 
 
+# The strict n-category axioms in the surface syntax: one block per level k,
+# then one per pair of levels i < j.
+_NCAT_LEVEL = (
+    ("idem.d{k}", "[x:*] top |- d{k}(d{k}(x)) = d{k}(x) & d{k}(x) = c{k}(d{k}(x))"),
+    ("idem.c{k}", "[x:*] top |- c{k}(c{k}(x)) = c{k}(x) & c{k}(x) = d{k}(c{k}(x))"),
+    ("comp{k}.total", "[x:*, y:*] d{k}(x) = c{k}(y) |- comp{k}(x, y) !"),
+    ("comp{k}.strict", "[x:*, y:*] comp{k}(x, y) ! |- d{k}(x) = c{k}(y)"),
+    ("comp{k}.bounds", "[x:*, y:*] d{k}(x) = c{k}(y) |- d{k}(comp{k}(x, y)) = d{k}(y) & c{k}(comp{k}(x, y)) = c{k}(x)"),
+    ("comp{k}.unit", "[x:*] top |- comp{k}(x, d{k}(x)) = x & comp{k}(c{k}(x), x) = x"),
+    ("comp{k}.assoc",
+     "[x:*, y:*, z:*] d{k}(x) = c{k}(y) & d{k}(y) = c{k}(z) |- comp{k}(comp{k}(x, y), z) = comp{k}(x, comp{k}(y, z))"),
+)
+_NCAT_PAIR = (
+    ("globular.d{i}.{j}",
+     "[x:*] top |- d{j}(d{i}(x)) = d{i}(d{j}(x)) & d{i}(d{j}(x)) = d{i}(c{j}(x)) & d{i}(c{j}(x)) = c{j}(d{i}(x))"
+     " & c{j}(d{i}(x)) = d{i}(x)"),
+    ("globular.c{i}.{j}",
+     "[x:*] top |- c{j}(c{i}(x)) = c{i}(c{j}(x)) & c{i}(c{j}(x)) = c{i}(d{j}(x)) & c{i}(d{j}(x)) = d{j}(c{i}(x))"
+     " & d{j}(c{i}(x)) = c{i}(x)"),
+    ("whisker.{i}.{j}",
+     "[x:*, y:*] d{i}(x) = c{i}(y) |- d{j}(comp{i}(x, y)) = comp{i}(d{j}(x), d{j}(y))"
+     " & c{j}(comp{i}(x, y)) = comp{i}(c{j}(x), c{j}(y))"),
+    ("interchange.{i}.{j}",
+     "[x:*, y:*, z:*, w:*] d{i}(x) = c{i}(y) & d{i}(z) = c{i}(w) & d{j}(x) = c{j}(z) & d{j}(y) = c{j}(w)"
+     " |- comp{j}(comp{i}(x, y), comp{i}(z, w)) = comp{i}(comp{j}(x, z), comp{j}(y, w))"),
+)
+
+
+@lru_cache(maxsize=16)
 def ncat_theory(n: int) -> Theory:
-    """The strict n-category axioms over ``ncat_signature(n)``."""
+    """The strict n-category axioms over ``ncat_signature(n)``.
+    Parsed once per n: the theory is frozen."""
     sig = ncat_signature(n)
-
-    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
-    cx = Context((("x", "*"),))
-    cxy = Context((("x", "*"), ("y", "*")))
-    cxyz = Context((("x", "*"), ("y", "*"), ("z", "*")))
-    cxyzw = Context((("x", "*"), ("y", "*"), ("z", "*"), ("w", "*")))
-
-    def d(k: int, t: RawTerm) -> App:
-        return App(f"d{k}", (t,))
-
-    def c(k: int, t: RawTerm) -> App:
-        return App(f"c{k}", (t,))
-
-    def cp(k: int, a: RawTerm, b: RawTerm) -> App:
-        return App(f"comp{k}", (a, b))
-
-    def chain_eq(*terms: RawTerm) -> tuple[Atom, ...]:
-        return tuple(Eq(terms[i], terms[i + 1]) for i in range(len(terms) - 1))
-
-    top = HornFormula(())
-    seqs: list[Sequent] = []
-    for k in range(1, n + 1):
-        seqs.append(Sequent(cx, top, HornFormula(chain_eq(d(k, d(k, x)), d(k, x), c(k, d(k, x)))), label=f"idem.d{k}"))
-        seqs.append(Sequent(cx, top, HornFormula(chain_eq(c(k, c(k, x)), c(k, x), d(k, c(k, x)))), label=f"idem.c{k}"))
-        match = HornFormula((Eq(d(k, x), c(k, y)),))
-        defined = HornFormula((Def(cp(k, x, y)),))
-        seqs.append(Sequent(cxy, match, defined, label=f"comp{k}.total"))
-        seqs.append(Sequent(cxy, defined, match, label=f"comp{k}.strict"))
-        seqs.append(
-            Sequent(
-                cxy,
-                match,
-                HornFormula((Eq(d(k, cp(k, x, y)), d(k, y)), Eq(c(k, cp(k, x, y)), c(k, x)))),
-                label=f"comp{k}.bounds",
-            )
-        )
-        seqs.append(
-            Sequent(
-                cx,
-                top,
-                HornFormula((Eq(cp(k, x, d(k, x)), x), Eq(cp(k, c(k, x), x), x))),
-                label=f"comp{k}.unit",
-            )
-        )
-        seqs.append(
-            Sequent(
-                cxyz,
-                HornFormula((Eq(d(k, x), c(k, y)), Eq(d(k, y), c(k, z)))),
-                HornFormula((Eq(cp(k, cp(k, x, y), z), cp(k, x, cp(k, y, z))),)),
-                label=f"comp{k}.assoc",
-            )
-        )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            seqs.append(
-                Sequent(
-                    cx,
-                    top,
-                    HornFormula(
-                        chain_eq(d(j, d(i, x)), d(i, d(j, x)), d(i, c(j, x)), c(j, d(i, x)), d(i, x))
-                    ),
-                    label=f"globular.d{i}.{j}",
-                )
-            )
-            seqs.append(
-                Sequent(
-                    cx,
-                    top,
-                    HornFormula(
-                        chain_eq(c(j, c(i, x)), c(i, c(j, x)), c(i, d(j, x)), d(j, c(i, x)), c(i, x))
-                    ),
-                    label=f"globular.c{i}.{j}",
-                )
-            )
-            seqs.append(
-                Sequent(
-                    cxy,
-                    HornFormula((Eq(d(i, x), c(i, y)),)),
-                    HornFormula(
-                        (
-                            Eq(d(j, cp(i, x, y)), cp(i, d(j, x), d(j, y))),
-                            Eq(c(j, cp(i, x, y)), cp(i, c(j, x), c(j, y))),
-                        )
-                    ),
-                    label=f"whisker.{i}.{j}",
-                )
-            )
-            seqs.append(
-                Sequent(
-                    cxyzw,
-                    HornFormula(
-                        (
-                            Eq(d(i, x), c(i, y)),
-                            Eq(d(i, z), c(i, w)),
-                            Eq(d(j, x), c(j, z)),
-                            Eq(d(j, y), c(j, w)),
-                        )
-                    ),
-                    HornFormula(
-                        (
-                            Eq(
-                                cp(j, cp(i, x, y), cp(i, z, w)),
-                                cp(i, cp(j, x, z), cp(j, y, w)),
-                            ),
-                        )
-                    ),
-                    label=f"interchange.{i}.{j}",
-                )
-            )
+    blocks = [(_NCAT_LEVEL, {"k": k}) for k in range(1, n + 1)]
+    blocks += [(_NCAT_PAIR, {"i": i, "j": j}) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    seqs = []
+    for templates, levels in blocks:
+        for label, text in templates:
+            [seq] = parse_sequent(sig, text.format(**levels))
+            seqs.append(replace(seq, label=label.format(**levels)))
     return Theory(f"ncat{n}", sig, tuple(seqs))
 
 

@@ -230,7 +230,6 @@ def enumerate_homs(
     B: PartialStructure,
     *,
     bijective: bool = False,
-    limit: Optional[int] = None,
 ) -> list[Hom]:
     """All homs A -> B in ascending-id order: their images of A's elements,
     taken in id order, sorted lexicographically.
@@ -239,8 +238,7 @@ def enumerate_homs(
     1977), a conjunctive query with one variable per element of A, one
     equation ``f(x..) = y`` per table entry and one relation atom per
     tuple; the chase's compiled join answers it.  With ``bijective``, only
-    the homs that are bijective on every carrier; with ``limit``, only the
-    first ``limit`` homs.
+    the homs that are bijective on every carrier.
     """
     from .chase import _satisfying  # chase imports this module
 
@@ -256,7 +254,7 @@ def enumerate_homs(
     [matches] = _satisfying(B, [(context, HornFormula(tuple(diagram)))])
     if bijective:  # ids are unique across sorts: distinct images are per-sort injectivity
         matches = [m for m in matches if len(set(m)) == len(m)]
-    return [Hom(A, B, dict(zip(elems, m))) for m in matches[:limit]]
+    return [Hom(A, B, dict(zip(elems, m))) for m in matches]
 
 
 def find_isomorphism(A: PartialStructure, B: PartialStructure) -> Optional[Hom]:

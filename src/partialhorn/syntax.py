@@ -792,8 +792,8 @@ def load_json_or_text(path: str, from_json: Callable[[Any], T], from_text: Optio
     """Read a file in its JSON mirror (a ``.json`` name, or text that starts
     with ``{``) or in its text form; a file with no text form (no
     ``from_text``) is JSON whatever its name.  Malformed JSON raises
-    ValueError located as ``path:line:col``; an error in the text form
-    names the path too (see ``in_file``)."""
+    ValueError located as ``path:line:col``; an error found in either
+    form names the path too (see ``in_file``)."""
     text = read_text(path)
     if from_text is not None and not path.endswith(".json") and not text.lstrip().startswith("{"):
         with in_file(path):
@@ -802,7 +802,8 @@ def load_json_or_text(path: str, from_json: Callable[[Any], T], from_text: Optio
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from None
-    return from_json(data)
+    with in_file(path):
+        return from_json(data)
 
 
 def load_theory(path: str) -> Theory:

@@ -143,17 +143,17 @@ def test_check_model_of_another_theory_exits_two(corpus, tmp_path, capsys, suffi
 
 @pytest.mark.parametrize("suffix, text, message", [
     (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_T",
-                          "map": {"ea": "zz", "eb": "t"}}), "hom bang: map: unknown element 'zz'"),
+                          "map": {"ea": "zz", "eb": "t"}}), "{path}: hom bang: map: unknown element 'zz'"),
     (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_T"}),
-     "hom bang: missing key 'map'"),
+     "{path}: hom bang: missing key 'map'"),
     (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_T", "map": ["ea"]}),
-     "hom bang: 'map' must be an object, got list"),
+     "{path}: hom bang: 'map' must be an object, got list"),
     (".phom", "hom bang : ladder_M -> ladder_T {\n  ea |-> zz;\n  eb |-> t;\n}\n",
      "hom bang: unknown element 'zz'"),
     (".json", json.dumps({"hom": "bang", "source": "ladder_T", "target": "ladder_T", "map": {}}),
-     "hom bang: source: declared ladder_T -> ladder_T, given ladder_M -> ladder_T"),
+     "{path}: hom bang: source: declared ladder_T -> ladder_T, given ladder_M -> ladder_T"),
     (".json", json.dumps({"hom": "bang", "source": "ladder_M", "target": "ladder_M", "map": {}}),
-     "hom bang: target: declared ladder_M -> ladder_M, given ladder_M -> ladder_T"),
+     "{path}: hom bang: target: declared ladder_M -> ladder_M, given ladder_M -> ladder_T"),
     (".phom", "hom bang : ladder_T -> ladder_T {\n}\n",
      "1:12: hom bang: declared ladder_T -> ladder_T, given ladder_M -> ladder_T"),
     (".phom", "hom bang : ladder_M ->\n  ladder_M {\n}\n",
@@ -168,7 +168,7 @@ def test_check_malformed_hom_exits_two(corpus, tmp_path, capsys, suffix, text, m
         "--from", corpus / "models" / "ladder_M.pm",
         "--to", corpus / "models" / "ladder_T.pm",
     )
-    assert code == 2 and message in err
+    assert code == 2 and message.format(path=path) in err
 
 
 @pytest.mark.parametrize("command, data, message", [
@@ -215,8 +215,8 @@ def test_json_reader_malformed_exits_two(corpus, tmp_path, capsys, command, data
     }[command]
     code, out, err = run(capsys, command, *argv)
     assert code == 2 and not out and message in err
-    if command == "gauge-check":
-        assert err.startswith(f"error: gauge rules {path}: ")
+    # the file is named once: gauge rules name it in their own prefix
+    assert err.startswith(f"error: gauge rules {path}: " if command == "gauge-check" else f"error: {path}: ")
 
 
 # Malformed JSON and bytes that are not UTF-8 are input errors that name the
@@ -296,24 +296,27 @@ TWO_SORTED_JSON = {"model": "m", "of": "two", "elems": {"s": ["x"], "t": ["y"]}}
     ("check", "theory t {\n  sort s;\n  sort s;\n}\n", "{path}:3:3: duplicate sort 's'"),
     ("check", json.dumps({"theory": "t", "sorts": ["s"], "rels": [], "axioms": [], "funcs": [
         {"name": "f", "args": [], "result": "s"}, {"name": "f", "args": ["s"], "result": "s"}]}),
-     "theory t: funcs[1]: duplicate function symbol 'f'"),
+     "{path}: theory t: funcs[1]: duplicate function symbol 'f'"),
     ("check", json.dumps({"theory": "t", "sorts": ["s", "s"], "funcs": [], "rels": [], "axioms": []}),
-     "theory t: sorts[1]: duplicate sort 's'"),
+     "{path}: theory t: sorts[1]: duplicate sort 's'"),
     # a signature's sort errors name the declaration they are found in
-    ("gat-rank", "gat t {\n  sort A;\n  sort B ctx(A, Y);\n}\n", "3:3: sort B: undeclared sort 'Y'"),
-    ("gat-rank", "gat t {\n  sort A;\n  sort A ctx(A);\n}\n", "3:3: sort A: duplicate sort declaration"),
-    ("gat-rank", "gat t {\n  sort A ctx(B);\n  sort B ctx(A);\n}\n", "3:3: sort B: cyclic sort dependencies at 'A'"),
-    ("gat-rank", "gat t {\n  sort A;\n  op f ctx(A) : B;\n}\n", "3:3: op f: undeclared sort 'B'"),
-    ("gat-rank", "gat t {\n  sort A;\n  op f : A;\n  axiom ctx(A, Z) : A;\n}\n", "4:3: axiom1: undeclared sort 'Z'"),
+    ("gat-rank", "gat t {\n  sort A;\n  sort B ctx(A, Y);\n}\n", "{path}:3:3: sort B: undeclared sort 'Y'"),
+    ("gat-rank", "gat t {\n  sort A;\n  sort A ctx(A);\n}\n", "{path}:3:3: sort A: duplicate sort declaration"),
+    ("gat-rank", "gat t {\n  sort A ctx(B);\n  sort B ctx(A);\n}\n",
+     "{path}:3:3: sort B: cyclic sort dependencies at 'A'"),
+    ("gat-rank", "gat t {\n  sort A;\n  op f ctx(A) : B;\n}\n", "{path}:3:3: op f: undeclared sort 'B'"),
+    ("gat-rank", "gat t {\n  sort A;\n  op f : A;\n  axiom ctx(A, Z) : A;\n}\n",
+     "{path}:4:3: axiom1: undeclared sort 'Z'"),
     ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": []}, {"name": "B", "ctx": ["A", "Y"]}],
-                             "ops": [], "axioms": []}), "gat t: sorts[1]: sort B: undeclared sort 'Y'"),
+                             "ops": [], "axioms": []}), "{path}: gat t: sorts[1]: sort B: undeclared sort 'Y'"),
     ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": []}, {"name": "A", "ctx": []}],
-                             "ops": [], "axioms": []}), "gat t: sorts[1]: sort A: duplicate sort declaration"),
+                             "ops": [], "axioms": []}), "{path}: gat t: sorts[1]: sort A: duplicate sort declaration"),
     ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": ["B"]}, {"name": "B", "ctx": ["A"]}],
-                             "ops": [], "axioms": []}), "gat t: sorts[1]: sort B: cyclic sort dependencies at 'A'"),
+                             "ops": [], "axioms": []}),
+     "{path}: gat t: sorts[1]: sort B: cyclic sort dependencies at 'A'"),
     ("gat-rank", json.dumps({"gat": "t", "sorts": [{"name": "A", "ctx": []}],
                              "ops": [{"name": "f", "ctx": ["A"], "result": "B"}], "axioms": []}),
-     "gat t: ops[0]: op f: undeclared sort 'B'"),
+     "{path}: gat t: ops[0]: op f: undeclared sort 'B'"),
     # a model's entries and tuples are checked against their symbol's arity
     # and sorts where they are read (models of TWO_SORTED)
     ("model", f"{TWO_SORTED_MODEL}  a(x) = x;\n}}\n", "{path}:4:3: model m: a expects 0 arguments, got 1"),
@@ -324,11 +327,11 @@ TWO_SORTED_JSON = {"model": "m", "of": "two", "elems": {"s": ["x"], "t": ["y"]}}
     ("model", f"{TWO_SORTED_MODEL}  a;\n}}\n", "{path}:4:3: model m: function symbol 'a' is missing '= value'"),
     ("model", f"{TWO_SORTED_MODEL}  f(x);\n}}\n", "{path}:4:3: model m: function symbol 'f' is missing '= value'"),
     ("model", json.dumps(dict(TWO_SORTED_JSON, funcs={"a": [{"args": ["x"], "value": "x"}]})),
-     "model m: funcs.a[0]: a expects 0 arguments, got 1"),
+     "{path}: model m: funcs.a[0]: a expects 0 arguments, got 1"),
     ("model", json.dumps(dict(TWO_SORTED_JSON, funcs={"f": [{"args": ["x"], "value": "x"}]})),
-     "model m: funcs.f[0]: f: element 'x' not in carrier of t"),
+     "{path}: model m: funcs.f[0]: f: element 'x' not in carrier of t"),
     ("model", json.dumps(dict(TWO_SORTED_JSON, rels={"R": [["x", "y"], ["y", "y"]]})),
-     "model m: rels.R[1]: R: element 'y' not in carrier of s"),
+     "{path}: model m: rels.R[1]: R: element 'y' not in carrier of s"),
 ])
 def test_sort_errors_in_scale_and_theory_files_are_located(corpus, tmp_path, capsys, command, text, message):
     path = tmp_path / {"decnum": "bad.scale", "gat-rank": "bad.gat", "model": "bad.pm"}.get(command, "bad.pht")
@@ -736,18 +739,19 @@ def test_ncat_normalize(capsys, schema):
     assert payload["result"]["normal"] == "comp2(comp1(x, z), comp1(y, d2(z)))"
 
 
-# The command parses and normalizes against the signature alone, built once
-# for both: with no theory to build, a large n answers at once.
+# The command parses and normalizes against the signature alone, built at
+# most once for both (``ncat_signature`` is cached per n): with no theory
+# to build, a large n answers at once.
 def test_ncat_normalize_builds_no_theory(capsys):
-    counter = mock.Mock(wraps=ncat_signature)
-    with mock.patch("partialhorn.gauge.ncat_theory", side_effect=AssertionError("theory built")), \
-            mock.patch("partialhorn.cli.ncat_signature", counter), mock.patch("partialhorn.gauge.ncat_signature", counter):
+    builds = ncat_signature.cache_info().misses
+    with mock.patch("partialhorn.gauge.ncat_theory", side_effect=AssertionError("theory built")):
         code, out, _ = run(capsys, "ncat-normalize", "-n", "400", "comp1(comp400(x, y), z)")
         assert code == 0 and out.strip() == "comp400(comp1(x, z), comp1(y, d400(z)))"
-        assert counter.call_count == 1
+        assert ncat_signature.cache_info().misses - builds <= 1
+        builds = ncat_signature.cache_info().misses
         code, _, err = run(capsys, "ncat-normalize", "-n", "400", "comp401(x, y)")
         assert code == 2 and "undeclared function symbol 'comp401'" in err
-        assert counter.call_count == 2
+        assert ncat_signature.cache_info().misses == builds
 
 
 def test_ncat_normalize_rejects_garbage(capsys):

@@ -1,5 +1,6 @@
 """Gauge certificates and strict n-category term normalization."""
 
+import hashlib
 import importlib
 import json
 from unittest import mock
@@ -155,6 +156,26 @@ def test_normalize_is_idempotent_and_recognized():
         nf = ncat_normalize(n, ctx, nterm(n, text))
         assert ncat_is_normal(nf)
         assert ncat_normalize(n, ctx, nf) == nf
+
+
+# The built-in theories are read from their surface syntax; the digests of
+# their reprs pin every label, atom, atom order and sequent order, on which
+# the chase's fresh ids, and so both digest files, depend.
+BUILTIN_REPR_SHA256 = {
+    "ncat1": "08c9e142a04a9f893a481ad61e2cfeb3dde2e1dc52e28167849a313461342528",
+    "ncat2": "367a3b1178692ca64c581b576945cbf7023e761bca5f3b26606c493df1478087",
+    "ncat3": "2bd2019f101acdffd2b55c57be313f74be77855fdb68b7929996263327864dc4",
+    "ncat4": "e201b06591fa52b04aeabaef50322fda6db8c357f6702f961b1d8ccbc690fe96",
+    "ncat5": "6ead781a47c089639872fd1a278eaa61a8825d1a7202c1e9fd1aced99aebfc18",
+    "ladder": "56df236c732f731bc226d0f0669bde93e8a28c05d6fc7ffcd0368479684262cb",
+}
+
+
+def test_builtin_theories_match_their_recorded_digests():
+    theories = [ncat_theory(n) for n in range(1, 6)] + [ladder_theory()]
+    assert {th.name: hashlib.sha256(repr(th).encode()).hexdigest() for th in theories} == BUILTIN_REPR_SHA256
+    for n in range(1, 6):
+        assert ncat_theory(n) is ncat_theory(n) and ncat_theory(n).signature is ncat_signature(n)
 
 
 # The signature is built once per n and shared: by every call, by the
