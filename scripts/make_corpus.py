@@ -1,34 +1,34 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled example corpus.
+"""Regenerate the corpus files that are built from library objects.
 
-Every file under corpus/ is produced here from library objects, so the
-corpus stays in sync with the parsers and printers.  Models and homs
-are validated before writing; the script fails loudly on any mismatch.
+This script writes the built-in theories (corpus/theories/ladder.pht,
+ncat1.pht, ncat2.pht) from ``ladder_theory`` and ``ncat_theory``, and
+every model (corpus/models/*.pm) and hom (corpus/homs/*.phom) from the
+data below.  Models and homs are read through the library's JSON readers
+and checked with ``is_model`` and ``is_hom`` before they are written; the
+script fails loudly on any mismatch.
+
+The other corpus files are hand-written sources, read here but never
+written: the chain theories (corpus/theories/chain_*.pht), the GAT
+specs (corpus/gats/*.gat), the scale (corpus/scales/eq_s.scale) and the
+CLI output schema (corpus/schema/cli_output.schema.json).  The tests
+check that each of them reads and prints back byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from partialhorn import (
-    TOP,
-    App,
-    Context,
-    Def,
-    Eq,
-    FuncDecl,
-    Hom,
-    HornFormula,
     NamedModel,
-    PartialStructure,
-    Sequent,
-    Signature,
     Theory,
+    hom_from_json,
     hom_to_text,
     is_hom,
     is_model,
     ladder_theory,
+    load_theory,
+    model_from_json,
     model_to_text,
     ncat_theory,
     theory_to_text,
@@ -36,8 +36,6 @@ from partialhorn import (
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
-
-CHAIN_K = 8  # constants c0..cK; the truncation depth of both chain theories
 
 
 def write(relpath: str, text: str) -> None:
@@ -52,33 +50,32 @@ def named_model(
     theory: Theory,
     carriers: dict[str, list[str]],
     funcs: dict[str, dict[tuple[str, ...], str]],
-    rels: dict[str, list[tuple[str, ...]]] | None = None,
 ) -> NamedModel:
-    names: list[str] = [e for es in carriers.values() for e in es]
-    ids = {e: i for i, e in enumerate(names)}
-    S = PartialStructure(
-        theory.signature,
-        {s: tuple(ids[e] for e in carriers.get(s, [])) for s in theory.signature.sorts},
-        {
-            f: {tuple(ids[a] for a in args): ids[v] for args, v in table.items()}
-            for f, table in funcs.items()
-        },
-        {r: frozenset(tuple(ids[a] for a in t) for t in ts) for r, ts in (rels or {}).items()},
-    )
-    m = NamedModel(name, theory.name, S, tuple(names))
-    rep = is_model(S, theory)
+    """The model with these carriers and function tables, written to
+    corpus/models/NAME.pm once it is checked to be a model of the theory."""
+    doc = {
+        "model": name,
+        "of": theory.name,
+        "elems": carriers,
+        "funcs": {f: [{"args": list(args), "value": v} for args, v in table.items()]
+                  for f, table in funcs.items()},
+    }
+    m = model_from_json(doc, theory)
+    rep = is_model(m.structure, theory)
     if not rep:
         seq, asg = rep.failure  # type: ignore[misc]
         raise SystemExit(f"{name} is not a model: fails {seq.label} at {asg}")
+    write(f"models/{name}.pm", model_to_text(m))
     return m
 
 
-def named_hom(name: str, src: NamedModel, tgt: NamedModel, mapping: dict[str, str]) -> str:
-    h = Hom(src.structure, tgt.structure, {src.id_of(e): tgt.id_of(x) for e, x in mapping.items()})
+def named_hom(relpath: str, name: str, src: NamedModel, tgt: NamedModel, mapping: dict[str, str]) -> None:
+    """Write the hom to ``relpath`` once it is checked to be a hom."""
+    _, h = hom_from_json({"hom": name, "source": src.name, "target": tgt.name, "map": mapping}, src, tgt)
     rep = is_hom(h)
     if not rep:
         raise SystemExit(f"{name} is not a hom: {rep.reason}")
-    return hom_to_text(name, h, src, tgt)
+    write(relpath, hom_to_text(name, h, src, tgt))
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +87,11 @@ def ladder_files() -> None:
     write("theories/ladder.pht", theory_to_text(theory))
 
     M = named_model("ladder_M", theory, {"s": ["ea", "eb"]}, {"a": {(): "ea"}, "b": {(): "eb"}})
-    A1 = named_model(
+    named_model(
         "ladder_A1", theory, {"s": ["eab", "ec"]},
         {"a": {(): "eab"}, "b": {(): "eab"}, "c": {(): "ec"}},
     )
-    A2 = named_model(
+    named_model(
         "ladder_A2", theory, {"s": ["eabc", "ed"]},
         {"a": {(): "eabc"}, "b": {(): "eabc"}, "c": {(): "eabc"}, "d": {(): "ed"}},
     )
@@ -102,18 +99,11 @@ def ladder_files() -> None:
         "ladder_T", theory, {"s": ["t"]},
         {"a": {(): "t"}, "b": {(): "t"}, "c": {(): "t"}, "d": {(): "t"}},
     )
-    F1 = named_model(
+    named_model(
         "ladder_free1", theory, {"s": ["ea", "eb", "x1"]},
         {"a": {(): "ea"}, "b": {(): "eb"}},
     )
-    for m in (M, A1, A2, T, F1):
-        write(f"models/{m.name}.pm", model_to_text(m))
-    write("homs/ladder_bang.phom", named_hom("bang", M, T, {"ea": "t", "eb": "t"}))
-
-    write(
-        "scales/eq_s.scale",
-        "scale eq_s {\n  entry eq:s [z1: s, z2: s] z1 = z2;\n}\n",
-    )
+    named_hom("homs/ladder_bang.phom", "bang", M, T, {"ea": "t", "eb": "t"})
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +168,7 @@ def cat_files() -> None:
         ],
         [],
     )
-    step1 = ncat_model(
+    ncat_model(
         "cat_merge_step1", 1, theory,
         [
             ("A", 0, None, None), ("B", 0, None, None), ("C", 0, None, None),
@@ -195,14 +185,9 @@ def cat_files() -> None:
         ],
         [(1, "g", "f", "h")],
     )
-    for m in (src, step1, tgt):
-        write(f"models/{m.name}.pm", model_to_text(m))
-    write(
-        "homs/cat_merge_phi.phom",
-        named_hom(
-            "phi", src, tgt,
-            {"A": "A", "B": "B", "Bp": "B", "C": "C", "f": "f", "g": "g", "h": "h"},
-        ),
+    named_hom(
+        "homs/cat_merge_phi.phom", "phi", src, tgt,
+        {"A": "A", "B": "B", "Bp": "B", "C": "C", "f": "f", "g": "g", "h": "h"},
     )
 
 
@@ -223,14 +208,14 @@ def twocat_files() -> None:
         + zcols + [("u1", 1, "w00", "wp0")] + twos,
         [],
     )
-    step1 = ncat_model(
+    ncat_model(
         "twocat_step1", 2, theory,
         zero + zcols
         + [("t1", 1, "z00", "zp0"), ("w01", 1, "zm0", "zp0"), ("wp1", 1, "zm0", "zp0")]
         + twos + [("u2", 2, "w01", "wp1")],
         [(1, "t1", "y01", "w01"), (1, "t1", "yp1", "wp1"), (1, "t1", "x2", "u2")],
     )
-    step2 = ncat_model(
+    ncat_model(
         "twocat_step2", 2, theory,
         zero + zcols + [("t1", 1, "z00", "zp0")]
         + twos + [("t2", 2, "z01", "zp1"), ("w02", 2, "zm1", "zp1")],
@@ -247,332 +232,39 @@ def twocat_files() -> None:
             (2, "t2", "y02", "z02"),
         ],
     )
-    for m in (src, step1, step2, tgt):
-        write(f"models/{m.name}.pm", model_to_text(m))
     mapping = {c: c for c in ("zm0", "z00", "zp0", "y01", "yp1", "zm1", "z01", "zp1",
                               "x2", "y02", "z02")}
     mapping.update({"w00": "z00", "wp0": "zp0", "u1": "t1"})
-    write("homs/twocat_F.phom", named_hom("F", src, tgt, mapping))
+    named_hom("homs/twocat_F.phom", "F", src, tgt, mapping)
 
 
 # ---------------------------------------------------------------------------
-# Chains: constants b, c0..cK.  The bidirectional theory propagates
-# definedness upward and, when ci+1 = b, downward; the forward theory
-# only creates the next constant once the current one reaches b.
-
-
-def chain_bidir_theory() -> Theory:
-    sig = Signature(
-        ("s",),
-        (FuncDecl("b", (), "s"),)
-        + tuple(FuncDecl(f"c{i}", (), "s") for i in range(CHAIN_K + 1)),
-    )
-    empty = Context(())
-    seqs = [Sequent(empty, TOP, HornFormula((Eq(App("b"), App("b")),)), "total.b")]
-    for i in range(CHAIN_K):
-        seqs.append(
-            Sequent(
-                empty,
-                HornFormula((Def(App(f"c{i}")),)),
-                HornFormula((Def(App(f"c{i + 1}")),)),
-                f"up.{i}",
-            )
-        )
-    for i in range(CHAIN_K):
-        seqs.append(
-            Sequent(
-                empty,
-                HornFormula((Eq(App(f"c{i + 1}"), App("b")),)),
-                HornFormula((Def(App(f"c{i}")),)),
-                f"down.{i}",
-            )
-        )
-    return Theory("chain_bidir", sig, tuple(seqs))
-
-
-def chain_fwd_theory() -> Theory:
-    sig = Signature(
-        ("s",),
-        (FuncDecl("b", (), "s"),)
-        + tuple(FuncDecl(f"c{i}", (), "s") for i in range(CHAIN_K + 1)),
-    )
-    empty = Context(())
-    seqs = tuple(
-        Sequent(
-            empty,
-            HornFormula((Eq(App(f"c{i}"), App("b")),)),
-            HornFormula((Def(App(f"c{i + 1}")),)),
-            f"next.{i}",
-        )
-        for i in range(CHAIN_K)
-    )
-    return Theory("chain_fwd", sig, seqs)
+# Chains over the constants b, c0..cK of the hand-written chain theories.
+# The bidirectional theory propagates definedness upward and, when
+# ci+1 = b, downward; the forward theory only creates the next constant
+# once the current one reaches b.
 
 
 def chain_files() -> None:
-    bidir = chain_bidir_theory()
-    fwd = chain_fwd_theory()
-    write("theories/chain_bidir.pht", theory_to_text(bidir))
-    write("theories/chain_fwd.pht", theory_to_text(fwd))
+    bidir = load_theory(str(CORPUS / "theories" / "chain_bidir.pht"))
+    fwd = load_theory(str(CORPUS / "theories" / "chain_fwd.pht"))
+    K = len(bidir.signature.funcs) - 2  # the truncation depth: c0..cK besides b
 
     def terminal(theory: Theory, name: str) -> NamedModel:
         table = {f.name: {(): "t"} for f in theory.signature.funcs}
         return named_model(name, theory, {"s": ["t"]}, table)
 
     T_bidir = terminal(bidir, "chain_bidir_T")
-    write(f"models/{T_bidir.name}.pm", model_to_text(T_bidir))
     for m in range(7):
         funcs: dict[str, dict[tuple[str, ...], str]] = {"b": {(): "e0"}, f"c{m}": {(): "e1"}}
-        for l in range(m + 1, CHAIN_K + 1):
+        for l in range(m + 1, K + 1):
             funcs[f"c{l}"] = {(): "e0"}
         M = named_model(f"chain_bidir_M{m}", bidir, {"s": ["e0", "e1"]}, funcs)
-        write(f"models/{M.name}.pm", model_to_text(M))
-        write(
-            f"homs/chain_bidir_bang{m}.phom",
-            named_hom(f"bang{m}", M, T_bidir, {"e0": "t", "e1": "t"}),
-        )
+        named_hom(f"homs/chain_bidir_bang{m}.phom", f"bang{m}", M, T_bidir, {"e0": "t", "e1": "t"})
 
     T_fwd = terminal(fwd, "chain_fwd_T")
-    write(f"models/{T_fwd.name}.pm", model_to_text(T_fwd))
-    A0 = named_model(
-        "chain_fwd_A0", fwd, {"s": ["e0", "e1"]}, {"b": {(): "e0"}, "c0": {(): "e1"}}
-    )
-    write(f"models/{A0.name}.pm", model_to_text(A0))
-    write("homs/chain_fwd_bang.phom", named_hom("bang", A0, T_fwd, {"e0": "t", "e1": "t"}))
-
-
-# ---------------------------------------------------------------------------
-# GAT signatures for the rank analyzer.
-
-
-GATS = {
-    "cat": """gat cat {
-  sort Ob;
-  sort Mor ctx(Ob, Ob);
-  op id ctx(Ob) : Mor;
-  op comp ctx(Ob, Ob, Ob, Mor, Mor) : Mor;
-  axiom ctx(Ob, Ob, Ob, Ob, Mor, Mor, Mor) : Mor;
-  axiom ctx(Ob, Ob, Mor) : Mor;
-  axiom ctx(Ob, Ob, Mor) : Mor;
-}
-""",
-    "ncat1": """gat ncat1 {
-  sort C0;
-  sort C1 ctx(C0, C0);
-  op id1 ctx(C0) : C1;
-  op comp1 ctx(C0, C0, C0, C1, C1) : C1;
-  axiom ctx(C0, C0, C0, C0, C1, C1, C1) : C1;
-  axiom ctx(C0, C0, C1) : C1;
-}
-""",
-    "ncat2": """gat ncat2 {
-  sort C0;
-  sort C1 ctx(C0, C0);
-  sort C2 ctx(C0, C0, C1, C1);
-  op id1 ctx(C0) : C1;
-  op comp1 ctx(C0, C0, C0, C1, C1) : C1;
-  op id2 ctx(C0, C0, C1) : C2;
-  op vcomp ctx(C0, C0, C1, C1, C1, C2, C2) : C2;
-  op hcomp ctx(C0, C0, C0, C1, C1, C1, C1, C2, C2) : C2;
-  axiom ctx(C0, C0, C1, C1, C1, C1, C2, C2, C2) : C2;
-  axiom ctx(C0, C0, C1, C1, C2) : C2;
-}
-""",
-    "ncat3": """gat ncat3 {
-  sort C0;
-  sort C1 ctx(C0, C0);
-  sort C2 ctx(C0, C0, C1, C1);
-  sort C3 ctx(C0, C0, C1, C1, C2, C2);
-  op id1 ctx(C0) : C1;
-  op comp1 ctx(C0, C0, C0, C1, C1) : C1;
-  op id2 ctx(C0, C0, C1) : C2;
-  op vcomp ctx(C0, C0, C1, C1, C1, C2, C2) : C2;
-  op id3 ctx(C0, C0, C1, C1, C2) : C3;
-  op comp3 ctx(C0, C0, C1, C1, C2, C2, C2, C3, C3) : C3;
-  axiom ctx(C0, C0, C1, C1, C2, C2, C3) : C3;
-}
-""",
-    "moncat": """gat moncat {
-  sort Ob;
-  sort Mor ctx(Ob, Ob);
-  op unit : Ob;
-  op tensor ctx(Ob, Ob) : Ob;
-  op id ctx(Ob) : Mor;
-  op comp ctx(Ob, Ob, Ob, Mor, Mor) : Mor;
-  op tensorMor ctx(Ob, Ob, Ob, Ob, Mor, Mor) : Mor;
-  op assoc ctx(Ob, Ob, Ob) : Mor;
-  op leftUnit ctx(Ob) : Mor;
-  op rightUnit ctx(Ob) : Mor;
-  axiom ctx(Ob, Ob, Ob, Ob) : Mor;
-  axiom ctx(Ob, Ob) : Mor;
-  axiom ctx(Ob, Ob, Ob, Ob, Mor, Mor) : Mor;
-}
-""",
-    "multicat": """gat multicat {
-  sort Ob;
-  sort Mul1 ctx(Ob, Ob);
-  sort Mul2 ctx(Ob, Ob, Ob);
-  op id ctx(Ob) : Mul1;
-  op comp11 ctx(Ob, Ob, Ob, Mul1, Mul1) : Mul1;
-  op comp21 ctx(Ob, Ob, Ob, Ob, Mul2, Mul1) : Mul2;
-  op comp12 ctx(Ob, Ob, Ob, Ob, Mul1, Mul2) : Mul2;
-  axiom ctx(Ob, Ob, Ob, Ob, Mul2, Mul1, Mul1) : Mul2;
-  axiom ctx(Ob, Ob, Ob, Mul2) : Mul2;
-}
-""",
-    "dblcat": """gat dblcat {
-  sort Ob;
-  sort Hor ctx(Ob, Ob);
-  sort Ver ctx(Ob, Ob);
-  sort Sq ctx(Ob, Ob, Ob, Ob, Hor, Hor, Ver, Ver);
-  op hid ctx(Ob) : Hor;
-  op vid ctx(Ob) : Ver;
-  op hcomp ctx(Ob, Ob, Ob, Hor, Hor) : Hor;
-  op vcomp ctx(Ob, Ob, Ob, Ver, Ver) : Ver;
-  op sqId ctx(Ob, Ob, Hor) : Sq;
-  op sqHcomp ctx(Ob, Ob, Ob, Ob, Ob, Ob, Hor, Hor, Hor, Hor, Ver, Ver, Ver, Sq, Sq) : Sq;
-  axiom ctx(Ob, Ob, Ob, Ob, Hor, Hor, Ver, Ver, Sq, Sq) : Sq;
-  axiom ctx(Ob, Ob, Hor) : Sq;
-}
-""",
-    "set": """gat set {
-  sort X;
-  axiom ctx(X, X) : X;
-}
-""",
-    "nondescending_violation": """gat pointedfiber {
-  sort X;
-  sort Y ctx(X);
-  op base : X;
-  op lift ctx(X) : Y;
-  axiom ctx(X, Y, Y) : X;
-}
-""",
-}
-
-
-def gat_files() -> None:
-    from partialhorn import analyze, parse_gat
-
-    expected = {
-        "cat": 3, "ncat1": 3, "ncat2": 4, "ncat3": 5, "moncat": 3,
-        "multicat": 3, "dblcat": 4, "set": 2, "nondescending_violation": None,
-    }
-    for name, text in GATS.items():
-        report = analyze(parse_gat(text))
-        if report.bound != expected[name]:
-            raise SystemExit(f"{name}.gat: bound {report.bound}, expected {expected[name]}")
-        write(f"gats/{name}.gat", text)
-
-
-# ---------------------------------------------------------------------------
-# CLI output schema.
-
-
-SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "partialhorn CLI JSON envelope",
-    "type": "object",
-    "required": ["command", "result"],
-    "additionalProperties": False,
-    "properties": {
-        "command": {
-            "type": "string",
-            "enum": [
-                "check", "free", "prove", "decompose", "decnum", "image",
-                "gauge-check", "ncat-normalize", "topdec", "gat-rank", "examples",
-            ],
-        },
-        "result": {"type": "object"},
-    },
-    "allOf": [
-        {
-            "if": {"properties": {"command": {"const": "decompose"}}},
-            "then": {
-                "properties": {
-                    "result": {
-                        "required": ["steps", "decnum", "stabilizationIndex", "status"],
-                        "properties": {
-                            "steps": {
-                                "type": "array",
-                                "items": {
-                                    "type": "object",
-                                    "required": ["elements", "merges", "fresh", "firedMatches"],
-                                    "properties": {
-                                        "elements": {"type": "integer"},
-                                        "merges": {"type": "integer"},
-                                        "fresh": {"type": "integer"},
-                                        "firedMatches": {"type": "integer"},
-                                    },
-                                },
-                            },
-                            "decnum": {"type": ["integer", "null"]},
-                            "stabilizationIndex": {"type": ["integer", "null"]},
-                            "status": {"type": "string"},
-                        },
-                    }
-                }
-            },
-        },
-        {
-            "if": {"properties": {"command": {"const": "decnum"}}},
-            "then": {"properties": {"result": {"required": ["decnum", "status"]}}},
-        },
-        {
-            "if": {"properties": {"command": {"const": "prove"}}},
-            "then": {"properties": {"result": {"required": ["goals"]}}},
-        },
-        {
-            "if": {"properties": {"command": {"const": "gauge-check"}}},
-            "then": {
-                "properties": {
-                    "result": {
-                        "required": ["terms", "certified", "gamma", "decnumBound", "globalBound"]
-                    }
-                }
-            },
-        },
-        {
-            "if": {"properties": {"command": {"const": "topdec"}}},
-            "then": {
-                "properties": {
-                    "result": {
-                        "required": ["lambda", "status", "stabilizationIndex", "steps", "kernels"]
-                    }
-                }
-            },
-        },
-        {
-            "if": {"properties": {"command": {"const": "gat-rank"}}},
-            "then": {
-                "properties": {
-                    "result": {
-                        "required": ["name", "ranks", "nonDescending", "bound", "violations"]
-                    }
-                }
-            },
-        },
-        {
-            "if": {"properties": {"command": {"const": "examples"}}},
-            "then": {
-                "properties": {
-                    "result": {
-                        "required": ["records", "ok"],
-                        "properties": {
-                            "records": {
-                                "type": "array",
-                                "items": {
-                                    "type": "object",
-                                    "required": ["case", "expected", "measured", "status"],
-                                },
-                            }
-                        },
-                    }
-                }
-            },
-        },
-    ],
-}
+    A0 = named_model("chain_fwd_A0", fwd, {"s": ["e0", "e1"]}, {"b": {(): "e0"}, "c0": {(): "e1"}})
+    named_hom("homs/chain_fwd_bang.phom", "bang", A0, T_fwd, {"e0": "t", "e1": "t"})
 
 
 def main() -> None:
@@ -580,8 +272,6 @@ def main() -> None:
     cat_files()
     twocat_files()
     chain_files()
-    gat_files()
-    write("schema/cli_output.schema.json", json.dumps(SCHEMA, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -61,12 +61,12 @@ from .syntax import (
     SortError,
     TokenStream,
     _parse_context,
-    _parse_formula,
     check_context,
     check_formula,
     free_vars,
     in_file,
     load_theory,
+    parse_formula,
     parse_sequent,
     parse_term,
     read_text,
@@ -139,12 +139,7 @@ def _cmd_free(args: argparse.Namespace) -> Outcome:
     sig = theory.signature
     ctx = _parse_cli_context(args.context) if args.context else Context(())
     check_context(sig, ctx)
-    if args.formula:
-        ts = TokenStream(args.formula)
-        phi = _parse_formula(ts, sig)
-        ts.expect_eof()
-    else:
-        phi = TOP
+    phi = parse_formula(sig, args.formula) if args.formula else TOP
     check_formula(sig, ctx, phi)
     result, generic = representing_model(theory, ctx, phi, ChaseBudget(args.max_elements, args.max_rounds))
     lines = [f"status {result.status} (rounds {result.rounds}, merges {result.merges})"]

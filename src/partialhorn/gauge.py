@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
@@ -91,12 +92,16 @@ class TableGaugeRules(GaugeRules):
 
 
 def load_gauge_rules(path: str, theory: Theory) -> TableGaugeRules:
+    """The rules of a JSON file (see ``gauge_rules_from_json``), located as ``gauge rules PATH``."""
+    return gauge_rules_from_json(load_json_or_text(path, lambda data: data), theory, f"gauge rules {path}")
+
+
+def gauge_rules_from_json(data: object, theory: Theory, where: str) -> TableGaugeRules:
     """JSON rules: {"sharp": {sym: n}, "defining": {sym: [{"scale": label, "args": [term]}]}}.
 
     Each sym is a function symbol of the theory, each n a natural number,
-    and each term ground, of the sort the scale entry's context gives it."""
-    data = load_json_or_text(path, lambda data: data)
-    where = f"gauge rules {path}"
+    and each term ground, of the sort the scale entry's context gives it.
+    Malformed input raises ValueError naming ``where``."""
     sig = theory.signature
     contexts = {e.label: e.context for e in equational_scale(sig).entries}
 
@@ -257,36 +262,38 @@ def ladder_theory() -> Theory:
     return parse_theory(_LADDER_TEXT)
 
 
+_LADDER_RULES = {
+    "sharp": {"a": 0, "b": 0, "c": 1, "d": 2},
+    "defining": {"c": [{"scale": "eq:s", "args": ["a", "b"]}], "d": [{"scale": "eq:s", "args": ["a", "c"]}]},
+}
+
+
 def ladder_gauge_rules() -> TableGaugeRules:
-    theory = ladder_theory()
-    a, b, c = App("a", ()), App("b", ()), App("c", ())
-    return TableGaugeRules(
-        theory,
-        sharps={"a": 0, "b": 0, "c": 1, "d": 2},
-        defining={
-            "c": (GaugeEntry("eq:s", (a, b)),),
-            "d": (GaugeEntry("eq:s", (a, c)),),
-        },
-    )
+    """The ladder's rules: c is defined iff a = b, d iff a = c; sharps 0, 0, 1, 2."""
+    return gauge_rules_from_json(_LADDER_RULES, ladder_theory(), "builtin:toy")
 
 
 # ---------------------------------------------------------------------------
 # Built-in: strict n-categories, one-sorted
 
 
+_live_signatures: "weakref.WeakValueDictionary[int, Signature]" = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=16)
 def ncat_signature(n: int) -> Signature:
     """One sort of cells; dk/ck boundaries and compk composition, k = 1..n.
-    Built once per n: the signature and its declarations are frozen."""
+    Built once per n while anything still holds it, even once this cache has
+    evicted n: the signature and its declarations are frozen, and
+    ``ncat_theory(n).signature is ncat_signature(n)`` always holds."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    funcs: list[FuncDecl] = []
-    for k in range(1, n + 1):
-        funcs.append(FuncDecl(f"d{k}", ("*",), "*"))
-        funcs.append(FuncDecl(f"c{k}", ("*",), "*"))
-    for k in range(1, n + 1):
-        funcs.append(FuncDecl(f"comp{k}", ("*", "*"), "*"))
-    return Signature(("*",), tuple(funcs))
+    sig = _live_signatures.get(n)
+    if sig is None:
+        funcs = [FuncDecl(f"{side}{k}", ("*",), "*") for k in range(1, n + 1) for side in "dc"]
+        funcs += [FuncDecl(f"comp{k}", ("*", "*"), "*") for k in range(1, n + 1)]
+        sig = _live_signatures[n] = Signature(("*",), tuple(funcs))
+    return sig
 
 
 # The strict n-category axioms in the surface syntax: one block per level k,

@@ -218,15 +218,18 @@ def check_term(sig: Signature, ctx: Context, term: RawTerm) -> str:
     if isinstance(term, Var):
         return ctx.sort_of(term.name)
     decl = sig.func(term.func)
-    if len(term.args) != len(decl.arg_sorts):
-        raise SortError(
-            f"{term.func} expects {len(decl.arg_sorts)} arguments, got {len(term.args)}"
-        )
-    for arg, want in zip(term.args, decl.arg_sorts):
+    _check_args(sig, ctx, term.func, term.args, decl.arg_sorts)
+    return decl.result_sort
+
+
+def _check_args(sig: Signature, ctx: Context, sym: str, args: tuple[RawTerm, ...], sorts: tuple[str, ...]) -> None:
+    """The arguments of a function or relation symbol: as many as it takes, each of its sort."""
+    if len(args) != len(sorts):
+        raise SortError(f"{sym} expects {len(sorts)} arguments, got {len(args)}")
+    for arg, want in zip(args, sorts):
         got = check_term(sig, ctx, arg)
         if got != want:
-            raise SortError(f"argument of {term.func}: expected {want}, got {got}")
-    return decl.result_sort
+            raise SortError(f"argument of {sym}: expected {want}, got {got}")
 
 
 def check_atom(sig: Signature, ctx: Context, atom: Atom) -> None:
@@ -238,15 +241,7 @@ def check_atom(sig: Signature, ctx: Context, atom: Atom) -> None:
     elif isinstance(atom, Def):
         check_term(sig, ctx, atom.term)
     else:
-        decl = sig.rel(atom.rel)
-        if len(atom.args) != len(decl.arg_sorts):
-            raise SortError(
-                f"{atom.rel} expects {len(decl.arg_sorts)} arguments, got {len(atom.args)}"
-            )
-        for arg, want in zip(atom.args, decl.arg_sorts):
-            got = check_term(sig, ctx, arg)
-            if got != want:
-                raise SortError(f"argument of {atom.rel}: expected {want}, got {got}")
+        _check_args(sig, ctx, atom.rel, atom.args, sig.rel(atom.rel).arg_sorts)
 
 
 def check_formula(sig: Signature, ctx: Context, phi: HornFormula) -> None:

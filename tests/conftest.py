@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from partialhorn import ladder_theory, load_model
+from partialhorn import ladder_theory, load_model, load_theory
 
 settings.register_profile(
     "suite",
@@ -39,3 +39,16 @@ def ladder():
 def ladder_models(corpus, ladder):
     names = ("ladder_M", "ladder_A1", "ladder_A2", "ladder_T", "ladder_free1")
     return {n: load_model(str(corpus / "models" / f"{n}.pm"), ladder) for n in names}
+
+
+@pytest.fixture(scope="session")
+def corpus_models(corpus):
+    """Every corpus model by name, with its theory, read from its text file
+    against the theory it names."""
+    models = {}
+    for path in sorted((corpus / "models").glob("*.pm")):
+        of = path.read_text().split()[3]  # model NAME of THEORY {
+        theory = load_theory(str(corpus / "theories" / f"{of}.pht"))
+        m = load_model(str(path), theory)
+        models[m.name] = (theory, m)
+    return models

@@ -5,6 +5,7 @@ import copy
 import functools
 import io
 import json
+import re
 from unittest import mock
 
 import jsonschema
@@ -12,6 +13,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from partialhorn import (
+    gat_to_json,
+    hom_to_json,
+    ladder_gauge_rules,
+    ladder_theory,
+    load_gat,
+    load_gauge_rules,
+    load_hom,
+    load_theory,
+    model_to_json,
+    theory_to_json,
+)
 from partialhorn.cli import main
 from partialhorn.gauge import ncat_signature
 
@@ -652,6 +665,16 @@ LADDER_RULES = {
 }
 
 
+# builtin:toy is the ladder's rules file, read by the same reader.
+def test_builtin_toy_rules_are_the_ladder_rules_file(tmp_path):
+    path = tmp_path / "ladder.rules.json"
+    path.write_text(json.dumps(LADDER_RULES))
+    builtin = ladder_gauge_rules()
+    read = load_gauge_rules(str(path), ladder_theory())
+    assert builtin.theory == read.theory == ladder_theory()
+    assert (builtin.sharps, builtin.defining) == (read.sharps, read.defining)
+
+
 # gauge-check reads -n only with builtin:ncat, --theory only with a rules
 # file, and --depth/--vars only without --term; builtin:toy and
 # builtin:ncat are the only built-in rules.  Anything else is refused.
@@ -728,6 +751,80 @@ def test_mutated_gauge_rules_exit_cleanly(corpus, tmp_path_factory, doc):
                      "--term", "d"])
     assert code in (0, 1, 2, 3)
     assert code != 2 or err.getvalue().startswith("error: gauge rules"), err.getvalue()
+
+
+# The corpus files of every kind, each with its JSON mirror (None for the
+# scale, which has none) and the command that reads it; FILE stands for the
+# file, the other arguments are corpus files.
+@pytest.fixture(scope="module")
+def corpus_readers(corpus, corpus_models):
+    def theory(name):
+        return corpus / "theories" / f"{name}.pht"
+
+    def model(name):
+        return corpus / "models" / f"{name}.pm"
+
+    readers = [(path, theory_to_json(load_theory(str(path))), ["check", "--theory", "FILE"])
+               for path in sorted((corpus / "theories").glob("*.pht"))]
+    readers += [(model(name), model_to_json(m), ["check", "--theory", theory(m.theory_name), "FILE"])
+                for name, (_, m) in corpus_models.items()]
+    for path in sorted((corpus / "homs").glob("*.phom")):
+        _, _, _, src, _, tgt, _ = path.read_text().split(maxsplit=6)  # hom NAME : SRC -> TGT {
+        (_, S), (_, T) = corpus_models[src], corpus_models[tgt]
+        readers.append((path, hom_to_json(*load_hom(str(path), S, T), S, T),
+                        ["check", "--theory", theory(S.theory_name), "--hom", "FILE", "--from", model(src),
+                         "--to", model(tgt)]))
+    readers.append((corpus / "scales" / "eq_s.scale", None,
+                    ["decnum", "--theory", theory("ladder"), "--from", model("ladder_M"), "--to", model("ladder_T"),
+                     "--hom", corpus / "homs" / "ladder_bang.phom", "--scale", "FILE"]))
+    readers += [(path, gat_to_json(load_gat(str(path))), ["gat-rank", "FILE"])
+                for path in sorted((corpus / "gats").glob("*.gat"))]
+    return readers
+
+
+_TOKENS = re.compile(r'\s+|"(?:[^"\\]|\\.)*"|-\|\|-|\|->|\|-|->|[\w\']+|\S')
+_NAME = re.compile(r'[\w\']+|".*"')
+_ODD_TOKENS = ["x", "zz", "0", "-1", "2.5", "null", "true", "{", "}", "[", "]", "(", ")", ";", ",", ":", "=",
+               "!", "*", '"x"', "top", "model", "theory", "ctx"]
+
+
+@st.composite
+def mutated_corpus_file(draw, readers):
+    """A corpus file, in its text form or its JSON mirror, with tokens dropped,
+    repeated, replaced by tokens of the same file or odd ones, or renamed to
+    another name of the same file; its suffix; and the command that reads it."""
+    path, mirror, argv = draw(st.sampled_from(readers))
+    as_json = mirror is not None and draw(st.booleans())
+    text = json.dumps(mirror, indent=2) if as_json else path.read_text()
+    tokens = _TOKENS.findall(text)
+    spots = [i for i, tok in enumerate(tokens) if not tok.isspace()]
+    own = sorted(set(tokens[i] for i in spots))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(spots))
+        how = draw(st.sampled_from(("drop", "repeat", "replace", "rename")))
+        if how == "drop":
+            tokens[i] = ""
+        elif how == "repeat":
+            tokens[i] = f"{tokens[i]} {tokens[i]}"
+        elif how == "replace":
+            tokens[i] = draw(st.sampled_from(own + _ODD_TOKENS))
+        else:  # another name or string of the same file, so the text may still parse
+            tokens[i] = draw(st.sampled_from([tok for tok in own if _NAME.fullmatch(tok)]))
+    return "".join(tokens), ".json" if as_json else path.suffix, argv
+
+
+# Whatever a corpus file of any kind holds, the command that reads it answers
+# with an exit code: a malformed file is an input error located in that file.
+@given(data=st.data())
+def test_mutated_corpus_files_exit_cleanly(tmp_path_factory, corpus_readers, data):
+    text, suffix, argv = data.draw(mutated_corpus_file(corpus_readers))
+    path = tmp_path_factory.getbasetemp() / f"mutated{suffix}"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if a == "FILE" else str(a) for a in argv])
+    assert code in (0, 1, 2, 3)
+    assert code != 2 or err.getvalue().startswith(f"error: {path}:"), err.getvalue()
 
 
 def test_ncat_normalize(capsys, schema):

@@ -185,6 +185,15 @@ def test_ncat_signature_is_built_once_per_n():
     assert ncat_signature(2) is not ncat_signature(3)
 
 
+# The two caches evict apart: once 16 other n have pushed n's signature out
+# of its cache, the signature a live theory holds is still the one returned.
+def test_ncat_signature_is_the_theory_signature_after_its_cache_evicts_it():
+    theory = ncat_theory(1)
+    for n in range(2, 18):
+        ncat_signature(n)
+    assert ncat_theory(1).signature is ncat_signature(1) is theory.signature
+
+
 # Normalization checks the term against the signature alone, the one the
 # theory is built on: it builds no theory, so a large n answers at once,
 # and a wrong term gets the signature's error text.

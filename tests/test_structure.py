@@ -31,7 +31,7 @@ from partialhorn.structure import (
     parse_model,
     check_structure,
 )
-from partialhorn.syntax import App, Var, load_theory, parse_formula, parse_theory, theory_from_json
+from partialhorn.syntax import App, Var, parse_formula, parse_theory, theory_from_json
 from test_chase import MATCH_PREMISES, structures
 
 GRAPH = parse_theory("""
@@ -368,18 +368,6 @@ def test_model_text_round_trip_is_byte_identical(ladder, ladder_models):
     for m in ladder_models.values():
         text = model_to_text(m)
         assert model_to_text(parse_model(text, ladder)) == text
-
-
-@pytest.fixture(scope="module")
-def corpus_models(corpus):
-    """Every corpus model, read from its text file against the theory it names."""
-    models = {}
-    for path in sorted((corpus / "models").glob("*.pm")):
-        of = path.read_text().split()[3]  # model NAME of THEORY {
-        theory = load_theory(str(corpus / "theories" / f"{of}.pht"))
-        m = load_model(str(path), theory)
-        models[m.name] = (theory, m)
-    return models
 
 
 def test_model_json_round_trip(corpus_models, tmp_path):
