@@ -58,8 +58,8 @@ makes one call per sequent: the kernel reads the state once and pushes
 every match through one loop, instead of one call per match (Neumann's
 point again, on the conclusion side).  It creates missing elements
 inline and after a union re-canonicalizes only the slots it still reads.
-The one-shot programs of forced atoms are interpreted op by op instead:
-their terms differ on nearly every prover call.
+The programs of forced atoms are compiled once per chase for each atom and
+context, and interpreted op by op: their terms differ on most prover calls.
 
 Kernels are keyed by shape: the plan or program with every symbol
 replaced by the index of its first occurrence.  Names and terms reach a
@@ -171,7 +171,7 @@ class ChaseResult:
         return PartialStructure(
             self.signature,
             {s: tuple(sorted(e for e, t in self.live.items() if t == s)) for s in self.signature.sorts},
-            {f: dict(sorted(t.items())) for f, t in self.funcs.items()},
+            {f: {k: t[k] for k in sorted(t)} for f, t in self.funcs.items()},  # keys alone sort faster
             {r: frozenset(t) for r, t in self.rels.items()},
         )
 
@@ -281,8 +281,8 @@ class _Premise:
 
     __slots__ = ("names", "atoms", "emit", "guard", "full", "full_run")
 
-    def __init__(self, seq: Sequent, guard: tuple = ()) -> None:
-        names = self.names = seq.context.names()
+    def __init__(self, ctx: Context, phi: HornFormula, guard: tuple = ()) -> None:
+        names = self.names = ctx.names()
         slots = {n: i for i, n in enumerate(names)}  # see _flatten
         flat: list[tuple[object, tuple[int, ...]]] = []
         parent: list[int] = []
@@ -293,7 +293,7 @@ class _Premise:
                 slot = parent[slot]
             return slot
 
-        for atom in normalized(seq.premise).atoms:
+        for atom in normalized(phi).atoms:
             if isinstance(atom, Rel):
                 flat.append((atom, tuple(_flatten(a, slots, flat) for a in atom.args)))
             else:
@@ -309,7 +309,7 @@ class _Premise:
         self.emit = tuple(find(i) for i in range(len(names)))
         bound: set[int] = set()
         steps = _order(self.atoms, bound)
-        sorts = dict(seq.context.vars)
+        sorts = dict(ctx.vars)
         for name, slot in zip(names, self.emit):
             if slot not in bound:
                 steps.append((_CARRIER, sorts[name], slot, None))
@@ -645,7 +645,7 @@ def _compiled(seq: Sequent) -> tuple[_Premise, _Conclusion]:
     compiled = _COMPILED.get(id(seq))
     if compiled is None:
         conclusion = _Conclusion(seq.context.names(), seq.conclusion.atoms)
-        premise = _Premise(seq, conclusion.ops)
+        premise = _Premise(seq.context, seq.premise, conclusion.ops)
         conclusion.kernel = _fire_kernel(conclusion, not premise.atoms)
         compiled = _COMPILED[id(seq)] = (premise, conclusion)
         weakref.finalize(seq, _COMPILED.pop, id(seq), None)
@@ -668,6 +668,7 @@ class _ChaseState:
         self.rel_uses: defaultdict[int, list[tuple[str, tuple[int, ...]]]] = defaultdict(list)
         self.pending: list[int] = []  # ids that lost a union, not yet re-keyed
         self.indexes: dict[str, tuple[int, dict[int, list[tuple[int, ...]]]]] = {}
+        self.pools: Optional[Mapping[str, Sequence[int]]] = None  # sort -> its pool, when borrowed (see load)
         self.next_id = 0
         self.created = 0
         self.version = 0
@@ -688,8 +689,14 @@ class _ChaseState:
     # -- elements
 
     def load(self, base: PartialStructure, listed: bool = True) -> None:
-        """Copy the base in.  Unless ``listed``, its entries and tuples go on
-        no use-list: a state that only matches premises never unites."""
+        """Copy the base in, every cell listed under the ids it holds.  Unless
+        ``listed`` (a state that only matches premises, which writes nothing),
+        borrow the base's tables, relations and sorted carriers (as pools)."""
+        if not listed:
+            self.funcs.update(base.funcs)
+            self.rels.update(base.rels)
+            self.pools = base.carriers
+            return
         for s in self.sig.sorts:
             for e in base.carriers.get(s, ()):
                 if self.created >= self.budget.max_elements:
@@ -698,23 +705,20 @@ class _ChaseState:
                 self.parent[e] = e
                 self.created += 1
                 self.next_id = max(self.next_id, e + 1)
+        uses = self.uses
         for f, table in base.funcs.items():
             copy = self.funcs[f] = dict(table)
-            for args, val in table.items() if listed else ():
-                self._use(copy, args, val)
+            for args, val in copy.items():
+                cell = [copy, args]
+                for a in args:
+                    uses[a].append(cell)
+                uses[val].append(cell)
         for r, tuples in base.rels.items():
             self.rels[r] = set(tuples)
-            for tup in tuples if listed else ():
+            for tup in tuples:
                 self._rel_use(r, tup)
 
     # -- congruence closure: keep tables keyed by canonical ids
-
-    def _use(self, table: dict, args: tuple[int, ...], val: int) -> None:
-        """List the cell of the entry ``table[args] = val``."""
-        cell, uses = [table, args], self.uses
-        for i in args:
-            uses[i].append(cell)
-        uses[val].append(cell)
 
     def _rel_use(self, r: str, tup: tuple[int, ...]) -> None:
         for i in tup:
@@ -840,7 +844,9 @@ class _ChaseState:
         self.live[fresh] = self.result_sort[f]
         self.version += 1
         self.funcs[f][args] = fresh
-        self._use(self.funcs[f], args, fresh)
+        cell = [self.funcs[f], args]  # listed under each id it holds
+        for a in (*args, fresh):
+            self.uses[a].append(cell)
         self.flat_log += fresh, f, args, term, names, ids
         return fresh
 
@@ -856,9 +862,11 @@ class _ChaseState:
             cached = self.indexes[f] = (self.version, index)
         return cached[1]
 
-    def pool(self, sort: str) -> list[int]:
+    def pool(self, sort: str) -> Sequence[int]:
         """What a _CARRIER step ranges over: the carrier of a sort, sorted."""
-        return sorted(e for e, s in self.live.items() if s == sort)
+        if self.pools is not None:
+            return self.pools.get(sort, ())
+        return sorted([e for e, s in self.live.items() if s == sort])
 
     def matches(self, premise: _Premise) -> list[tuple[int, ...]]:
         """The assignments at which the premise holds and its guard does not,
@@ -942,8 +950,11 @@ def chase(
     with _CollectorPaused():  # the chase makes no reference cycles (see the module docstring)
         try:
             state.load(presentation.base)
+            programs: dict[tuple, _Conclusion] = {}  # (id(atom), names) -> program; forced keeps each atom alive
             for atom, items in presentation.forced:
-                state.fire(_Conclusion(tuple(n for n, _ in items), (atom,)), tuple(i for _, i in items))
+                key = (id(atom), tuple(n for n, _ in items))
+                state.fire(programs.get(key) or programs.setdefault(key, _Conclusion(key[1], (atom,))),
+                           tuple(i for _, i in items))
             state.normalize()
             if stop is not None and stop(state):
                 status = STOPPED
@@ -968,14 +979,12 @@ def chase(
     return result
 
 
-def _satisfying(
-    S: PartialStructure, formulas: Sequence[tuple[Context, HornFormula]]
-) -> list[list[tuple[int, ...]]]:
-    """For each formula in context, the assignments (id tuples in context
-    order) at which it holds in S, sorted: its premise matches in S."""
-    state = _ChaseState(S.signature, ChaseBudget(max_elements=S.size()))
+def _satisfying(S: PartialStructure, premises: Sequence[_Premise]) -> list[list[tuple[int, ...]]]:
+    """For each premise (unguarded: matched for its own sake), the assignments
+    (id tuples in context order) at which it holds in S, sorted."""
+    state = _ChaseState(S.signature, ChaseBudget())
     state.load(S, listed=False)
-    return [state.matches(_Premise(Sequent(ctx, phi, HornFormula(())))) for ctx, phi in formulas]
+    return [state.matches(premise) for premise in premises]
 
 
 # ---------------------------------------------------------------------------
@@ -1106,13 +1115,13 @@ def induced_hom(result: ChaseResult, base_map: Mapping[int, int], target: Partia
     value (must be constant on classes), fresh classes evaluate their
     creating function entry in the target (must be defined)."""
     values: dict[int, int] = {}
+    quotient = result.quotient
     for b, t in sorted(base_map.items()):
-        c = result.quotient[b]
-        if values.setdefault(c, t) != t:
+        if values.setdefault(quotient[b], t) != t:
             raise ValueError(f"map not constant on the class of {b}")
     for elem, func, args, _, _, _ in result.log:
-        c = result.quotient[elem]
-        targs = tuple(values[result.quotient[a]] for a in args)
+        c = quotient[elem]
+        targs = tuple([values[quotient[a]] for a in args])
         v = target.funcs.get(func, {}).get(targs)
         if v is None:
             raise ValueError(f"{func}{targs} undefined in the target")

@@ -8,17 +8,22 @@ canonical decomposition; the number of non-identity steps is the
 decomposition number of f along the scale.
 
 The instances true at the image are found without enumerating A^k: each
-entry's formula is matched once in the fixed target X by the chase's
-premise matcher, and the matches are pulled back along f through its
-fibers, then sorted, which is the order of the lexicographic enumeration.
-Only the atoms that fail in the source are forced (facts only grow).  Every
-step after the first starts from a model (the previous step's complete
-result), so a step that forces nothing is the identity: not chased.
+entry's formula, compiled once, is matched in the fixed target X by the
+chase's premise matcher, and the matches are pulled back along f as
+products of its fibers, then sorted (the lexicographic order).  Only the
+atoms that fail in the source are forced (facts only grow).  Matched in the
+source too, an instance that holds there forces nothing, a one-atom one
+that fails forces its atom, and only the atoms of the rest are evaluated
+one by one.  Every step after the first starts from a model (the previous
+step's complete result), so a step that forces nothing is the identity: not
+chased.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import product, repeat
 from typing import Optional
 
 from .chase import (
@@ -28,6 +33,7 @@ from .chase import (
     ChaseBudget,
     ChaseResult,
     Presentation,
+    _Premise,
     _satisfying,
     chase,
     induced_hom,
@@ -61,6 +67,10 @@ class ScaleEntry:
     context: Context
     formula: HornFormula
 
+    @cached_property
+    def _premise(self) -> _Premise:  # the formula compiled for matching, once per entry
+        return _Premise(self.context, self.formula)
+
 
 @dataclass(frozen=True)
 class Scale:
@@ -68,8 +78,10 @@ class Scale:
     entries: tuple[ScaleEntry, ...]
 
 
+@lru_cache(maxsize=16)
 def equational_scale(sig: Signature) -> Scale:
-    """One entry per sort: the bare equation between two generic elements."""
+    """One entry per sort: the bare equation between two generic elements
+    (one scale per signature, so that its entries compile once)."""
     entries = tuple(
         ScaleEntry(
             f"eq:{s}",
@@ -91,33 +103,34 @@ class StepResult:
 
 def _entry_matches(scale: Scale, X: PartialStructure) -> list[list[tuple[int, ...]]]:
     """Per entry, the sorted assignments in X at which its formula holds."""
-    return _satisfying(X, [(entry.context, entry.formula) for entry in scale.entries])
+    return _satisfying(X, [entry._premise for entry in scale.entries])
 
 
 def _pull_back(scale: Scale, f: Hom, matches: list) -> tuple[tuple, list[tuple[Atom, AssignmentItems]]]:
     """The scale instances true at f's image (``matches`` in f's target), pulled
     back along f through its fibers in lexicographic order, and the atoms of
-    those instances that fail in f's source."""
-    A = f.source
-    fibers: dict[tuple[str, int], list[int]] = {}
+    those instances that fail in f's source, found by matching each entry in
+    the source too (see the module docstring)."""
+    A, m = f.source, f.mapping
+    fibers: dict[str, dict[int, list[int]]] = {}  # sort -> x -> the elements over x
     for s, es in A.carriers.items():
+        fiber = fibers[s] = {}
         for a in es:
-            fibers.setdefault((s, f.mapping[a]), []).append(a)
+            fiber.setdefault(m[a], []).append(a)
     fired: list[tuple[str, AssignmentItems]] = []
     forced: list[tuple[Atom, AssignmentItems]] = []
-    for entry, entry_matches in zip(scale.entries, matches):
-        names = entry.context.names()
-        sorts = [s for _, s in entry.context.vars]
+    for entry, entry_matches, in_source in zip(scale.entries, matches, _entry_matches(scale, A)):
+        names, atoms, holding = entry.context.names(), entry.formula.atoms, set(in_source)
+        over = [fibers.get(s, {}) for _, s in entry.context.vars]
         pulled: list[tuple[int, ...]] = []
         for match in entry_matches:
-            combos: list[tuple[int, ...]] = [()]
-            for s, x in zip(sorts, match):
-                combos = [c + (a,) for c in combos for a in fibers.get((s, x), ())]
-            pulled += combos
-        for combo in sorted(pulled):
+            pulled += product(*map(dict.get, over, match, repeat(())))
+        pulled.sort()
+        for combo in pulled:
             items = tuple(zip(names, combo))
             fired.append((entry.label, items))
-            forced += [(atom, items) for atom in entry.formula.atoms if not holds_atom(A, dict(items), atom)]
+            if combo not in holding:
+                forced += [(atom, items) for atom in atoms if len(atoms) == 1 or not holds_atom(A, dict(items), atom)]
     return tuple(fired), forced
 
 

@@ -145,9 +145,9 @@ def is_model(S: PartialStructure, theory: Theory) -> ModelReport:
     """Whether every sequent holds in S; else the first failure, with
     sequents in declaration order and each premise's matches (the chase's
     join) in lexicographic id order."""
-    from .chase import _satisfying  # chase imports this module
+    from .chase import _Premise, _satisfying  # chase imports this module
 
-    matches = _satisfying(S, [(seq.context, seq.premise) for seq in theory.sequents])
+    matches = _satisfying(S, [_Premise(seq.context, seq.premise) for seq in theory.sequents])
     for seq, found in zip(theory.sequents, matches):
         names = seq.context.names()
         for ids in found:
@@ -180,10 +180,27 @@ class HomReport:
         return self.ok
 
 
+def _images(m: Mapping[int, int], keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The keys (all of one arity) with every id replaced by its image."""
+    arity = len(next(iter(keys), ()))
+    if arity == 1:
+        return [(m[a],) for (a,) in keys]
+    if arity == 2:
+        return [(m[a], m[b]) for a, b in keys]
+    return [tuple([m[a] for a in key]) for key in keys]
+
+
 def is_hom(h: Hom, source_name: Callable[[int], str] = str, target_name: Callable[[int], str] = str) -> HomReport:
     """Whether h preserves sorts, entries and tuples; else the first failure,
-    its elements written by ``source_name`` and ``target_name`` (ids by default)."""
-    A, B = h.source, h.target
+    its elements written by ``source_name`` and ``target_name`` (ids by default).
+    Each carrier, table and relation is checked whole first, its image keys
+    built per arity; only a failing h is walked, to word its first failure."""
+    A, B, m = h.source, h.target, h.mapping
+    if (all(set(B.carriers.get(s, ())).issuperset(map(m.get, A.carriers.get(s, ()))) for s in A.signature.sorts)
+            and all(list(map(B.funcs.get(f, {}).get, _images(m, t))) == list(map(m.__getitem__, t.values()))
+                    for f, t in A.funcs.items())
+            and all(B.rels.get(r, frozenset()).issuperset(_images(m, t)) for r, t in A.rels.items())):
+        return HomReport(True)
 
     def at(sym: str, args: tuple[int, ...]) -> str:  # as a tuple prints: f(), f(x,), f(x, y)
         return f"{sym}({', '.join(map(source_name, args))}{',' if len(args) == 1 else ''})"
@@ -240,7 +257,7 @@ def enumerate_homs(
     tuple; the chase's compiled join answers it.  With ``bijective``, only
     the homs that are bijective on every carrier.
     """
-    from .chase import _satisfying  # chase imports this module
+    from .chase import _Premise, _satisfying  # chase imports this module
 
     if bijective and any(len(A.carriers.get(s, ())) != len(B.carriers.get(s, ())) for s in A.signature.sorts):
         return []
@@ -251,7 +268,7 @@ def enumerate_homs(
                for f, table in A.funcs.items() for args, val in table.items()]
     diagram += [Rel(r, tuple(x[a] for a in tup)) for r, tuples in A.rels.items() for tup in sorted(tuples)]
     context = Context(tuple((str(e), sort_of[e]) for e in elems))
-    [matches] = _satisfying(B, [(context, HornFormula(tuple(diagram)))])
+    [matches] = _satisfying(B, [_Premise(context, HornFormula(tuple(diagram)))])
     if bijective:  # ids are unique across sorts: distinct images are per-sort injectivity
         matches = [m for m in matches if len(set(m)) == len(m)]
     return [Hom(A, B, dict(zip(elems, m))) for m in matches]

@@ -615,7 +615,8 @@ def test_guarded_matches_drop_only_satisfied_instances(data):
             state.unite(a, b)
     model = _snapshot(state)
     for seq in theory.sequents:
-        guarded, bare, names = CHASE_MODULE._compiled(seq)[0], CHASE_MODULE._Premise(seq), seq.context.names()
+        guarded, names = CHASE_MODULE._compiled(seq)[0], seq.context.names()
+        bare = CHASE_MODULE._Premise(seq.context, seq.premise)
         instances = state.matches(bare)
         active = [ids for ids in instances if not holds(model, dict(zip(names, ids)), seq.conclusion)]
         assert state.matches(guarded) == (active if guarded.atoms else instances), seq.label
@@ -692,7 +693,7 @@ class _FullRebuildState(_ChaseState):
         self.normalize()
         for seq in theory.sequents:
             conclusion = CHASE_MODULE._compiled(seq)[1]
-            for ids in self.matches(CHASE_MODULE._Premise(seq)):
+            for ids in self.matches(CHASE_MODULE._Premise(seq.context, seq.premise)):
                 self.fire(conclusion, ids)
         return self.version != v0
 

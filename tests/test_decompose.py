@@ -2,7 +2,6 @@
 
 import importlib
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -277,10 +276,14 @@ def test_scale_firing_matches_brute_force(theory, data):
 
 
 def every_atom_forced(theory, scale, f, budget):
-    """scale_step forcing every pulled-back atom, the ones that hold in f's
-    source included."""
-    with mock.patch.object(DECOMPOSE_MODULE, "holds_atom", lambda S, assignment, atom: False):
-        return scale_step(theory, scale, f, budget)
+    """scale_step forcing every atom of every instance the brute force
+    fires, the ones that hold in f's source included: neither the fired
+    instances nor the forced atoms come from the code under test."""
+    fired = brute_force_fired(scale, f)
+    formulas = {entry.label: entry.formula for entry in scale.entries}
+    assert len(formulas) == len(scale.entries)  # labels name the entries
+    forced = [(atom, items) for label, items in fired for atom in formulas[label].atoms]
+    return scale_step(theory, scale, f, budget, _pulled=(fired, forced))
 
 
 def assert_tower_matches_oracle(theory, scale, f, budget=None):

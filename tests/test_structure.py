@@ -1,5 +1,6 @@
 """Partial structures: validation, strict evaluation, homs, model files."""
 
+import copy
 import itertools
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partialhorn import ladder_theory
+from partialhorn import equational_scale
 from partialhorn.structure import (
     Hom,
     HomReport,
@@ -33,6 +34,7 @@ from partialhorn.structure import (
 )
 from partialhorn.syntax import App, Var, parse_formula, parse_theory, theory_from_json
 from test_chase import MATCH_PREMISES, structures
+from test_decompose import DECOMPOSE_MODULE, FIRING_SCALES, homs_to_models, relabelled, sorted_structures
 
 GRAPH = parse_theory("""
 theory graph {
@@ -423,3 +425,158 @@ def test_empty_structure_is_a_ladder_counterexample(ladder):
     # empty carrier cannot interpret the constants forced by ax1
     S = empty_structure(ladder.signature)
     assert not is_model(S, ladder)
+
+
+def reference_is_hom(h, source_name=str, target_name=str):
+    """is_hom as one loop over every element, entry and tuple, stopping at
+    the first failure: the oracle for the whole-table checks."""
+    A, B = h.source, h.target
+
+    def at(sym, args):
+        return f"{sym}({', '.join(map(source_name, args))}{',' if len(args) == 1 else ''})"
+
+    tsort = {e: s for s, es in B.carriers.items() for e in es}
+    for s in A.signature.sorts:
+        for e in A.carriers.get(s, ()):
+            t = h.mapping.get(e)
+            if t is None:
+                return HomReport(False, f"element {source_name(e)} unmapped")
+            if tsort.get(t) != s:
+                return HomReport(False, f"element {source_name(e)}:{s} sent to {target_name(t)} of wrong sort")
+    image = h.mapping.__getitem__
+    for f, table in A.funcs.items():
+        target = B.funcs.get(f, {})
+        for args, val in table.items():
+            timg = target.get(tuple(map(image, args)))
+            if timg is None:
+                return HomReport(False, f"{at(f, args)} defined in source, undefined at image")
+            if timg != h.mapping[val]:
+                return HomReport(False, f"{at(f, args)}: image {target_name(timg)} != mapped value "
+                                        f"{target_name(h.mapping[val])}")
+    for r, tuples in A.rels.items():
+        target_rel = B.rels.get(r, frozenset())
+        for tup in tuples:
+            if tuple(map(image, tup)) not in target_rel:
+                return HomReport(False, f"{at(r, tup)} holds in source, not at image")
+    return HomReport(True)
+
+
+# Every arity from 0 to 3, of functions and of relations, over two sorts.
+ARITIES = theory_from_json({
+    "theory": "arities",
+    "sorts": ["a", "b"],
+    "funcs": [{"name": "k", "args": [], "result": "a"}, {"name": "u", "args": ["a"], "result": "b"},
+              {"name": "g", "args": ["a", "b"], "result": "a"}, {"name": "t", "args": ["a", "a", "b"], "result": "b"}],
+    "rels": [{"name": "p", "args": []}, {"name": "q", "args": ["b"]}, {"name": "r", "args": ["a", "b"]},
+             {"name": "w", "args": ["b", "a", "a"]}],
+    "axioms": [],
+})
+
+
+@st.composite
+def mutated_homs(draw, theory):
+    """A hom into a model (see homs_to_models), its ids renamed at random
+    (see relabelled), as drawn or with one mutation: an element unmapped, sent to an id of another sort (or of no
+    element) or to another element of its sort, one image entry of the
+    target re-pointed or deleted, or one image tuple of the target dropped.
+    The symbol is drawn before its entry or tuple, so that nullary ones,
+    with one key each, come up as often as the others."""
+    h = draw(relabelled(draw(homs_to_models(theory), label="h")), label="renamed")
+    A, B, mapping = h.source, h.target, dict(h.mapping)
+    funcs = {f: dict(t) for f, t in B.funcs.items()}
+    rels = dict(B.rels)
+    imaged = {f: [tuple(mapping[a] for a in args) for args in t] for f, t in A.funcs.items() if t}
+    tuples = {r: [tuple(mapping[a] for a in tup) for tup in sorted(ts)] for r, ts in A.rels.items() if ts}
+    kinds = [("none", None)] + [(kind, None) for kind in ("unmap", "wrong sort", "same sort") if mapping]
+    kinds += [(kind, f) for f in sorted(imaged) for kind in ("re-point", "delete entry")]
+    kinds += [("drop tuple", r) for r in sorted(tuples)]
+    kind, sym = draw(st.sampled_from(kinds), label="mutation")
+    if kind in ("unmap", "wrong sort", "same sort"):
+        a = draw(st.sampled_from(sorted(mapping)), label="element")
+        s = A.sort_of(a)
+        others = {"wrong sort": [x for x in B.elements() if B.sort_of(x) != s] + [max(B.elements()) + 1],
+                  "same sort": [x for x in B.carriers[s] if x != mapping[a]]}.get(kind, [])
+        if kind == "unmap":
+            del mapping[a]
+        elif others:
+            mapping[a] = draw(st.sampled_from(others), label="image")
+    elif kind in ("re-point", "delete entry"):
+        key = draw(st.sampled_from(imaged[sym]), label="entry")
+        others = [x for x in B.carriers[B.sort_of(funcs[sym][key])] if x != funcs[sym][key]]
+        if kind == "delete entry":
+            del funcs[sym][key]
+        elif others:
+            funcs[sym][key] = draw(st.sampled_from(others), label="value")
+    elif kind == "drop tuple":
+        rels[sym] = rels[sym] - {draw(st.sampled_from(tuples[sym]), label="tuple")}
+    return Hom(A, PartialStructure(B.signature, B.carriers, funcs, rels), mapping)
+
+
+# The whole-table checks find the failure the walk finds first, worded
+# alike, with ids or with given names.
+@pytest.mark.parametrize("theory", [ARITIES, *FIRING_SCALES], ids=lambda th: th.name)
+@given(data=st.data())
+def test_is_hom_matches_reference_loop(theory, data):
+    h = data.draw(mutated_homs(theory), label="h")
+    assert is_hom(h) == reference_is_hom(h)
+    names = ("a{}".format, "b{}".format)
+    assert is_hom(h, *names) == reference_is_hom(h, *names)
+    assert is_hom(h, source_name=names[0]) == reference_is_hom(h, source_name=names[0])
+    assert is_hom(h, target_name=names[1]) == reference_is_hom(h, target_name=names[1])
+
+
+# Per symbol of ARITIES, its facts among elements 0, 1 : a and 2, 3 : b.
+ARITIES_FACTS = {"k": {(): 0}, "u": {(0,): 2}, "g": {(0, 2): 1}, "t": {(0, 1, 2): 2},
+                 "p": frozenset({()}), "q": frozenset({(2,)}), "r": frozenset({(1, 2)}), "w": frozenset({(2, 0, 1)})}
+
+
+def arities_structure(facts):
+    """The ARITIES structure on 0, 1 : a and 2, 3 : b with the given facts per symbol (the others empty)."""
+    sig = ARITIES.signature
+    return PartialStructure(sig, {"a": (0, 1), "b": (2, 3)}, {f.name: facts.get(f.name, {}) for f in sig.funcs},
+                            {r.name: facts.get(r.name, frozenset()) for r in sig.rels})
+
+
+# At each arity, a source holding only the failing symbol's facts: no other
+# table or relation hides a whole-table check that passes wrongly.
+@pytest.mark.parametrize("sym, at_image, reason", [
+    ("p", frozenset(), "p() holds in source, not at image"),
+    ("q", frozenset(), "q(2,) holds in source, not at image"),
+    ("r", frozenset(), "r(1, 2) holds in source, not at image"),
+    ("w", frozenset(), "w(2, 0, 1) holds in source, not at image"),
+    ("k", {}, "k() defined in source, undefined at image"),
+    ("u", {(0,): 3}, "u(0,): image 3 != mapped value 2"),
+    ("g", {}, "g(0, 2) defined in source, undefined at image"),
+    ("t", {(0, 1, 2): 3}, "t(0, 1, 2): image 3 != mapped value 2"),
+])
+def test_is_hom_fails_at_every_arity(sym, at_image, reason):
+    A, ident = arities_structure({sym: ARITIES_FACTS[sym]}), {0: 0, 1: 1, 2: 2, 3: 3}
+    assert is_hom(Hom(A, arities_structure(ARITIES_FACTS), ident))
+    h = Hom(A, arities_structure({**ARITIES_FACTS, sym: at_image}), ident)
+    assert is_hom(h) == reference_is_hom(h) == HomReport(False, reason)
+
+
+def tables_of(S):
+    return copy.deepcopy((S.carriers, S.funcs, S.rels))
+
+
+# The matching states borrow the structure's tables, relations and carriers:
+# matching, hom search and scale entries leave every one of them as it was.
+@given(data=st.data())
+def test_read_only_matching_leaves_structure_unchanged(corpus_models, data):
+    if data.draw(st.booleans(), label="corpus"):
+        name = data.draw(st.sampled_from(sorted(corpus_models)), label="model")
+        theory, S = corpus_models[name][0], corpus_models[name][1].structure
+    else:
+        theory = data.draw(st.sampled_from([ARITIES, *FIRING_SCALES]), label="theory")
+        S = data.draw(sorted_structures(theory.signature, 3), label="S")
+    before = tables_of(S)
+    is_model(S, theory)
+    assert tables_of(S) == before
+    if S.size() <= 12:  # a hom search matches one variable per element
+        enumerate_homs(S, S)
+        enumerate_homs(S, S, bijective=True)
+        assert tables_of(S) == before
+    for scale in (equational_scale(theory.signature), *FIRING_SCALES.get(theory, ())):
+        DECOMPOSE_MODULE._entry_matches(scale, S)
+        assert tables_of(S) == before
